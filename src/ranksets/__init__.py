@@ -8,7 +8,8 @@ tests (with Bonferroni or Holm multiplicity control), a
 Clopper-Pearson interval-overlap procedure, multinomial bootstrap
 procedures (studentized or not), and a naive rank-resampling baseline,
 plus projections of the rank sets onto top-tau / bottom-tau category
-selections, a Monte Carlo study harness, and a CLI for count tables.
+selections and a Monte Carlo study harness.  The count-table workflow
+and command line live in :mod:`ranksets.cli` (``python -m ranksets``).
 """
 
 from ._dispatch import METHOD_NAMES, normalize_method, rank_cs
@@ -22,18 +23,6 @@ from .boot import (
     naive_rank_cs,
     resample,
     studentized_max_stat,
-)
-from .cli import (
-    AnalysisReport,
-    AnalysisRow,
-    Dataset,
-    analyze,
-    compare_methods,
-    emit_dataset,
-    emit_plotdata,
-    group_small,
-    ingest,
-    main,
 )
 from .core import (
     KINDS,
@@ -51,13 +40,11 @@ from .core import (
 from .cp import IntervalBox, clopper_pearson, cp_box, cp_rank_cs
 from .exact import (
     PairwisePValueTable,
-    TestConstants,
     bonferroni_reject,
     conditional_pvalue,
     exact_rank_cs,
     holm_reject,
     pairwise_pvalues,
-    test_constants,
 )
 from .projections import TauBestSet, tau_best, tau_worst
 from .sim import (
@@ -95,13 +82,11 @@ __all__ = [
     "rankset_from_rejections",
     # exact pairwise tests
     "PairwisePValueTable",
-    "TestConstants",
     "bonferroni_reject",
     "conditional_pvalue",
     "exact_rank_cs",
     "holm_reject",
     "pairwise_pvalues",
-    "test_constants",
     # Clopper-Pearson
     "IntervalBox",
     "clopper_pearson",
@@ -140,15 +125,4 @@ __all__ = [
     "run_design",
     "uniform_design",
     "uniform_theta",
-    # data workflow / CLI
-    "AnalysisReport",
-    "AnalysisRow",
-    "Dataset",
-    "analyze",
-    "compare_methods",
-    "emit_dataset",
-    "emit_plotdata",
-    "group_small",
-    "ingest",
-    "main",
 ]

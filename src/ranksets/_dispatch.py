@@ -7,6 +7,7 @@ aliases are accepted for API ergonomics.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable
 
 from .boot import BootstrapConfig, boot_rank_cs, naive_rank_cs
@@ -49,7 +50,10 @@ def rank_cs(
     alpha: float = 0.05,
     config: BootstrapConfig | None = None,
 ) -> RankSet:
-    """Run one named procedure and return its rank confidence set."""
+    """Run one named procedure and return its rank confidence set.
+
+    ``boot`` and ``bootStud`` set ``config.studentize`` from the name.
+    """
     canonical = normalize_method(method)
     if canonical == "exactBonf":
         return exact_rank_cs(sample, J0, kind, alpha, correction="bonferroni")
@@ -59,13 +63,8 @@ def rank_cs(
         return cp_rank_cs(sample, J0, kind, alpha)
     if config is None:
         config = BootstrapConfig()
-    if canonical == "boot":
-        cfg = BootstrapConfig(B=config.B, seed=config.seed,
-                              studentize=False, shape=config.shape)
-        return boot_rank_cs(sample, J0, kind, alpha, cfg)
-    if canonical == "bootStud":
-        cfg = BootstrapConfig(B=config.B, seed=config.seed,
-                              studentize=True, shape=config.shape)
+    if canonical in ("boot", "bootStud"):
+        cfg = replace(config, studentize=canonical == "bootStud")
         return boot_rank_cs(sample, J0, kind, alpha, cfg)
     # naive
     if kind != "two_sided":

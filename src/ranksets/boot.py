@@ -28,7 +28,7 @@ is known to under-cover when categories are (nearly) tied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -38,6 +38,7 @@ from .core import (
     MultinomialSample,
     PairwiseRejections,
     RankSet,
+    _categories_of_interest,
     _theta_array,
     build_index_family,
     rankset_from_rejections,
@@ -421,49 +422,24 @@ def boot_rank_cs(
     """
     if config is None:
         config = BootstrapConfig()
-    j0 = tuple(range(sample.p)) if J0 is None else J0
-    family = build_index_family(kind, j0, sample.p)
-    method = "bootStud" if config.studentize else "boot"
-
-    theta_hat = sample.theta_hat
-    if kind in ("lower", "upper"):
-        shaped = BootstrapConfig(
-            B=config.B, seed=config.seed,
-            studentize=config.studentize, shape="lower",
-        )
-        dcs = difference_cs(sample, shaped, alpha, family.pairs)
-        half = _band_half_width(dcs, sample.n)
-        rejected = [
-            (j, k) for j, k in family.pairs
-            if theta_hat[j] - theta_hat[k] > half
-        ]
-        rej = PairwiseRejections.from_claims(family, rejected)
+    family = build_index_family(kind, J0, sample.p)
+    if kind == "two_sided":
+        calibrated = build_index_family("upper", family.J0, sample.p)
+        shaped = replace(config, shape="symm")
     else:
-        anchored = build_index_family("upper", family.J0, sample.p)
-        shaped = BootstrapConfig(
-            B=config.B, seed=config.seed,
-            studentize=config.studentize, shape="symm",
-        )
-        dcs = difference_cs(sample, shaped, alpha, anchored.pairs)
-        half = _band_half_width(dcs, sample.n)
-        minus = {
-            j: frozenset(
-                k for k in range(sample.p)
-                if k != j and theta_hat[j] - theta_hat[k] < -half
-            )
-            for j in family.J0
-        }
-        plus = {
-            j: frozenset(
-                k for k in range(sample.p)
-                if k != j and theta_hat[j] - theta_hat[k] > half
-            )
-            for j in family.J0
-        }
-        rej = PairwiseRejections(J0=family.J0, rej_minus=minus, rej_plus=plus)
-
+        calibrated = family
+        shaped = replace(config, shape="lower")
+    dcs = difference_cs(sample, shaped, alpha, calibrated.pairs)
+    half = _band_half_width(dcs, sample.n)
+    theta_hat = sample.theta_hat
+    # A rejected pair (a, b) is the claim theta_a > theta_b.
+    rejected = [
+        (a, b) for a, b in family.pairs if theta_hat[a] - theta_hat[b] > half
+    ]
+    rej = PairwiseRejections.from_claims(family, rejected)
     return rankset_from_rejections(
-        rej, sample.p, method=method, alpha=alpha, kind=kind
+        rej, sample.p, method="bootStud" if config.studentize else "boot",
+        alpha=alpha, kind=kind,
     )
 
 
@@ -492,7 +468,7 @@ def naive_rank_cs(
         config = BootstrapConfig()
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
-    j0 = tuple(range(sample.p)) if J0 is None else tuple(sorted({int(j) for j in J0}))
+    j0 = _categories_of_interest(J0, sample.p)
     star = _theta_star_matrix(sample, config)
     ranks = np.sort(_rank_matrix(star), axis=0)
     B = config.B

@@ -25,8 +25,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,7 +33,7 @@ from ._dispatch import METHOD_NAMES, normalize_method, rank_cs
 from .boot import BootstrapConfig
 from .core import KINDS, InvalidTestFamilyError, MultinomialSample, compute_ranks
 from .projections import tau_best, tau_worst
-from .sim import SimDesign, aes_design, erratic_design, run_design, uniform_design
+from .sim import aes_design, erratic_design, run_design, uniform_design
 
 __all__ = [
     "DataError",
@@ -436,8 +435,7 @@ def analyze(
     AnalysisReport
         One row per (group, target category) with the point estimate,
         its standard error, the estimated (best) rank, and the rank
-        interval.  Groups are processed in parallel; row order follows
-        the dataset.
+        interval.  Row order follows the dataset.
     """
     method = normalize_method(method)
     if scope not in _SCOPES:
@@ -446,23 +444,13 @@ def analyze(
         raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
     if config is None:
         config = BootstrapConfig()
-    items = list(dataset.samples.items())
-    if len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-            per_group = list(
-                pool.map(
-                    lambda it: _analyze_group(
-                        it[0], it[1], method, kind, alpha, scope, j0, config
-                    ),
-                    items,
-                )
-            )
-    else:
-        per_group = [
-            _analyze_group(g, s, method, kind, alpha, scope, j0, config)
-            for g, s in items
-        ]
-    rows = tuple(row for rows_ in per_group for row in rows_)
+    rows = tuple(
+        row
+        for group, sample in dataset.samples.items()
+        for row in _analyze_group(
+            group, sample, method, kind, alpha, scope, j0, config
+        )
+    )
     return AnalysisReport(
         method=method, kind=kind, alpha=alpha, scope=scope, j0=j0,
         rows=rows, dataset_id=dataset.identity(),
@@ -959,16 +947,12 @@ def _run_simulate(args, out) -> int:
             cats = tuple(
                 int(c) - 1 for c in args.categories.split(",") if c.strip()
             )
+            design = replace(design, categories=cats)
         except ValueError:
             raise DataError(
-                f"--categories must be 1-based integers, got {args.categories!r}"
+                f"--categories must be integers in 1..{len(design.theta)}, "
+                f"got {args.categories!r}"
             ) from None
-        design = SimDesign(
-            name=design.name, theta=design.theta, n=design.n,
-            methods=design.methods, alpha=design.alpha, reps=design.reps,
-            B=design.B, master_seed=design.master_seed, scope=design.scope,
-            categories=cats, notes=design.notes,
-        )
     report = run_design(design)
     text = report.to_json() if args.format == "json" else report.to_csv()
     print(text, end="" if text.endswith("\n") else "\n", file=out)

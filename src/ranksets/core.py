@@ -239,16 +239,34 @@ class IndexFamily:
         return len(self.pairs)
 
 
-def build_index_family(kind: str, J0: Iterable[int], p: int) -> IndexFamily:
+def _categories_of_interest(J0: Iterable[int] | None, p: int) -> tuple[int, ...]:
+    """Sorted, de-duplicated 0-based categories of interest.
+
+    ``None`` means every category.  Anything else must be a non-empty
+    subset of ``range(p)``; a ``ValueError`` is raised otherwise.
+    """
+    if J0 is None:
+        return tuple(range(p))
+    j0 = tuple(sorted({int(j) for j in J0}))
+    if not j0:
+        raise ValueError("J0 must be non-empty")
+    if j0[0] < 0 or j0[-1] >= p:
+        raise ValueError(f"J0={j0} out of range for p={p}")
+    return j0
+
+
+def build_index_family(
+    kind: str, J0: Iterable[int] | None, p: int
+) -> IndexFamily:
     """Enumerate the comparison pairs for a given sidedness and targets.
 
     Parameters
     ----------
     kind : {'lower', 'upper', 'two_sided'}
         Which rank bounds the resulting tests are allowed to tighten.
-    J0 : iterable of int
+    J0 : iterable of int or None
         0-based categories of interest; non-empty subset of
-        ``range(p)``.
+        ``range(p)``, or ``None`` for all categories.
     p : int
         Total number of categories.
 
@@ -261,11 +279,7 @@ def build_index_family(kind: str, J0: Iterable[int], p: int) -> IndexFamily:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    j0 = tuple(sorted({int(j) for j in J0}))
-    if not j0:
-        raise ValueError("J0 must be non-empty")
-    if j0[0] < 0 or j0[-1] >= p:
-        raise ValueError(f"J0={j0} out of range for p={p}")
+    j0 = _categories_of_interest(J0, p)
     pairs: set[tuple[int, int]] = set()
     if kind in ("lower", "two_sided"):
         pairs.update((j, k) for k in j0 for j in range(p) if j != k)
@@ -381,7 +395,6 @@ class RankSet:
 def rankset_from_rejections(
     rej: PairwiseRejections,
     p: int,
-    J0: Iterable[int] | None = None,
     *,
     method: str = "",
     alpha: float = float("nan"),
@@ -395,8 +408,6 @@ def rankset_from_rejections(
         Directional claims produced by a multiple-testing procedure.
     p : int
         Total number of categories.
-    J0 : iterable of int, optional
-        Categories to report; defaults to ``rej.J0``.
     method, alpha, kind
         Metadata recorded on the returned set.
 
@@ -404,7 +415,7 @@ def rankset_from_rejections(
     -------
     RankSet
         ``lo_j = |rej_minus[j]| + 1`` and ``hi_j = p - |rej_plus[j]|``
-        for each requested category.
+        for each category of interest ``rej.J0``.
 
     Raises
     ------
@@ -412,9 +423,8 @@ def rankset_from_rejections(
         If some ``lo_j > hi_j``, which a sound level-alpha family
         cannot produce.
     """
-    j0 = tuple(rej.J0) if J0 is None else tuple(sorted({int(j) for j in J0}))
-    lo = {j: len(rej.rej_minus.get(j, frozenset())) + 1 for j in j0}
-    hi = {j: p - len(rej.rej_plus.get(j, frozenset())) for j in j0}
+    lo = {j: len(rej.rej_minus.get(j, frozenset())) + 1 for j in rej.J0}
+    hi = {j: p - len(rej.rej_plus.get(j, frozenset())) for j in rej.J0}
     return RankSet(
-        p=p, J0=j0, lo=lo, hi=hi, method=method, alpha=alpha, kind=kind
+        p=p, J0=rej.J0, lo=lo, hi=hi, method=method, alpha=alpha, kind=kind
     )

@@ -132,8 +132,7 @@ def cp_rank_cs(
         touching intervals cannot exclude equality), and symmetrically
         for the other direction.
     """
-    j0 = tuple(range(sample.p)) if J0 is None else J0
-    family = build_index_family(kind, j0, sample.p)
+    family = build_index_family(kind, J0, sample.p)
     box = cp_box(sample, alpha)
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)

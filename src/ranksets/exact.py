@@ -10,16 +10,13 @@ sets with finite-sample coverage via the rejection-counting
 construction in :mod:`ranksets.core`.
 
 Inference always uses the non-randomized rule "reject iff p-value <=
-threshold".  The randomized-test constants ``C(s), gamma(s)`` are
-computed for completeness and testing only, never to randomize actual
-rejections.
+threshold".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -34,9 +31,7 @@ from .core import (
 
 __all__ = [
     "PairwisePValueTable",
-    "TestConstants",
     "conditional_pvalue",
-    "test_constants",
     "pairwise_pvalues",
     "bonferroni_reject",
     "holm_reject",
@@ -74,61 +69,6 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
         raise ValueError("counts must be non-negative")
     s = x_j + x_k
     return _tail_numerator(x_j, s) / (1 << s)
-
-
-@dataclass(frozen=True)
-class TestConstants:
-    """Cutoff and randomization weight of the level-beta conditional test.
-
-    The randomized test rejects outright when the first count exceeds
-    ``C``, rejects with probability ``gamma`` at ``C`` exactly, and
-    accepts below; ``tail(C + 1) <= beta < tail(C)`` with ``gamma``
-    absorbing the remaining level.  The equivalent non-randomized rule
-    is "reject iff the p-value is <= beta", i.e. iff ``x_j > C``.
-    """
-
-    s: int
-    beta: float
-    C: int
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError(f"gamma={self.gamma} outside [0, 1)")
-
-
-def test_constants(s: int, beta: float) -> TestConstants:
-    """Solve for the randomized-test constants at conditioning sum ``s``.
-
-    Parameters
-    ----------
-    s : int
-        Conditioning sum of the two counts, ``s >= 0``.
-    beta : float
-        Test level, ``0 < beta < 1``.
-
-    Returns
-    -------
-    TestConstants
-        The smallest cutoff ``C`` with ``tail(C + 1) <= beta`` and the
-        weight ``gamma`` solving ``tail(C + 1) + gamma * C(s, C) *
-        2**-s = beta`` exactly, where ``tail(c) = 2**-s *
-        sum_{i=c}^{s} C(s, i)``.
-    """
-    s = int(s)
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie strictly between 0 and 1")
-    beta_exact = Fraction(beta)
-    denom = 1 << s
-    # Walk the cutoff down from the full tail until it fits under beta.
-    cutoff = 0
-    while Fraction(_tail_numerator(cutoff + 1, s), denom) > beta_exact:
-        cutoff += 1
-    overshoot = beta_exact - Fraction(_tail_numerator(cutoff + 1, s), denom)
-    gamma = overshoot / Fraction(math.comb(s, cutoff), denom)
-    return TestConstants(s=s, beta=beta, C=cutoff, gamma=float(gamma))
 
 
 @dataclass(frozen=True)
@@ -232,8 +172,7 @@ def exact_rank_cs(
         raise ValueError(
             f"correction must be one of {CORRECTIONS}, got {correction!r}"
         )
-    j0 = tuple(range(sample.p)) if J0 is None else J0
-    family = build_index_family(kind, j0, sample.p)
+    family = build_index_family(kind, J0, sample.p)
     table = pairwise_pvalues(sample, family)
     if correction == "bonferroni":
         rej = bonferroni_reject(table, alpha)

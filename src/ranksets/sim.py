@@ -28,7 +28,13 @@ import numpy as np
 
 from ._dispatch import normalize_method, rank_cs
 from .boot import BootstrapConfig, difference_cs
-from .core import MultinomialSample, ProbabilityVector, build_index_family, compute_ranks
+from .core import (
+    MultinomialSample,
+    ProbabilityVector,
+    _categories_of_interest,
+    build_index_family,
+    compute_ranks,
+)
 
 __all__ = [
     "AES_COUNTS",
@@ -138,9 +144,7 @@ class SimDesign:
             self, "methods", tuple(normalize_method(m) for m in self.methods)
         )
         if self.categories is not None:
-            cats = tuple(sorted({int(j) for j in self.categories}))
-            if not cats or cats[0] < 0 or cats[-1] >= len(self.theta):
-                raise ValueError(f"categories {cats} out of range")
+            cats = _categories_of_interest(self.categories, len(self.theta))
             object.__setattr__(self, "categories", cats)
 
 
@@ -311,7 +315,7 @@ def run_design(design: SimDesign) -> SimReport:
     """
     theta = np.asarray(design.theta)
     p = theta.size
-    cats = design.categories if design.categories is not None else tuple(range(p))
+    cats = _categories_of_interest(design.categories, p)
     triples = compute_ranks(theta)
     cover = {(m, j): 0 for m in design.methods for j in cats}
     length = {(m, j): 0 for m in design.methods for j in cats}

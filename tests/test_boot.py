@@ -243,21 +243,36 @@ def test_difference_cs_marginal_coverage_two_categories():
 
 
 def test_rank_cs_band_threshold_is_crit_times_largest_scale():
-    anchored = build_index_family("upper", tuple(range(7)), 7)
-    cfg = BootstrapConfig(B=500, seed=0, shape="symm")
-    dcs = difference_cs(MELBOURNE, cfg, 0.05, anchored.pairs)
-    half = _band_half_width(dcs, MELBOURNE.n)
-    assert half == pytest.approx(
-        dcs.crit[0] * max(dcs.sigma.values()) / math.sqrt(MELBOURNE.n), rel=1e-12
-    )
+    # Two-sided sets calibrate the symmetric shape on the pairs anchored
+    # at J0; one-sided sets calibrate the lower shape on their own family.
     th = MELBOURNE.theta_hat
-    manual = []
-    for j in range(7):
-        lo = 1 + sum(th[k] - th[j] > half for k in range(7) if k != j)
-        hi = 7 - sum(th[j] - th[k] > half for k in range(7) if k != j)
-        manual.append((lo, hi))
-    rs = boot_rank_cs(MELBOURNE, config=BootstrapConfig(B=500, seed=0))
-    assert [rs.interval(j) for j in range(7)] == manual
+    for J0 in (None, (0,), (3, 6)):
+        targets = tuple(range(7)) if J0 is None else J0
+        for kind in ("two_sided", "lower", "upper"):
+            if kind == "two_sided":
+                calibrated = build_index_family("upper", targets, 7)
+                shape = "symm"
+            else:
+                calibrated, shape = build_index_family(kind, targets, 7), "lower"
+            cfg = BootstrapConfig(B=500, seed=0, shape=shape)
+            dcs = difference_cs(MELBOURNE, cfg, 0.05, calibrated.pairs)
+            half = _band_half_width(dcs, MELBOURNE.n)
+            assert half == pytest.approx(
+                dcs.crit[0] * max(dcs.sigma.values()) / math.sqrt(MELBOURNE.n),
+                rel=1e-12,
+            )
+            manual = []
+            for j in targets:
+                beaten_by = sum(th[k] - th[j] > half for k in range(7) if k != j)
+                beats = sum(th[j] - th[k] > half for k in range(7) if k != j)
+                lo = 1 if kind == "upper" else 1 + beaten_by
+                hi = 7 if kind == "lower" else 7 - beats
+                manual.append((lo, hi))
+            rs = boot_rank_cs(
+                MELBOURNE, J0, kind, config=BootstrapConfig(B=500, seed=0)
+            )
+            assert rs.J0 == targets
+            assert [rs.interval(j) for j in targets] == manual, (J0, kind)
 
 
 def test_rank_cs_without_studentizing_band_equals_per_pair_readout():

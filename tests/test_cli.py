@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -556,3 +560,23 @@ def test_main_simulate_categories_flag(capsys):
 def test_main_requires_a_subcommand(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_python_dash_m_runs_the_cli(melbourne_csv):
+    package = _run_module("ranksets", "analyze", str(melbourne_csv))
+    assert package.returncode == 0, package.stderr
+    assert "Labor" in package.stdout
+    module = _run_module("ranksets.cli", "analyze", str(melbourne_csv))
+    assert module.returncode == 0, module.stderr
+    assert "RuntimeWarning" not in module.stderr
+    assert module.stdout == package.stdout

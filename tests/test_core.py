@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranksets._dispatch import METHOD_NAMES, rank_cs
+from ranksets.boot import BootstrapConfig
 from ranksets.core import (
     IndexFamily,
     InvalidTestFamilyError,
@@ -120,6 +122,21 @@ def test_family_rejects_unknown_kind():
 def test_family_rejects_out_of_range_anchor():
     with pytest.raises(ValueError):
         build_index_family("lower", (5,), 3)
+
+
+def test_family_none_means_every_category():
+    fam = build_index_family("lower", None, 4)
+    assert fam.J0 == (0, 1, 2, 3)
+    assert fam == build_index_family("lower", (3, 1, 2, 0, 1), 4)
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_every_method_rejects_bad_j0(method):
+    sample = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
+    cfg = BootstrapConfig(B=50, seed=0)
+    for J0 in [(-1,), (sample.p,), ()]:
+        with pytest.raises(ValueError):
+            rank_cs(method, sample, J0=J0, config=cfg)
 
 
 @given(

@@ -16,7 +16,6 @@ from ranksets.exact import (
     holm_reject,
     pairwise_pvalues,
 )
-from ranksets.exact import test_constants as make_test_constants
 
 # ---------------------------------------------------------------------------
 # conditional p-value
@@ -66,53 +65,6 @@ def test_pvalue_large_s_stays_in_unit_interval_and_monotone():
 def test_pvalue_two_tails_overlap(x_j, x_k):
     # both one-sided tails count the point x_j, so they sum to >= 1
     assert conditional_pvalue(x_j, x_k) + conditional_pvalue(x_k, x_j) >= 1.0
-
-
-# ---------------------------------------------------------------------------
-# test constants
-
-
-def _tail(c: int, s: int) -> Fraction:
-    return Fraction(sum(comb(s, i) for i in range(c, s + 1)), 2**s)
-
-
-def test_constants_degenerate_zero():
-    tc = make_test_constants(0, 0.05)
-    assert tc.C == 0 and tc.gamma == pytest.approx(0.05)
-
-
-def test_constants_ten_trials():
-    tc = make_test_constants(10, 0.05)
-    assert tc.C == 8
-    assert tc.gamma == pytest.approx((0.05 * 1024 - 11) / 45)
-
-
-def test_constants_single_trial_half_level():
-    # tail(1; 1) = 1/2 <= beta < tail(0; 1) = 1 pins C = 0; the level is
-    # then exactly exhausted without randomization.
-    tc = make_test_constants(1, 0.5)
-    assert tc.C == 0
-    assert tc.gamma == pytest.approx(0.0)
-
-
-def test_constants_satisfy_defining_inequalities_exhaustively():
-    for s in range(0, 41):
-        for beta in (0.01, 0.05, 0.1, 0.25, 0.5, 0.9):
-            tc = make_test_constants(s, beta)
-            assert 0.0 <= tc.gamma < 1.0
-            assert float(_tail(tc.C + 1, s)) <= beta
-            if tc.C > 0:
-                assert beta < float(_tail(tc.C, s))
-            # gamma absorbs the remaining level exactly
-            lhs = tc.gamma * comb(s, tc.C) / 2**s + float(_tail(tc.C + 1, s))
-            assert lhs == pytest.approx(beta, abs=1e-12)
-
-
-def test_constants_reject_bad_level():
-    with pytest.raises(ValueError):
-        make_test_constants(5, 0.0)
-    with pytest.raises(ValueError):
-        make_test_constants(5, 1.0)
 
 
 # ---------------------------------------------------------------------------
