@@ -392,7 +392,9 @@ def boot_rank_cs(
 
     One-sided kinds calibrate the lower-variant max statistic over the
     matching family; the two-sided kind calibrates the symmetric
-    variant over the pairs anchored at each category of interest.
+    variant over the pairs anchored at each category of interest, with
+    each unordered pair entering the symmetric max once (its mirror
+    gives the same statistic and scale, bit for bit).
     Either way the claims use a constant-width band: a comparison is
     rejected only when its estimated difference clears the critical
     value times the largest per-pair scale in the family (over
@@ -424,12 +426,15 @@ def boot_rank_cs(
         config = BootstrapConfig()
     family = build_index_family(kind, J0, sample.p)
     if kind == "two_sided":
-        calibrated = build_index_family("upper", family.J0, sample.p)
+        anchored = build_index_family("upper", family.J0, sample.p).pairs
+        # |d_ab| and sigma_ab equal |d_ba| and sigma_ba bit for bit.
+        present = set(anchored)
+        calibrated = [(a, b) for a, b in anchored if a < b or (b, a) not in present]
         shaped = replace(config, shape="symm")
     else:
-        calibrated = family
+        calibrated = family.pairs
         shaped = replace(config, shape="lower")
-    dcs = difference_cs(sample, shaped, alpha, calibrated.pairs)
+    dcs = difference_cs(sample, shaped, alpha, calibrated)
     half = _band_half_width(dcs, sample.n)
     theta_hat = sample.theta_hat
     # A rejected pair (a, b) is the claim theta_a > theta_b.

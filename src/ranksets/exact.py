@@ -15,7 +15,6 @@ threshold".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -41,13 +40,31 @@ __all__ = [
 CORRECTIONS = ("bonferroni", "holm")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _tail_numerator(x: int, s: int) -> int:
-    """Integer numerator of P{Bin(s, 1/2) >= x}, i.e. sum_{i=x}^{s} C(s, i)."""
-    return sum(math.comb(s, i) for i in range(x, s + 1))
+    """Integer numerator of P{Bin(s, 1/2) >= x}, i.e. sum_{i=x}^{s} C(s, i).
+
+    Summed by the exact recurrence between neighbouring binomial
+    coefficients over the shorter tail, ``O(min(x, s - x))`` integer
+    steps for ``x <= s``: upward from ``C(s, s) = 1`` when ``2x > s``,
+    otherwise ``2**s`` minus the terms below ``x``.
+    """
+    if x <= 0:
+        return 1 << s
+    term = total = 1
+    if 2 * x > s:
+        for i in range(s, x, -1):  # C(s, i - 1) = C(s, i) * i / (s - i + 1)
+            term = term * i // (s - i + 1)
+            total += term
+        return total
+    for i in range(x - 1):  # C(s, i + 1) = C(s, i) * (s - i) / (i + 1)
+        term = term * (s - i) // (i + 1)
+        total += term
+    return (1 << s) - total
 
 
-@lru_cache(maxsize=None)
+# Each entry is one float; the paper's tables (n <= 238) have < 57k pairs.
+@lru_cache(maxsize=2**16)
 def conditional_pvalue(x_j: int, x_k: int) -> float:
     """Exact one-sided p-value for ``theta_j <= theta_k`` given the counts.
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranksets.boot import (
     BootstrapConfig,
@@ -273,6 +275,43 @@ def test_rank_cs_band_threshold_is_crit_times_largest_scale():
             )
             assert rs.J0 == targets
             assert [rs.interval(j) for j in targets] == manual, (J0, kind)
+
+
+@st.composite
+def _table_and_targets(draw):
+    p = draw(st.integers(2, 12))
+    counts = draw(st.lists(st.integers(0, 40), min_size=p, max_size=p))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, p - 1))] = 1
+    J0 = draw(st.sets(st.integers(0, p - 1), min_size=1))
+    return MultinomialSample(tuple(counts)), tuple(sorted(J0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_table_and_targets(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_symm_calibration_counts_each_unordered_pair_once(table, studentize, seed):
+    # The symmetric statistic and the scale of (a, b) equal those of
+    # (b, a) bit for bit, so dropping one of each mirrored pair from the
+    # anchored family leaves the critical value and the largest scale
+    # exactly as they were.  Zero cells give c/0 = +-inf ratios.
+    sample, J0 = table
+    full = build_index_family("upper", J0, sample.p).pairs
+    present = set(full)
+    once = [(a, b) for a, b in full if a < b or (b, a) not in present]
+    cfg = BootstrapConfig(B=200, seed=seed, studentize=studentize, shape="symm")
+    full_cs = difference_cs(sample, cfg, 0.05, full)
+    once_cs = difference_cs(sample, cfg, 0.05, once)
+    assert once_cs.crit == full_cs.crit
+    assert max(once_cs.sigma.values()) == max(full_cs.sigma.values())
+    if len(J0) == sample.p:
+        assert 2 * len(once) == len(full)
+    # The rank readout equals the one read off the full family.
+    half, th, p = _band_half_width(full_cs, sample.n), sample.theta_hat, sample.p
+    rs = boot_rank_cs(sample, J0, config=cfg)
+    for j in J0:
+        lo = 1 + sum(th[k] - th[j] > half for k in range(p) if k != j)
+        hi = p - sum(th[j] - th[k] > half for k in range(p) if k != j)
+        assert rs.interval(j) == (lo, hi)
 
 
 def test_rank_cs_without_studentizing_band_equals_per_pair_readout():

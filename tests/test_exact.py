@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranksets.core import MultinomialSample, build_index_family
@@ -16,6 +16,7 @@ from ranksets.exact import (
     holm_reject,
     pairwise_pvalues,
 )
+from ranksets.exact import _tail_numerator
 
 # ---------------------------------------------------------------------------
 # conditional p-value
@@ -59,6 +60,61 @@ def test_pvalue_large_s_stays_in_unit_interval_and_monotone():
         if prev is not None:
             assert p <= prev  # more successes, smaller tail
         prev = p
+
+
+def test_tail_numerator_matches_comb_sum_exhaustively():
+    for s in range(151):
+        for x in range(s + 1):
+            assert _tail_numerator(x, s) == sum(comb(s, i) for i in range(x, s + 1))
+
+
+@st.composite
+def _tail_point(draw):
+    s = draw(st.integers(0, 4000))
+    return draw(st.integers(0, s)), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tail_point())
+@example((0, 0))
+@example((0, 4000))
+@example((4000, 4000))
+@example((2000, 4000))  # last x summed from below
+@example((2001, 4000))  # first x summed from above
+@example((1999, 3999))  # odd s: from below
+@example((2000, 3999))  # odd s: from above
+def test_tail_numerator_obeys_pascal_and_complement(point):
+    # Neighbouring tails differ by one binomial coefficient and a tail
+    # plus the opposite tail is 2**s; with tail(s, s) == 1 these pin
+    # every value, and they mix the two summation directions.
+    x, s = point
+    tail = _tail_numerator(x, s)
+    if x == s:
+        assert tail == 1
+    else:
+        assert tail - _tail_numerator(x + 1, s) == comb(s, x)
+    if x == 0:
+        assert tail == 1 << s
+    else:
+        assert tail + _tail_numerator(s + 1 - x, s) == 1 << s
+
+
+@pytest.mark.parametrize("x_j, x_k", [(1902, 1579), (1579, 1902), (881, 449)])
+def test_pvalue_is_correctly_rounded_rational_at_large_s(x_j, x_k):
+    assert conditional_pvalue(x_j, x_k) == float(_pvalue_oracle(x_j, x_k))
+
+
+def test_pvalue_caches_are_bounded():
+    # More distinct (x_j, x_k) pairs than the p-value cache holds.
+    side = 257
+    assert side * side > conditional_pvalue.cache_info().maxsize
+    for x_j in range(side):
+        for x_k in range(side):
+            conditional_pvalue(x_j, x_k)
+    for cached in (conditional_pvalue, _tail_numerator):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= info.maxsize
 
 
 @given(st.integers(0, 80), st.integers(0, 80))
