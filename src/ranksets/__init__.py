@@ -22,7 +22,6 @@ from .boot import (
     difference_cs,
     naive_rank_cs,
     resample,
-    studentized_max_stat,
 )
 from .core import (
     KINDS,
@@ -101,7 +100,6 @@ __all__ = [
     "difference_cs",
     "naive_rank_cs",
     "resample",
-    "studentized_max_stat",
     # dispatch
     "METHOD_NAMES",
     "normalize_method",

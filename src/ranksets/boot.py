@@ -49,7 +49,6 @@ __all__ = [
     "BootstrapConfig",
     "DifferenceCS",
     "resample",
-    "studentized_max_stat",
     "bootstrap_quantile",
     "difference_cs",
     "boot_rank_cs",
@@ -158,43 +157,6 @@ def _pair_stats(
     else:
         ratios = num * math.sqrt(n)
     return ratios.max(axis=1)
-
-
-def studentized_max_stat(
-    sample_boot: MultinomialSample,
-    theta_hat,
-    pairs: Sequence[tuple[int, int]],
-    studentize: bool = True,
-    variant: str = "lower",
-) -> float:
-    """Max-over-pairs bootstrap statistic for a single resample.
-
-    Parameters
-    ----------
-    sample_boot : MultinomialSample
-        One bootstrap draw of counts.
-    theta_hat : array-like or ProbabilityVector
-        Frequencies of the original data the draw recenters on.
-    pairs : sequence of (j, k)
-        Category pairs entering the max.
-    studentize : bool
-        Divide each ratio by its resample standard deviation over
-        ``sqrt(n)``; without it the scale is exactly ``sqrt(n)``.
-    variant : {'lower', 'upper', 'symm'}
-        Signed, sign-flipped, or absolute-value numerator.
-
-    Returns
-    -------
-    float
-        ``max_{(j,k)} (theta*_j - theta*_k - (theta^_j - theta^_k)) /
-        (sigma*_{j,k} / sqrt(n))`` under the conventions ``0/0 = 0``
-        and ``c/0 = sign(c) * inf``; may be ``+-inf``.
-    """
-    star = np.asarray(sample_boot.counts, dtype=float)[None, :] / sample_boot.n
-    theta = _theta_array(theta_hat)
-    return float(
-        _pair_stats(star, theta, sample_boot.n, list(pairs), studentize, variant)[0]
-    )
 
 
 def bootstrap_quantile(values, level: float) -> float:
@@ -426,10 +388,12 @@ def boot_rank_cs(
         config = BootstrapConfig()
     family = build_index_family(kind, J0, sample.p)
     if kind == "two_sided":
-        anchored = build_index_family("upper", family.J0, sample.p).pairs
-        # |d_ab| and sigma_ab equal |d_ba| and sigma_ba bit for bit.
-        present = set(anchored)
-        calibrated = [(a, b) for a, b in anchored if a < b or (b, a) not in present]
+        anchored = build_index_family("upper", family.J0, sample.p).mask
+        rows, cols = np.nonzero(anchored)
+        # |d_ab| and sigma_ab equal |d_ba| and sigma_ba bit for bit, so
+        # (a, b) goes when a > b and its mirror (b, a) is anchored too.
+        once = (rows < cols) | ~anchored[cols, rows]
+        calibrated = list(zip(rows[once].tolist(), cols[once].tolist()))
         shaped = replace(config, shape="symm")
     else:
         calibrated = family.pairs
@@ -437,21 +401,26 @@ def boot_rank_cs(
     dcs = difference_cs(sample, shaped, alpha, calibrated)
     half = _band_half_width(dcs, sample.n)
     theta_hat = sample.theta_hat
-    # A rejected pair (a, b) is the claim theta_a > theta_b.
-    rejected = [
-        (a, b) for a, b in family.pairs if theta_hat[a] - theta_hat[b] > half
-    ]
-    rej = PairwiseRejections.from_claims(family, rejected)
+    claims = family.mask & (theta_hat[:, None] - theta_hat[None, :] > half)
+    rej = PairwiseRejections.from_claims(family, claims)
     return rankset_from_rejections(
         rej, sample.p, method="bootStud" if config.studentize else "boot",
         alpha=alpha, kind=kind,
     )
 
 
-def _rank_matrix(theta_star: np.ndarray) -> np.ndarray:
-    """(B, p) best ranks of each resampled frequency vector."""
-    greater = theta_star[:, None, :] > theta_star[:, :, None]
-    return 1 + greater.sum(axis=2)
+def _best_ranks(theta_star: np.ndarray) -> np.ndarray:
+    """(B, p) best ranks ``1 + #{k : theta*_k > theta*_j}`` of each row."""
+    order = np.argsort(-theta_star, axis=1, kind="stable")
+    desc = np.take_along_axis(theta_star, order, axis=1)
+    # In descending order a tie group shares the position of its first member.
+    starts = np.ones(desc.shape, dtype=bool)
+    starts[:, 1:] = desc[:, 1:] != desc[:, :-1]
+    position = np.arange(1, desc.shape[1] + 1)
+    sorted_ranks = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks
 
 
 def naive_rank_cs(
@@ -475,7 +444,7 @@ def naive_rank_cs(
         raise ValueError("alpha must lie strictly between 0 and 1")
     j0 = _categories_of_interest(J0, sample.p)
     star = _theta_star_matrix(sample, config)
-    ranks = np.sort(_rank_matrix(star), axis=0)
+    ranks = np.sort(_best_ranks(star), axis=0)
     B = config.B
     lo_idx = min(math.floor(round(alpha / 2 * B, 9)) + 1, B)
     hi_idx = max(math.ceil(round((1.0 - alpha / 2) * B, 9)), 1)

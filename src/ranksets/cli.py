@@ -11,8 +11,9 @@ plot-ready CSVs.
 Every step is importable and pure; the CLI subcommands (``analyze``,
 ``simulate``, ``tau-best``, ``compare``, ``plotdata``) are thin
 argument-parsing wrappers.  Exit codes: 0 on success, 1 on bad input
-(unreadable/malformed data, unknown names, invalid flag values), 2 on
-an internal invariant violation.  The environment variable
+(a :class:`DataError`: unreadable/malformed data, unknown names, invalid
+flag values) or an ``OSError``, 2 on any other exception, which is an
+internal error.  The environment variable
 ``RANKSETS_SEED``, when set, overrides ``--seed``.
 """
 
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 
 from ._dispatch import METHOD_NAMES, normalize_method, rank_cs
 from .boot import BootstrapConfig
-from .core import KINDS, InvalidTestFamilyError, MultinomialSample, compute_ranks
+from .core import KINDS, MultinomialSample, compute_ranks
 from .projections import tau_best, tau_worst
 from .sim import aes_design, erratic_design, run_design, uniform_design
 
@@ -442,6 +443,8 @@ def analyze(
         raise DataError(f"scope must be one of {_SCOPES}, got {scope!r}")
     if kind not in KINDS:
         raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
+    if method == "naive" and kind != "two_sided":
+        raise DataError("the naive bootstrap only supports two-sided sets")
     if config is None:
         config = BootstrapConfig()
     rows = tuple(
@@ -631,15 +634,18 @@ def _alpha_value(text: str) -> float:
 
 
 def _resolve_seed(flag_value: int | None) -> int | None:
+    seed = flag_value
     env = os.environ.get("RANKSETS_SEED")
     if env is not None and env.strip() != "":
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise DataError(
                 f"RANKSETS_SEED must be an integer, got {env!r}"
             ) from None
-    return flag_value
+    if seed is not None and seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _group_small_spec(text: str):
@@ -735,7 +741,7 @@ def _build_parser() -> _Parser:
         help="select bottom-tau instead of top-tau",
     )
     p_tau.add_argument(
-        "--method", default="exactHolm",
+        "--method", type=normalize_method, default="exactHolm",
         help="any registered method except naive",
     )
 
@@ -828,12 +834,18 @@ def _run_analyze(args, out) -> int:
 
 
 def _run_tau(args, out) -> int:
+    if args.method == "naive":
+        raise DataError("tau-best needs one-sided rank sets, which naive lacks")
     dataset = _load_dataset(args)
     config = BootstrapConfig(B=args.boot_samples, seed=_resolve_seed(args.seed))
     select = tau_worst if args.worst else tau_best
     direction = "worst" if args.worst else "best"
     csv_rows = []
     for group, sample in dataset.samples.items():
+        if args.tau > sample.p:
+            raise DataError(
+                f"group {group!r}: --tau {args.tau} exceeds its {sample.p} categories"
+            )
         result = select(sample, args.tau, alpha=args.alpha,
                         method=args.method, config=config)
         members = [sample.labels[j] for j in sorted(result.members)]
@@ -979,16 +991,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _RUNNERS[args.command](args, sys.stdout)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InvalidTestFamilyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - invariant violations
+    except Exception as exc:  # a library bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,14 +6,17 @@ their tie group.  Because ties make the rank ambiguous, each category
 also carries the interval of admissible ranks ``[r_lo, r_hi]`` where
 ``r_hi`` is the worst rank consistent with the ties.
 
-Confidence sets for ranks are integer intervals assembled from
-directional rejections of pairwise comparisons: every category claimed
-to beat ``j`` pushes ``j``'s lower rank bound up by one, and every
-category ``j`` is claimed to beat pulls ``j``'s upper rank bound down
-by one.  The assembly is test-agnostic; any family of pairwise tests
-with familywise error control at level ``alpha`` yields a confidence
-set with simultaneous coverage ``1 - alpha`` over the categories of
-interest.
+Confidence sets for ranks are integer intervals read off one ``p x p``
+boolean claim matrix ``C``, where ``C[a, b]`` claims ``theta_a >
+theta_b``.  Every category claimed to beat ``j`` pushes ``j``'s lower
+rank bound up by one and every category ``j`` is claimed to beat pulls
+its upper bound down by one: ``lo = 1 + C[:, J0].sum(0)`` and ``hi = p
+- C[J0, :].sum(1)``.  A procedure only supplies a pairwise statistic
+and the comparison that turns it into claims, restricted to the
+``p x p`` mask of its index family.  The assembly is test-agnostic; any
+family of pairwise tests with familywise error control at level
+``alpha`` yields a confidence set with simultaneous coverage ``1 -
+alpha`` over the categories of interest.
 
 Category indices are 0-based throughout the API; rank values are
 1-based integers in ``{1, ..., p}``.
@@ -21,7 +24,8 @@ Category indices are 0-based throughout the API; rank values are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -215,28 +219,44 @@ def compute_ranks(theta) -> list[RankTriple]:
 class IndexFamily:
     """Ordered pairs of categories whose comparisons a procedure tests.
 
-    ``kind`` selects which rank bounds the family can move: ``lower``
-    compares everything against the categories of interest (raising
-    lower bounds), ``upper`` compares the categories of interest
-    against everything (lowering upper bounds), and ``two_sided`` is
-    the union of the two.
+    ``mask[a, b]`` (read-only, ``p x p``) marks the pair ``(a, b)``
+    whose test can claim ``theta_a > theta_b``.  ``kind`` selects which
+    rank bounds the family can move: ``lower`` compares everything
+    against the categories of interest (``mask[:, J0]``, raising lower
+    bounds), ``upper`` compares the categories of interest against
+    everything (``mask[J0, :]``, lowering upper bounds), and
+    ``two_sided`` is the union of the two.  The diagonal is never in
+    the family.  ``J0`` is stored sorted and de-duplicated; ``None``
+    means every category.
     """
 
     kind: str
     J0: tuple[int, ...]
     p: int
-    pairs: tuple[tuple[int, int], ...]
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if any(j == k for j, k in self.pairs):
-            raise ValueError("self-pairs are not allowed")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise ValueError("duplicate pairs are not allowed")
+        j0 = _categories_of_interest(self.J0, self.p)
+        mask = np.zeros((self.p, self.p), dtype=bool)
+        if self.kind != "upper":
+            mask[:, j0] = True
+        if self.kind != "lower":
+            mask[j0, :] = True
+        np.fill_diagonal(mask, False)
+        mask.flags.writeable = False
+        object.__setattr__(self, "J0", j0)
+        object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The family's pairs ``(a, b)`` in row-major order."""
+        rows, cols = np.nonzero(self.mask)
+        return tuple(zip(rows.tolist(), cols.tolist()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return int(np.count_nonzero(self.mask))
 
 
 def _categories_of_interest(J0: Iterable[int] | None, p: int) -> tuple[int, ...]:
@@ -258,7 +278,7 @@ def _categories_of_interest(J0: Iterable[int] | None, p: int) -> tuple[int, ...]
 def build_index_family(
     kind: str, J0: Iterable[int] | None, p: int
 ) -> IndexFamily:
-    """Enumerate the comparison pairs for a given sidedness and targets.
+    """Mask of the comparison pairs for a given sidedness and targets.
 
     Parameters
     ----------
@@ -273,79 +293,80 @@ def build_index_family(
     Returns
     -------
     IndexFamily
-        ``lower`` yields ``{(j, k) : j in J, k in J0, j != k}``,
-        ``upper`` yields ``{(j, k) : j in J0, k in J, j != k}``, and
-        ``two_sided`` their union; pairs are sorted for determinism.
+        ``lower`` marks ``{(j, k) : j in J, k in J0, j != k}``,
+        ``upper`` marks ``{(j, k) : j in J0, k in J, j != k}``, and
+        ``two_sided`` their union.  Families are immutable and shared:
+        the same arguments return the same (cached) instance.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    j0 = _categories_of_interest(J0, p)
-    pairs: set[tuple[int, int]] = set()
-    if kind in ("lower", "two_sided"):
-        pairs.update((j, k) for k in j0 for j in range(p) if j != k)
-    if kind in ("upper", "two_sided"):
-        pairs.update((j, k) for j in j0 for k in range(p) if j != k)
-    return IndexFamily(kind=kind, J0=j0, p=p, pairs=tuple(sorted(pairs)))
+    return _index_family(kind, None if J0 is None else tuple(J0), p)
 
 
-@dataclass(frozen=True)
+# A p x p bool mask is 1 MB at p = 1000; a method run needs at most two.
+_index_family = lru_cache(maxsize=32)(IndexFamily)
+
+
+# eq=False: == on numpy fields would be elementwise.
+@dataclass(frozen=True, eq=False)
 class PairwiseRejections:
-    """Directional rejections of pairwise comparisons.
+    """Directional claims of a pairwise procedure as one claim matrix.
 
-    For each category of interest ``j``, ``rej_minus[j]`` holds the
-    categories claimed to have strictly larger probability than ``j``
-    and ``rej_plus[j]`` those claimed strictly smaller.
+    ``claims[a, b]`` (``p x p`` bool) is the claim ``theta_a >
+    theta_b``.  When ``lower`` is set a claim raises ``b``'s lower rank
+    bound, and when ``upper`` is set it lowers ``a``'s upper rank
+    bound; the bounds of the categories of interest ``J0`` are column
+    and row sums.  A ``lower`` family only raises lower bounds (upper
+    bounds stay at ``p``, which is what makes best-tau projections
+    valid) and an ``upper`` family only lowers upper bounds.
     """
 
     J0: tuple[int, ...]
-    rej_minus: Mapping[int, frozenset[int]]
-    rej_plus: Mapping[int, frozenset[int]]
+    claims: np.ndarray
+    lower: bool = True
+    upper: bool = True
 
     def __post_init__(self) -> None:
-        for j in self.J0:
-            minus = self.rej_minus.get(j, frozenset())
-            plus = self.rej_plus.get(j, frozenset())
-            if j in minus or j in plus:
-                raise ValueError(f"category {j} rejected against itself")
-            if minus & plus:
-                raise InvalidTestFamilyError(
-                    f"category {j} claimed both smaller and larger than "
-                    f"{sorted(minus & plus)}"
-                )
+        claims = np.asarray(self.claims, dtype=bool)
+        if claims.ndim != 2 or claims.shape[0] != claims.shape[1]:
+            raise ValueError(f"claims must be a square matrix, got {claims.shape}")
+        # np.count_nonzero is several times cheaper than .any() on the
+        # small matrices of the paper's tables.
+        if np.count_nonzero(claims.diagonal()):
+            j = int(np.argmax(claims.diagonal()))
+            raise ValueError(f"category {j} rejected against itself")
+        if self.lower and self.upper:
+            crossed = claims & claims.T
+            if np.count_nonzero(crossed):
+                for j in self.J0:
+                    if crossed[j].any():
+                        raise InvalidTestFamilyError(
+                            f"category {j} claimed both smaller and larger "
+                            f"than {np.flatnonzero(crossed[j]).tolist()}"
+                        )
+        object.__setattr__(self, "claims", claims)
 
     @classmethod
     def from_claims(
-        cls,
-        family: IndexFamily,
-        rejected: Iterable[tuple[int, int]],
+        cls, family: IndexFamily, claims: np.ndarray
     ) -> "PairwiseRejections":
-        """Route rejected pairs into directional sets.
+        """Attach a family's directions to its claim matrix.
 
-        Each rejected pair ``(a, b)`` is the claim ``theta_a >
-        theta_b``.  The claim lowers ``a``'s upper rank bound when
-        ``a`` is a category of interest, and raises ``b``'s lower rank
-        bound when ``b`` is.  The family's kind gates the directions: a
-        ``lower`` family only raises lower bounds (upper bounds stay at
-        ``p``, which is what makes best-tau projections valid) and an
-        ``upper`` family only lowers upper bounds, even when a claim
-        could speak to both sides.
+        ``claims`` must be a ``p x p`` bool matrix inside
+        ``family.mask``; a claim outside the family raises
+        ``ValueError``.  The family's kind sets the directions, even
+        when a claim could speak to both sides.
         """
-        minus: dict[int, set[int]] = {j: set() for j in family.J0}
-        plus: dict[int, set[int]] = {j: set() for j in family.J0}
-        pair_set = set(family.pairs)
-        use_minus = family.kind in ("lower", "two_sided")
-        use_plus = family.kind in ("upper", "two_sided")
-        for a, b in rejected:
-            if (a, b) not in pair_set:
-                raise ValueError(f"pair ({a}, {b}) is not in the family")
-            if use_plus and a in plus:
-                plus[a].add(b)
-            if use_minus and b in minus:
-                minus[b].add(a)
+        claims = np.asarray(claims, dtype=bool)
+        if claims.shape != family.mask.shape:
+            raise ValueError(
+                f"claims must have shape {family.mask.shape}, got {claims.shape}"
+            )
+        outside = claims & ~family.mask
+        if np.count_nonzero(outside):
+            a, b = np.argwhere(outside)[0].tolist()
+            raise ValueError(f"pair ({a}, {b}) is not in the family")
         return cls(
-            J0=family.J0,
-            rej_minus={j: frozenset(v) for j, v in minus.items()},
-            rej_plus={j: frozenset(v) for j, v in plus.items()},
+            J0=family.J0, claims=claims,
+            lower=family.kind != "upper", upper=family.kind != "lower",
         )
 
 
@@ -400,12 +421,12 @@ def rankset_from_rejections(
     alpha: float = float("nan"),
     kind: str = "two_sided",
 ) -> RankSet:
-    """Assemble rank intervals from directional rejections.
+    """Assemble rank intervals from a claim matrix: two sums.
 
     Parameters
     ----------
     rej : PairwiseRejections
-        Directional claims produced by a multiple-testing procedure.
+        Claim matrix produced by a multiple-testing procedure.
     p : int
         Total number of categories.
     method, alpha, kind
@@ -414,7 +435,8 @@ def rankset_from_rejections(
     Returns
     -------
     RankSet
-        ``lo_j = |rej_minus[j]| + 1`` and ``hi_j = p - |rej_plus[j]|``
+        ``lo_j = 1 + C[:, j].sum()`` (when ``rej.lower``, else 1) and
+        ``hi_j = p - C[j, :].sum()`` (when ``rej.upper``, else ``p``)
         for each category of interest ``rej.J0``.
 
     Raises
@@ -423,8 +445,10 @@ def rankset_from_rejections(
         If some ``lo_j > hi_j``, which a sound level-alpha family
         cannot produce.
     """
-    lo = {j: len(rej.rej_minus.get(j, frozenset())) + 1 for j in rej.J0}
-    hi = {j: p - len(rej.rej_plus.get(j, frozenset())) for j in rej.J0}
+    beaten_by = rej.claims.sum(axis=0).tolist() if rej.lower else [0] * p
+    beats = rej.claims.sum(axis=1).tolist() if rej.upper else [0] * p
+    lo = {j: 1 + beaten_by[j] for j in rej.J0}
+    hi = {j: p - beats[j] for j in rej.J0}
     return RankSet(
         p=p, J0=rej.J0, lo=lo, hi=hi, method=method, alpha=alpha, kind=kind
     )

@@ -136,9 +136,8 @@ def cp_rank_cs(
     box = cp_box(sample, alpha)
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
-    # A rejected pair (a, b) is the claim theta_a > theta_b.
-    rejected = [(a, b) for a, b in family.pairs if lo[a] > hi[b]]
-    rej = PairwiseRejections.from_claims(family, rejected)
+    claims = family.mask & (lo[:, None] > hi[None, :])
+    rej = PairwiseRejections.from_claims(family, claims)
     return rankset_from_rejections(
         rej, sample.p, method="cp", alpha=alpha, kind=kind
     )

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
+
+import numpy as np
 
 from .core import (
     IndexFamily,
@@ -88,18 +90,18 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
     return _tail_numerator(x_j, s) / (1 << s)
 
 
-@dataclass(frozen=True)
+# eq=False: == on numpy fields would be elementwise.
+@dataclass(frozen=True, eq=False)
 class PairwisePValueTable:
-    """Exact p-values for every comparison in an index family."""
+    """Exact p-values of an index family as one ``p x p`` array.
+
+    ``pvalues[a, b]`` is the p-value of ``theta_a <= theta_b``, whose
+    rejection claims ``theta_a > theta_b``; entries outside
+    ``family.mask`` are NaN.
+    """
 
     family: IndexFamily
-    pvalues: Mapping[tuple[int, int], float]
-    s: Mapping[tuple[int, int], int]
-
-    def __post_init__(self) -> None:
-        missing = set(self.family.pairs) - set(self.pvalues)
-        if missing:
-            raise ValueError(f"missing p-values for pairs {sorted(missing)}")
+    pvalues: np.ndarray
 
 
 def pairwise_pvalues(
@@ -107,12 +109,11 @@ def pairwise_pvalues(
 ) -> PairwisePValueTable:
     """Evaluate the conditional test p-value for every family pair."""
     counts = sample.counts
-    pvals = {
-        (j, k): conditional_pvalue(counts[j], counts[k])
-        for j, k in family.pairs
-    }
-    sums = {(j, k): counts[j] + counts[k] for j, k in family.pairs}
-    return PairwisePValueTable(family=family, pvalues=pvals, s=sums)
+    pvalues = np.full(family.mask.shape, np.nan)
+    pvalues[family.mask] = [
+        conditional_pvalue(counts[a], counts[b]) for a, b in family.pairs
+    ]
+    return PairwisePValueTable(family=family, pvalues=pvalues)
 
 
 def bonferroni_reject(
@@ -120,13 +121,9 @@ def bonferroni_reject(
 ) -> PairwiseRejections:
     """Reject every pair whose p-value is at most ``alpha / |I|``."""
     _check_alpha(alpha)
-    m = len(table.family)
-    threshold = alpha / m
-    rejected = [
-        pair for pair in table.family.pairs
-        if table.pvalues[pair] <= threshold
-    ]
-    return PairwiseRejections.from_claims(table.family, rejected)
+    family = table.family
+    claims = family.mask & (table.pvalues <= alpha / len(family))
+    return PairwiseRejections.from_claims(family, claims)
 
 
 def holm_reject(
@@ -134,22 +131,21 @@ def holm_reject(
 ) -> PairwiseRejections:
     """Step-down rejection: strictly more powerful than Bonferroni.
 
-    P-values are visited in increasing order (ties broken by pair
-    index for determinism; the outcome is unaffected because equal
-    p-values meet or miss the binding threshold together) and the
-    ``l``-th smallest is rejected iff every earlier one passed its own
-    threshold ``alpha / (|I| + 1 - l)``.
+    The ``l``-th smallest p-value is rejected iff it and every smaller
+    one passed its own threshold ``alpha / (|I| + 1 - l)``.  The
+    thresholds strictly increase, so p-values tied with the first
+    failure fail with it, and the rejections are exactly the p-values
+    below that failure.
     """
     _check_alpha(alpha)
-    m = len(table.family)
-    ordered = sorted(table.family.pairs, key=lambda pair: (table.pvalues[pair], pair))
-    rejected = []
-    for idx, pair in enumerate(ordered):
-        if table.pvalues[pair] <= alpha / (m - idx):
-            rejected.append(pair)
-        else:
-            break
-    return PairwiseRejections.from_claims(table.family, rejected)
+    family, pvalues = table.family, table.pvalues
+    m = len(family)
+    ordered = np.sort(pvalues[family.mask])
+    failed = (ordered > alpha / np.arange(m, 0, -1)).nonzero()[0]
+    claims = family.mask
+    if failed.size:
+        claims = claims & (pvalues < ordered[failed[0]])
+    return PairwiseRejections.from_claims(family, claims)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -15,9 +15,8 @@ from ranksets.boot import (
     difference_cs,
     naive_rank_cs,
     resample,
-    studentized_max_stat,
 )
-from ranksets.boot import _band_half_width
+from ranksets.boot import _band_half_width, _best_ranks, _pair_stats
 from ranksets.core import MultinomialSample, build_index_family
 
 MELBOURNE = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
@@ -68,56 +67,54 @@ def test_quantile_matches_brute_force_on_random_draws():
 
 
 # ---------------------------------------------------------------------------
-# studentized_max_stat and the zero conventions
+# _pair_stats (the statistic difference_cs calibrates) and the zero conventions
+
+
+def _stat(counts, theta_hat, pairs, studentize=True, variant="lower"):
+    """Max statistic of the single resample ``counts``."""
+    n = sum(counts)
+    star = np.asarray(counts, dtype=float)[None, :] / n
+    theta = np.asarray(theta_hat, dtype=float)
+    return float(_pair_stats(star, theta, n, pairs, studentize, variant)[0])
 
 
 def test_stat_zero_over_zero_is_zero():
     # Both categories empty in the draw and in the data: 0/0 -> 0.
-    boot = MultinomialSample((5, 0, 0))
-    stat = studentized_max_stat(boot, (1.0, 0.0, 0.0), [(1, 2)])
+    stat = _stat((5, 0, 0), (1.0, 0.0, 0.0), [(1, 2)])
     assert stat == 0.0
 
 
 def test_stat_nonzero_over_zero_is_signed_infinity():
-    boot = MultinomialSample((5, 0, 0))
     theta_hat = (0.8, 0.2, 0.0)
     # Pair (1, 2): numerator -(0.2 - 0.0), denominator 0.
-    assert studentized_max_stat(boot, theta_hat, [(1, 2)], variant="lower") == -math.inf
-    assert studentized_max_stat(boot, theta_hat, [(1, 2)], variant="upper") == math.inf
-    assert studentized_max_stat(boot, theta_hat, [(1, 2)], variant="symm") == math.inf
+    assert _stat((5, 0, 0), theta_hat, [(1, 2)], variant="lower") == -math.inf
+    assert _stat((5, 0, 0), theta_hat, [(1, 2)], variant="upper") == math.inf
+    assert _stat((5, 0, 0), theta_hat, [(1, 2)], variant="symm") == math.inf
 
 
 def test_stat_hand_computed_value():
-    boot = MultinomialSample((30, 70))
-    stat = studentized_max_stat(boot, (0.5, 0.5), [(0, 1)], variant="lower")
+    stat = _stat((30, 70), (0.5, 0.5), [(0, 1)], variant="lower")
     # numerator (0.3 - 0.7) - 0; sigma*^2 = .3*.7 + .7*.3 + 2*.3*.7 = 0.84
     expected = -0.4 / (math.sqrt(0.84) / math.sqrt(100))
     assert stat == pytest.approx(expected, rel=1e-12)
 
 
 def test_stat_without_studentizing_uses_sqrt_n_scale():
-    boot = MultinomialSample((30, 70))
-    stat = studentized_max_stat(
-        boot, (0.5, 0.5), [(0, 1)], studentize=False, variant="symm"
-    )
+    stat = _stat((30, 70), (0.5, 0.5), [(0, 1)], studentize=False, variant="symm")
     assert stat == pytest.approx(math.sqrt(100) * abs(2 * (0.3 - 0.5)), rel=1e-12)
 
 
 def test_stat_takes_max_over_pairs():
-    boot = MultinomialSample((10, 30, 60))
+    counts = (10, 30, 60)
     theta_hat = (1 / 3, 1 / 3, 1 / 3)
     pairs = [(0, 1), (2, 1), (2, 0)]
-    singles = [
-        studentized_max_stat(boot, theta_hat, [pr], variant="lower") for pr in pairs
-    ]
-    combined = studentized_max_stat(boot, theta_hat, pairs, variant="lower")
-    assert combined == max(singles)
+    singles = [_stat(counts, theta_hat, [pr], variant="lower") for pr in pairs]
+    assert _stat(counts, theta_hat, pairs, variant="lower") == max(singles)
 
 
 def test_stat_rejects_unknown_variant():
-    boot = MultinomialSample((5, 5))
     with pytest.raises(ValueError):
-        studentized_max_stat(boot, (0.5, 0.5), [(0, 1)], variant="middle")
+        _stat((5, 5), (0.5, 0.5), [(0, 1)], variant="middle")
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +443,15 @@ def test_naive_restricts_to_requested_categories():
     full = naive_rank_cs(MELBOURNE, config=BootstrapConfig(B=200, seed=0))
     for j in (1, 4):
         assert rs.interval(j) == full.interval(j)
+
+
+@pytest.mark.parametrize("p, n", [(7, 234), (20, 50), (100, 5000), (3, 5), (2, 1)])
+def test_best_ranks_match_pairwise_count(p, n):
+    # Small n gives many ties and zero cells in every resample.
+    rng = np.random.default_rng(p * 1000 + n)
+    star = rng.multinomial(n, rng.dirichlet(np.ones(p)), size=300) / n
+    greater = star[:, None, :] > star[:, :, None]
+    assert np.array_equal(_best_ranks(star), 1 + greater.sum(axis=2))
 
 
 def test_naive_rejects_bad_alpha():

@@ -440,6 +440,32 @@ def test_main_internal_invariant_exits_two(melbourne_csv, capsys, monkeypatch):
     assert "internal error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [ValueError("bug"), KeyError("bug")])
+def test_main_library_errors_exit_two(melbourne_csv, capsys, monkeypatch, error):
+    # A bare ValueError or KeyError from the library is a bug, not bad input.
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "rank_cs", boom)
+    code = main(["analyze", str(melbourne_csv)])
+    assert code == 2
+    assert "internal error:" in capsys.readouterr().err
+
+
+def test_main_bad_input_caught_by_the_library_exits_one(melbourne_csv, capsys):
+    data = str(melbourne_csv)
+    for argv in (
+        ["analyze", data, "--method", "naive", "--kind", "lower"],
+        ["analyze", data, "--method", "boot", "--seed", "-1"],
+        ["tau-best", data, "--tau", "8"],
+        ["tau-best", data, "--tau", "1", "--method", "median"],
+        ["tau-best", data, "--tau", "1", "--method", "naive"],
+        ["simulate", "uniform:p=3,n=40", "--reps", "2", "--seed", "-1"],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
 def test_main_seed_env_overrides_flag(territories_csv, capsys, monkeypatch):
     argv = ["analyze", str(territories_csv), "--method", "bootStud",
             "--boot-samples", "300"]

@@ -161,13 +161,12 @@ def test_family_never_contains_self_pairs_or_duplicates(args):
 # rank-set assembly
 
 
-def _rejections(p, j, n_minus, n_plus, kind="two_sided"):
+def _rejections(p, j, n_minus, n_plus):
     others = [k for k in range(p) if k != j]
-    return PairwiseRejections(
-        J0=(j,),
-        rej_minus={j: frozenset(others[:n_minus])},
-        rej_plus={j: frozenset(others[n_minus:n_minus + n_plus])},
-    )
+    claims = np.zeros((p, p), dtype=bool)
+    claims[others[:n_minus], j] = True
+    claims[j, others[n_minus:n_minus + n_plus]] = True
+    return PairwiseRejections(J0=(j,), claims=claims)
 
 
 def test_interval_formula_counts_rejections():
@@ -198,43 +197,122 @@ def test_adding_rejections_tightens_monotonically():
                 assert wider.lo[0] <= rs.lo[0] and wider.hi[0] >= rs.hi[0]
 
 
+def _claims(p, *pairs):
+    claims = np.zeros((p, p), dtype=bool)
+    for a, b in pairs:
+        claims[a, b] = True
+    return claims
+
+
 def test_conflicting_directions_rejected():
     with pytest.raises(InvalidTestFamilyError):
-        PairwiseRejections(
-            J0=(0,),
-            rej_minus={0: frozenset({1})},
-            rej_plus={0: frozenset({1})},
-        )
+        PairwiseRejections(J0=(0,), claims=_claims(3, (0, 1), (1, 0)))
 
 
 def test_self_claims_rejected():
     with pytest.raises(ValueError):
-        PairwiseRejections(
-            J0=(0,), rej_minus={0: frozenset({0})}, rej_plus={0: frozenset()}
-        )
+        PairwiseRejections(J0=(0,), claims=_claims(3, (0, 0)))
 
 
 def test_from_claims_routes_both_directions():
     fam = build_index_family("two_sided", (0, 1), 3)
-    rej = PairwiseRejections.from_claims(fam, [(0, 1), (0, 2)])
-    assert rej.rej_plus[0] == {1, 2}
-    assert rej.rej_minus[1] == {0}
+    rej = PairwiseRejections.from_claims(fam, _claims(3, (0, 1), (0, 2)))
+    assert rej.lower and rej.upper
+    assert rej.J0 == (0, 1)
     rs = rankset_from_rejections(rej, 3)
     assert rs.interval(0) == (1, 1)
     assert rs.interval(1) == (2, 3)
 
 
 def test_from_claims_lower_kind_only_raises_lower_bounds():
-    fam = build_index_family("lower", (0,), 3)
-    rej = PairwiseRejections.from_claims(fam, [(1, 0)])
-    assert rej.rej_minus[0] == {1}
-    assert rej.rej_plus[0] == frozenset()
+    # (0, 1) is in the lower family of J0 = (0, 1): it raises 1's lower
+    # bound but must leave 0's upper bound at p.
+    fam = build_index_family("lower", (0, 1), 3)
+    rej = PairwiseRejections.from_claims(fam, _claims(3, (0, 1)))
+    assert rej.lower and not rej.upper
+    rs = rankset_from_rejections(rej, 3)
+    assert rs.interval(0) == (1, 3)
+    assert rs.interval(1) == (2, 3)
 
 
 def test_from_claims_rejects_pair_outside_family():
     fam = build_index_family("lower", (0,), 3)
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not in the family"):
+        PairwiseRejections.from_claims(fam, _claims(3, (1, 2)))
     with pytest.raises(ValueError):
-        PairwiseRejections.from_claims(fam, [(1, 2)])
+        PairwiseRejections.from_claims(fam, _claims(4, (1, 0)))
+
+
+def _family_oracle(kind, J0, p):
+    pairs = set()
+    if kind in ("lower", "two_sided"):
+        pairs.update((j, k) for k in J0 for j in range(p) if j != k)
+    if kind in ("upper", "two_sided"):
+        pairs.update((j, k) for j in J0 for k in range(p) if j != k)
+    return sorted(pairs)
+
+
+def _routed_oracle(family, claims):
+    """Per-pair routing of claims into directional sets, then the counts."""
+    minus = {j: set() for j in family.J0}
+    plus = {j: set() for j in family.J0}
+    for a, b in _family_oracle(family.kind, family.J0, family.p):
+        if not claims[a, b]:
+            continue
+        if family.kind in ("upper", "two_sided") and a in plus:
+            plus[a].add(b)
+        if family.kind in ("lower", "two_sided") and b in minus:
+            minus[b].add(a)
+    if any(minus[j] & plus[j] for j in family.J0):
+        return None
+    return {j: (1 + len(minus[j]), family.p - len(plus[j])) for j in family.J0}
+
+
+@st.composite
+def _family_and_claims(draw):
+    p = draw(st.integers(2, 12))
+    J0 = draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p))
+    kind = draw(st.sampled_from(["lower", "upper", "two_sided"]))
+    family = build_index_family(kind, J0, p)
+    if draw(st.booleans()):
+        # Claims from a count table with zero cells: consistent directions.
+        counts = np.asarray(draw(st.lists(st.integers(0, 4), min_size=p, max_size=p)))
+        gap = draw(st.integers(0, 3))
+        claims = counts[:, None] - counts[None, :] > gap
+    else:
+        # Arbitrary claims, crossing ones included.
+        bits = draw(st.lists(st.booleans(), min_size=p * p, max_size=p * p))
+        claims = np.asarray(bits).reshape(p, p)
+    return family, family.mask & claims
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_and_claims())
+def test_claim_matrix_bounds_match_per_pair_routing(args):
+    family, claims = args
+    assert family.pairs == tuple(_family_oracle(family.kind, family.J0, family.p))
+    assert len(family) == len(family.pairs)
+    expected = _routed_oracle(family, claims)
+    if expected is None:
+        with pytest.raises(InvalidTestFamilyError):
+            rankset_from_rejections(
+                PairwiseRejections.from_claims(family, claims), family.p
+            )
+        return
+    rs = rankset_from_rejections(
+        PairwiseRejections.from_claims(family, claims), family.p
+    )
+    assert {j: rs.interval(j) for j in family.J0} == expected
+
+
+def test_family_is_cached_and_read_only():
+    fam = build_index_family("two_sided", (2, 0), 5)
+    assert fam is build_index_family("two_sided", (2, 0), 5)
+    assert fam == build_index_family("two_sided", [0, 2], 5)
+    assert fam.J0 == (0, 2)
+    assert not fam.mask.flags.writeable
+    with pytest.raises(ValueError):
+        fam.mask[0, 1] = False
 
 
 def test_rank_set_rejects_inverted_interval():
