@@ -8,6 +8,11 @@ interval excludes zero then drives directional claims about the
 sign of each difference, which assemble into rank confidence sets
 exactly as in :mod:`ranksets.core`.
 
+The maximum over a family of ``m`` pairs (up to ``p(p-1)``) is taken
+block by block over the pairs with a running maximum per resample, so
+calibration holds the ``B x p`` resample matrix plus one cache-sized
+block, never a ``B x m`` array.
+
 Zero counts need conventions: a bootstrap ratio evaluates ``0/0`` as 0
 and ``c/0`` as ``sign(c) * inf``.  Infinities are kept and propagate
 — an infinite critical value legitimately produces full-width
@@ -131,6 +136,11 @@ def _safe_ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.where((num == 0.0) & (denom == 0.0), 0.0, out)
 
 
+#: Bytes of one ``B x block`` float temporary in :func:`_pair_stats`;
+#: small enough that a block's temporaries stay in cache.
+_BLOCK_BYTES = 256 * 1024
+
+
 def _pair_stats(
     theta_star: np.ndarray,
     theta_hat: np.ndarray,
@@ -139,24 +149,40 @@ def _pair_stats(
     studentize: bool,
     variant: str,
 ) -> np.ndarray:
-    """(B,) bootstrap max statistics over the pairs for one variant."""
+    """(B,) bootstrap max statistics over the (non-empty) pairs for one variant.
+
+    The pairs are walked in column blocks of ``_BLOCK_BYTES`` per
+    ``B x block`` temporary, keeping a running maximum per resample, so
+    memory is ``O(B * p)`` plus one block whatever the number of pairs.
+    Each element is computed exactly as over all pairs at once and the
+    maximum is exact, so the result does not depend on the block size.
+    """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     jj = np.asarray([j for j, _ in pairs])
     kk = np.asarray([k for _, k in pairs])
-    num = (theta_star[:, jj] - theta_star[:, kk]) - (theta_hat[jj] - theta_hat[kk])
-    if variant == "upper":
-        num = -num
-    elif variant == "symm":
-        num = np.abs(num)
-    if studentize:
-        tj, tk = theta_star[:, jj], theta_star[:, kk]
-        sig2 = tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk
-        denom = np.sqrt(sig2) / math.sqrt(n)
-        ratios = _safe_ratios(num, denom)
-    else:
-        ratios = num * math.sqrt(n)
-    return ratios.max(axis=1)
+    d_hat = theta_hat[jj] - theta_hat[kk]
+    width = max(1, _BLOCK_BYTES // (8 * theta_star.shape[0]))
+    best = None
+    for start in range(0, len(jj), width):
+        block = slice(start, start + width)
+        tj, tk = theta_star[:, jj[block]], theta_star[:, kk[block]]
+        num = (tj - tk) - d_hat[block]
+        if variant == "upper":
+            num = -num
+        elif variant == "symm":
+            num = np.abs(num)
+        if studentize:
+            sig2 = tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk
+            denom = np.sqrt(sig2) / math.sqrt(n)
+            ratios = _safe_ratios(num, denom)
+        else:
+            ratios = num * math.sqrt(n)
+        if best is None:
+            best = ratios.max(axis=1)
+        else:
+            np.maximum(best, ratios.max(axis=1), out=best)
+    return best
 
 
 def bootstrap_quantile(values, level: float) -> float:
@@ -244,7 +270,7 @@ def difference_cs(
     alpha : float
         One minus the simultaneous coverage level over the pairs.
     pairs : sequence of (j, k), optional
-        Pairs to cover; all ordered pairs by default.
+        Pairs to cover, at least one; all ordered pairs by default.
 
     Returns
     -------
@@ -261,6 +287,8 @@ def difference_cs(
         p = sample.p
         pairs = [(j, k) for j in range(p) for k in range(p) if j != k]
     pairs = [(int(j), int(k)) for j, k in pairs]
+    if not pairs:
+        raise ValueError("pairs must be non-empty")
     theta_hat = sample.theta_hat
     n = sample.n
     jj = np.asarray([j for j, _ in pairs])

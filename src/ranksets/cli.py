@@ -58,6 +58,14 @@ class DataError(ValueError):
     """User-facing problem with input data or parameters (exit code 1)."""
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, reporting an ``OSError`` as a DataError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Named groups of category counts.
@@ -229,7 +237,7 @@ def emit_dataset(dataset: Dataset, path=None, format: str = "csv") -> str:
     else:
         raise DataError(f"unknown format {format!r}")
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_text(path, text)
     return text
 
 
@@ -344,7 +352,7 @@ class AnalysisReport:
             )
         text = buf.getvalue()
         if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
+            _write_text(path, text)
         return text
 
 
@@ -552,10 +560,7 @@ def emit_plotdata(reports, path=None) -> str:
             )
     text = buf.getvalue()
     if path is not None:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from None
+        _write_text(path, text)
     return text
 
 
@@ -829,7 +834,7 @@ def _run_analyze(args, out) -> int:
             rep.to_csv() if i == 0 else "".join(rep.to_csv().splitlines(True)[1:])
             for i, rep in enumerate(reports)
         )
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     return 0
 
 
@@ -874,7 +879,7 @@ def _run_tau(args, out) -> int:
         writer = csv.writer(buf)
         writer.writerow(["group", "direction", "tau", "category", "bound", "member"])
         writer.writerows(csv_rows)
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        _write_text(args.out, buf.getvalue())
     return 0
 
 
@@ -903,7 +908,7 @@ def _run_compare(args, out) -> int:
             writer.writerow(
                 [m] + ["" if v is None else f"{v:.3f}" for v in matrix.percent[i]]
             )
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        _write_text(args.out, buf.getvalue())
     return 0
 
 

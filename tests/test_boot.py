@@ -1,12 +1,14 @@
 """Bootstrap difference bands, their rank readouts, and the naive baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranksets import rank_cs
 from ranksets.boot import (
     BootstrapConfig,
     DifferenceCS,
@@ -16,7 +18,12 @@ from ranksets.boot import (
     naive_rank_cs,
     resample,
 )
-from ranksets.boot import _band_half_width, _best_ranks, _pair_stats
+from ranksets.boot import (
+    _band_half_width,
+    _best_ranks,
+    _pair_stats,
+    _theta_star_cached,
+)
 from ranksets.core import MultinomialSample, build_index_family
 
 MELBOURNE = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
@@ -115,6 +122,71 @@ def test_stat_takes_max_over_pairs():
 def test_stat_rejects_unknown_variant():
     with pytest.raises(ValueError):
         _stat((5, 5), (0.5, 0.5), [(0, 1)], variant="middle")
+
+
+def _one_shot_stats(theta_star, theta_hat, n, pairs, studentize, variant):
+    """Oracle: the max statistic from every ``B x m`` array at once."""
+    jj = np.asarray([j for j, _ in pairs])
+    kk = np.asarray([k for _, k in pairs])
+    num = (theta_star[:, jj] - theta_star[:, kk]) - (theta_hat[jj] - theta_hat[kk])
+    if variant == "upper":
+        num = -num
+    elif variant == "symm":
+        num = np.abs(num)
+    if studentize:
+        tj, tk = theta_star[:, jj], theta_star[:, kk]
+        sig2 = tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk
+        denom = np.sqrt(sig2) / math.sqrt(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = num / denom
+        ratios = np.where((num == 0.0) & (denom == 0.0), 0.0, out)
+    else:
+        ratios = num * math.sqrt(n)
+    return ratios.max(axis=1)
+
+
+@st.composite
+def _calibration_case(draw):
+    p = draw(st.integers(2, 12))
+    counts = draw(st.lists(st.integers(0, 30), min_size=p, max_size=p))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, p - 1))] = 1
+    B = draw(st.integers(1, 40))
+    star = _theta_star_cached.__wrapped__(
+        tuple(counts), sum(counts), B, draw(st.integers(0, 2**32 - 1))
+    )
+    theta_hat = np.asarray(counts, dtype=float) / sum(counts)
+    falling = draw(st.booleans())
+    if falling:
+        # Shift theta_hat so every later category trails by more than
+        # any resampled difference: each lower statistic over pairs
+        # (j, k) with j < k is negative, and the running max must not
+        # start from zero.
+        theta_hat = theta_hat + 3.0 * (p - np.arange(p))
+        pool = [(j, k) for j in range(p) for k in range(j + 1, p)]
+    else:
+        pool = [(j, k) for j in range(p) for k in range(p) if j != k]
+    pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3 * len(pool)))
+    variant = "lower" if falling else draw(st.sampled_from(("lower", "upper", "symm")))
+    return star, theta_hat, sum(counts), pairs, variant, falling
+
+
+@settings(max_examples=200, deadline=None)
+@given(_calibration_case(), st.booleans())
+def test_blocked_stats_equal_one_shot_oracle(case, studentize):
+    # Column blocks of 1, 2 and 3 pairs, with a ragged last block when the
+    # pair count is not a multiple of the width, give the same maximum
+    # as the whole B x m array, bit for bit.
+    star, theta_hat, n, pairs, variant, falling = case
+    B = star.shape[0]
+    expected = _one_shot_stats(star, theta_hat, n, pairs, studentize, variant)
+    if falling:
+        assert (expected < 0).all()
+    for width in (1, 2, 3, len(pairs)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * B * width)
+            got = _pair_stats(star, theta_hat, n, pairs, studentize, variant)
+        assert np.array_equal(got, expected), width
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +292,30 @@ def test_difference_cs_rejects_bad_alpha():
         difference_cs(MELBOURNE, BootstrapConfig(B=10, seed=0), alpha=0.0)
     with pytest.raises(ValueError):
         difference_cs(MELBOURNE, BootstrapConfig(B=10, seed=0), alpha=1.0)
+
+
+def test_difference_cs_rejects_empty_pairs():
+    with pytest.raises(ValueError, match="pairs must be non-empty"):
+        difference_cs(MELBOURNE, BootstrapConfig(B=10, seed=0), pairs=[])
+
+
+@pytest.mark.parametrize("kind", ["two_sided", "lower"])
+def test_calibration_memory_is_bounded_at_p_200(kind):
+    # p = 200 calibrates 19,900 (two-sided) or 39,800 (lower) pairs; a
+    # B x m float array of them alone would be 80 or 159 MB at B = 500.
+    # Walking the pairs in blocks keeps the traced peak, which covers
+    # numpy's buffers, to O(B * p) plus the per-pair results.
+    weights = 1.0 / np.arange(1, 201) ** 0.5
+    counts = np.random.default_rng(0).multinomial(100_000, weights / weights.sum())
+    sample = MultinomialSample(tuple(int(c) for c in counts))
+    _theta_star_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        rank_cs("bootStud", sample, kind=kind, config=BootstrapConfig(B=500, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_difference_cs_marginal_coverage_two_categories():

@@ -418,6 +418,19 @@ def test_main_unreadable_data_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--method", "cp"],
+    ["tau-best", "--tau", "2", "--method", "cp"],
+    ["compare", "--method", "exactHolm,cp"],
+    ["plotdata", "--method", "cp"],
+])
+def test_main_unwritable_out_exits_one(command, melbourne_csv, capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code = main([command[0], str(melbourne_csv), *command[1:], "--out", str(target)])
+    assert code == 1
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_main_unknown_method_exits_one(melbourne_csv, capsys):
     code = main(["analyze", str(melbourne_csv), "--method", "median"])
     assert code == 1
