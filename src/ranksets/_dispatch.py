@@ -11,11 +11,11 @@ from dataclasses import replace
 from typing import Iterable
 
 from .boot import BootstrapConfig, boot_rank_cs, naive_rank_cs
-from .core import MultinomialSample, RankSet
+from .core import SCOPES, MultinomialSample, RankSet, _is_marginal
 from .cp import cp_rank_cs
 from .exact import exact_rank_cs
 
-__all__ = ["METHOD_NAMES", "normalize_method", "rank_cs"]
+__all__ = ["METHOD_NAMES", "SCOPES", "normalize_method", "rank_cs"]
 
 METHOD_NAMES = ("exactBonf", "exactHolm", "cp", "boot", "bootStud", "naive")
 
@@ -49,23 +49,32 @@ def rank_cs(
     kind: str = "two_sided",
     alpha: float = 0.05,
     config: BootstrapConfig | None = None,
+    scope: str = "simultaneous",
 ) -> RankSet:
     """Run one named procedure and return its rank confidence set.
+
+    ``scope='simultaneous'`` covers the ranks of all of ``J0`` at once
+    with probability ``1 - alpha``.  ``scope='marginal'`` gives every
+    target ``j`` in ``J0`` the interval that ``J0 = (j,)`` would give,
+    bit for bit, from one call: each target is tested at its own
+    threshold over shared pairwise statistics.  ``cp`` and ``naive``
+    claims do not depend on ``J0``, so for them the two scopes agree.
 
     ``boot`` and ``bootStud`` set ``config.studentize`` from the name.
     """
     canonical = normalize_method(method)
+    _is_marginal(scope)  # cp and naive take no scope but must reject a bad one
     if canonical == "exactBonf":
-        return exact_rank_cs(sample, J0, kind, alpha, correction="bonferroni")
+        return exact_rank_cs(sample, J0, kind, alpha, "bonferroni", scope)
     if canonical == "exactHolm":
-        return exact_rank_cs(sample, J0, kind, alpha, correction="holm")
+        return exact_rank_cs(sample, J0, kind, alpha, "holm", scope)
     if canonical == "cp":
         return cp_rank_cs(sample, J0, kind, alpha)
     if config is None:
         config = BootstrapConfig()
     if canonical in ("boot", "bootStud"):
         cfg = replace(config, studentize=canonical == "bootStud")
-        return boot_rank_cs(sample, J0, kind, alpha, cfg)
+        return boot_rank_cs(sample, J0, kind, alpha, cfg, scope)
     # naive
     if kind != "two_sided":
         raise ValueError("the naive bootstrap only supports two-sided sets")

@@ -25,6 +25,11 @@ per-pair scale — so a claim is made only when a difference clears the
 band that covers all pairs simultaneously.  The band contains each
 per-pair interval, so its simultaneous coverage is at least as high.
 
+Marginal scope gives each target its own family ``J0 = {j}``, so each
+target gets its own calibration and its own band.  The targets share
+the estimates and the resample matrix, and all critical values are
+read from one sort of the ``B x |J0|`` max statistics.
+
 The naive alternative resamples the ranks themselves and reads off
 their empirical quantiles; it is included as a comparison baseline and
 is known to under-cover when categories are (nearly) tied.
@@ -33,7 +38,7 @@ is known to under-cover when categories are (nearly) tied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -44,6 +49,7 @@ from .core import (
     PairwiseRejections,
     RankSet,
     _categories_of_interest,
+    _is_marginal,
     _theta_array,
     build_index_family,
     rankset_from_rejections,
@@ -145,13 +151,14 @@ def _pair_stats(
     theta_star: np.ndarray,
     theta_hat: np.ndarray,
     n: int,
-    pairs: Sequence[tuple[int, int]],
+    jj: np.ndarray,
+    kk: np.ndarray,
     studentize: bool,
     variant: str,
 ) -> np.ndarray:
-    """(B,) bootstrap max statistics over the (non-empty) pairs for one variant.
+    """(B,) bootstrap max statistics over the pairs ``(jj[i], kk[i])``.
 
-    The pairs are walked in column blocks of ``_BLOCK_BYTES`` per
+    ``jj`` and ``kk`` are non-empty index arrays of equal length.  The pairs are walked in column blocks of ``_BLOCK_BYTES`` per
     ``B x block`` temporary, keeping a running maximum per resample, so
     memory is ``O(B * p)`` plus one block whatever the number of pairs.
     Each element is computed exactly as over all pairs at once and the
@@ -159,8 +166,6 @@ def _pair_stats(
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    jj = np.asarray([j for j, _ in pairs])
-    kk = np.asarray([k for _, k in pairs])
     d_hat = theta_hat[jj] - theta_hat[kk]
     width = max(1, _BLOCK_BYTES // (8 * theta_star.shape[0]))
     best = None
@@ -203,17 +208,25 @@ def bootstrap_quantile(values, level: float) -> float:
         ``ceil(level * B)``-th order statistic (1-indexed).  ``+inf``
         is a legal return.
     """
-    arr = np.sort(np.asarray(values, dtype=float))
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("values must be a non-empty 1-d collection")
-    if np.isnan(arr).any():
+    return float(_quantiles(arr[:, None], level)[0])
+
+
+def _quantiles(stats: np.ndarray, level: float) -> np.ndarray:
+    """:func:`bootstrap_quantile` of each column of a ``(B, k)`` array.
+
+    All columns are read from one sort along the resamples.
+    """
+    if np.isnan(stats).any():
         raise ValueError("values must not contain NaN")
     if not (0.0 < level <= 1.0):
         raise ValueError("level must lie in (0, 1]")
     # Round before ceil so that an exactly-integer level * B is not
     # bumped up by floating-point fuzz.
-    k = math.ceil(round(level * arr.size, 9))
-    return float(arr[max(k, 1) - 1])
+    k = math.ceil(round(level * stats.shape[0], 9))
+    return np.sort(stats, axis=0)[max(k, 1) - 1]
 
 
 @dataclass(frozen=True)
@@ -303,7 +316,7 @@ def difference_cs(
     star = _theta_star_matrix(sample, config)
 
     def crit(variant: str, level: float) -> float:
-        stats = _pair_stats(star, theta_hat, n, pairs, config.studentize, variant)
+        stats = _pair_stats(star, theta_hat, n, jj, kk, config.studentize, variant)
         return bootstrap_quantile(stats, level)
 
     if config.shape == "lower":
@@ -353,22 +366,39 @@ def _scaled(c: float, scale: np.ndarray) -> np.ndarray:
     return np.where(scale == 0.0, 0.0, out)
 
 
-def _band_half_width(dcs: DifferenceCS, n: int) -> float:
-    """Common claim threshold for the rank readout of a difference CS.
+def _band_half_width(crit, sigma_max, n: int) -> np.ndarray:
+    """Common claim threshold for the rank readout of a calibration.
 
-    Every comparison in the family is held to the same half-width:
-    the bootstrap critical value times the largest per-pair scale,
-    ``c * max_sigma / sqrt(n)``.  The resulting band contains each
-    per-pair interval, so simultaneous coverage carries over, and all
-    pairs face an equal hurdle when claims are counted into rank
-    bounds.  Without studentization every scale is 1 and the band
-    coincides with the per-pair intervals.
+    Every comparison in a calibrated family is held to the same
+    half-width: the bootstrap critical value times the largest
+    per-pair scale, ``c * max_sigma / sqrt(n)``.  The resulting band
+    contains each per-pair interval, so simultaneous coverage carries
+    over, and all pairs face an equal hurdle when claims are counted
+    into rank bounds.  Without studentization every scale is 1 and the
+    band coincides with the per-pair intervals.  Elementwise over
+    arrays of calibrations; a zero scale gives a zero half-width even
+    when the critical value is infinite.
     """
-    c = dcs.crit[0]
-    scale = max(dcs.sigma.values()) / math.sqrt(n)
-    if scale == 0.0:
-        return 0.0
-    return c * scale
+    return _scaled(crit, np.asarray(sigma_max) / math.sqrt(n))
+
+
+def _calibration_pairs(
+    kind: str, J0: tuple[int, ...], p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(jj, kk)`` of the pairs calibrated for a family.
+
+    One-sided kinds calibrate their own family.  The two-sided kind
+    calibrates the pairs anchored at each category of interest, each
+    unordered pair once: ``|d_ab|`` and ``sigma_ab`` equal ``|d_ba|``
+    and ``sigma_ba`` bit for bit, so ``(a, b)`` goes when ``a > b`` and
+    its mirror ``(b, a)`` is anchored too.
+    """
+    if kind != "two_sided":
+        return np.nonzero(build_index_family(kind, J0, p).mask)
+    anchored = build_index_family("upper", J0, p).mask
+    rows, cols = np.nonzero(anchored)
+    once = (rows < cols) | ~anchored[cols, rows]
+    return rows[once], cols[once]
 
 
 def boot_rank_cs(
@@ -377,6 +407,7 @@ def boot_rank_cs(
     kind: str = "two_sided",
     alpha: float = 0.05,
     config: BootstrapConfig | None = None,
+    scope: str = "simultaneous",
 ) -> RankSet:
     """Rank confidence set driven by a bootstrap difference band.
 
@@ -405,6 +436,11 @@ def boot_rank_cs(
     config : BootstrapConfig, optional
         Resampling knobs; the shape is chosen by ``kind`` and any
         shape set on the config is ignored.
+    scope : {'simultaneous', 'marginal'}
+        ``'marginal'`` calibrates each target's own family ``J0 = {j}``
+        and gives it its own band, sharing the estimates and the
+        resample matrix; all critical values come from one sort of the
+        ``B x |J0|`` statistics.
 
     Returns
     -------
@@ -414,25 +450,31 @@ def boot_rank_cs(
     """
     if config is None:
         config = BootstrapConfig()
-    family = build_index_family(kind, J0, sample.p)
-    if kind == "two_sided":
-        anchored = build_index_family("upper", family.J0, sample.p).mask
-        rows, cols = np.nonzero(anchored)
-        # |d_ab| and sigma_ab equal |d_ba| and sigma_ba bit for bit, so
-        # (a, b) goes when a > b and its mirror (b, a) is anchored too.
-        once = (rows < cols) | ~anchored[cols, rows]
-        calibrated = list(zip(rows[once].tolist(), cols[once].tolist()))
-        shaped = replace(config, shape="symm")
-    else:
-        calibrated = family.pairs
-        shaped = replace(config, shape="lower")
-    dcs = difference_cs(sample, shaped, alpha, calibrated)
-    half = _band_half_width(dcs, sample.n)
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    marginal = _is_marginal(scope)
+    p, n = sample.p, sample.n
+    family = build_index_family(kind, J0, p)
+    targets = [(j,) for j in family.J0] if marginal else [family.J0]
+    calibrations = [_calibration_pairs(kind, t, p) for t in targets]
     theta_hat = sample.theta_hat
-    claims = family.mask & (theta_hat[:, None] - theta_hat[None, :] > half)
-    rej = PairwiseRejections.from_claims(family, claims)
+    star = _theta_star_matrix(sample, config)
+    variant = "symm" if kind == "two_sided" else "lower"
+    stats = np.column_stack([
+        _pair_stats(star, theta_hat, n, jj, kk, config.studentize, variant)
+        for jj, kk in calibrations
+    ])
+    if config.studentize:
+        sigma_max = [_sigma_hat(theta_hat, jj, kk).max() for jj, kk in calibrations]
+    else:
+        sigma_max = np.ones(len(calibrations))
+    half = _band_half_width(_quantiles(stats, 1.0 - alpha), sigma_max, n)
+    diff = theta_hat[:, None] - theta_hat[None, :]
+    rej = PairwiseRejections.at_threshold(
+        family, lambda t: diff > t, half if marginal else half[0]
+    )
     return rankset_from_rejections(
-        rej, sample.p, method="bootStud" if config.studentize else "boot",
+        rej, p, method="bootStud" if config.studentize else "boot",
         alpha=alpha, kind=kind,
     )
 
@@ -472,12 +514,18 @@ def naive_rank_cs(
         raise ValueError("alpha must lie strictly between 0 and 1")
     j0 = _categories_of_interest(J0, sample.p)
     star = _theta_star_matrix(sample, config)
-    ranks = np.sort(_best_ranks(star), axis=0)
+    targets = list(j0)
+    if len(j0) < math.log2(sample.p):
+        # A few targets: count who beats each, with no B x p argsort.
+        ranks = 1 + (star[:, :, None] > star[:, None, targets]).sum(axis=1)
+    else:
+        ranks = _best_ranks(star)[:, targets]
+    ranks = np.sort(ranks, axis=0)
     B = config.B
     lo_idx = min(math.floor(round(alpha / 2 * B, 9)) + 1, B)
     hi_idx = max(math.ceil(round((1.0 - alpha / 2) * B, 9)), 1)
-    lo = {j: int(ranks[lo_idx - 1, j]) for j in j0}
-    hi = {j: int(ranks[hi_idx - 1, j]) for j in j0}
+    lo = dict(zip(j0, ranks[lo_idx - 1].tolist()))
+    hi = dict(zip(j0, ranks[hi_idx - 1].tolist()))
     return RankSet(
         p=sample.p, J0=j0, lo=lo, hi=hi,
         method="naive", alpha=alpha, kind="two_sided",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ._dispatch import METHOD_NAMES, normalize_method, rank_cs
+from ._dispatch import METHOD_NAMES, SCOPES, normalize_method, rank_cs
 from .boot import BootstrapConfig
 from .core import KINDS, MultinomialSample, compute_ranks
 from .projections import tau_best, tau_worst
@@ -50,9 +50,6 @@ __all__ = [
     "emit_plotdata",
     "main",
 ]
-
-_SCOPES = ("marginal", "simultaneous")
-
 
 class DataError(ValueError):
     """User-facing problem with input data or parameters (exit code 1)."""
@@ -380,19 +377,13 @@ def _analyze_group(
     targets = _j0_indices(sample, j0)
     theta = sample.theta_hat
     triples = compute_ranks(theta)
-    if scope == "simultaneous":
-        rs = rank_cs(method, sample, J0=targets, kind=kind, alpha=alpha, config=config)
-        intervals = {j: rs.interval(j) for j in targets}
-    else:
-        intervals = {}
-        for j in targets:
-            rs = rank_cs(
-                method, sample, J0=(j,), kind=kind, alpha=alpha, config=config
-            )
-            intervals[j] = rs.interval(j)
+    rs = rank_cs(
+        method, sample, J0=targets, kind=kind, alpha=alpha, config=config,
+        scope=scope,
+    )
     rows = []
     for j in targets:
-        lo, hi = intervals[j]
+        lo, hi = rs.interval(j)
         rows.append(
             AnalysisRow(
                 group=group,
@@ -430,9 +421,9 @@ def analyze(
         One minus the nominal coverage level.
     scope : {'marginal', 'simultaneous'}
         Marginal treats each target category as its own inference
-        problem (one rank set per category); simultaneous builds a
-        single joint set over all targets, giving weakly wider
-        intervals.
+        problem (the set ``J0 = {j}`` would give, from one library
+        call per group); simultaneous builds a single joint set over
+        all targets, giving weakly wider intervals.
     j0 : str
         ``'all'`` or ``'single:<category label>'``.
     config : BootstrapConfig, optional
@@ -447,8 +438,8 @@ def analyze(
         interval.  Row order follows the dataset.
     """
     method = normalize_method(method)
-    if scope not in _SCOPES:
-        raise DataError(f"scope must be one of {_SCOPES}, got {scope!r}")
+    if scope not in SCOPES:
+        raise DataError(f"scope must be one of {SCOPES}, got {scope!r}")
     if kind not in KINDS:
         raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
     if method == "naive" and kind != "two_sided":
@@ -728,7 +719,7 @@ def _build_parser() -> _Parser:
         help="sidedness of the rank bounds",
     )
     p_analyze.add_argument(
-        "--scope", choices=_SCOPES, default="marginal",
+        "--scope", choices=SCOPES, default="marginal",
         help="marginal: one set per category; simultaneous: one joint set",
     )
     p_analyze.add_argument(
@@ -762,7 +753,7 @@ def _build_parser() -> _Parser:
         "--kind", choices=KINDS, default="two_sided",
     )
     p_compare.add_argument(
-        "--scope", choices=_SCOPES, default="marginal",
+        "--scope", choices=SCOPES, default="marginal",
     )
 
     p_plot = sub.add_parser(
@@ -773,7 +764,7 @@ def _build_parser() -> _Parser:
         "--method", type=_method_list, default=["exactHolm"], metavar="M[,M...]",
     )
     p_plot.add_argument("--kind", choices=KINDS, default="two_sided")
-    p_plot.add_argument("--scope", choices=_SCOPES, default="marginal")
+    p_plot.add_argument("--scope", choices=SCOPES, default="marginal")
     p_plot.add_argument("--j0", default="all", metavar="SPEC")
 
     p_sim = sub.add_parser(
@@ -790,7 +781,7 @@ def _build_parser() -> _Parser:
                        metavar="B")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--alpha", type=_alpha_value, default=0.05)
-    p_sim.add_argument("--scope", choices=_SCOPES, default="marginal")
+    p_sim.add_argument("--scope", choices=SCOPES, default="marginal")
     p_sim.add_argument(
         "--categories", default=None, metavar="I[,I...]",
         help="1-based category indices to track (default: design-specific)",

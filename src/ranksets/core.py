@@ -12,11 +12,19 @@ theta_b``.  Every category claimed to beat ``j`` pushes ``j``'s lower
 rank bound up by one and every category ``j`` is claimed to beat pulls
 its upper bound down by one: ``lo = 1 + C[:, J0].sum(0)`` and ``hi = p
 - C[J0, :].sum(1)``.  A procedure only supplies a pairwise statistic
-and the comparison that turns it into claims, restricted to the
-``p x p`` mask of its index family.  The assembly is test-agnostic; any
-family of pairwise tests with familywise error control at level
-``alpha`` yields a confidence set with simultaneous coverage ``1 -
-alpha`` over the categories of interest.
+and the threshold at which the statistic turns into claims, restricted
+to the ``p x p`` mask of its index family.  The assembly is
+test-agnostic; any family of pairwise tests with familywise error
+control at level ``alpha`` yields a confidence set with simultaneous
+coverage ``1 - alpha`` over the categories of interest.
+
+Marginal scope gives each target ``j`` in ``J0`` the set its own family
+``J0 = {j}`` would give.  That family is row ``j`` and column ``j`` of
+the joint mask, tested at ``j``'s own threshold, so a procedure
+supplies one threshold per target instead of one shared threshold:
+rows are claimed at ``t[:, None]`` (upper bounds) and columns at
+``t[None, :]`` (lower bounds).  With one shared threshold the two are
+the same matrix.
 
 Category indices are 0-based throughout the API; rank values are
 1-based integers in ``{1, ..., p}``.
@@ -32,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "KINDS",
+    "SCOPES",
     "InvalidTestFamilyError",
     "MultinomialSample",
     "ProbabilityVector",
@@ -46,6 +55,9 @@ __all__ = [
 
 #: Valid sidedness kinds for rank confidence sets.
 KINDS = ("lower", "upper", "two_sided")
+
+#: Coverage scopes of a rank confidence set over its targets.
+SCOPES = ("marginal", "simultaneous")
 
 #: Tolerance on sum-to-one checks for probability vectors.
 _SIMPLEX_TOL = 1e-12
@@ -275,6 +287,13 @@ def _categories_of_interest(J0: Iterable[int] | None, p: int) -> tuple[int, ...]
     return j0
 
 
+def _is_marginal(scope: str) -> bool:
+    """Whether ``scope`` is marginal; a ``ValueError`` unless in ``SCOPES``."""
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+    return scope == "marginal"
+
+
 def build_index_family(
     kind: str, J0: Iterable[int] | None, p: int
 ) -> IndexFamily:
@@ -317,24 +336,35 @@ class PairwiseRejections:
     and row sums.  A ``lower`` family only raises lower bounds (upper
     bounds stay at ``p``, which is what makes best-tau projections
     valid) and an ``upper`` family only lowers upper bounds.
+
+    With one threshold per target (marginal scope) a pair can be
+    claimed at one end's threshold and not at the other's.  ``claims``
+    then holds each row's claims at the row category's threshold and
+    ``column_claims`` each column's claims at the column category's
+    threshold; lower bounds count ``column_claims``.  It defaults to
+    ``claims``.
     """
 
     J0: tuple[int, ...]
     claims: np.ndarray
     lower: bool = True
     upper: bool = True
+    column_claims: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        claims = np.asarray(self.claims, dtype=bool)
-        if claims.ndim != 2 or claims.shape[0] != claims.shape[1]:
-            raise ValueError(f"claims must be a square matrix, got {claims.shape}")
-        # np.count_nonzero is several times cheaper than .any() on the
-        # small matrices of the paper's tables.
-        if np.count_nonzero(claims.diagonal()):
-            j = int(np.argmax(claims.diagonal()))
-            raise ValueError(f"category {j} rejected against itself")
+        claims = _claim_matrix(self.claims)
+        columns = claims
+        if self.column_claims is not None:
+            columns = _claim_matrix(self.column_claims)
+            if columns.shape != claims.shape:
+                raise ValueError(
+                    f"column claims have shape {columns.shape}, "
+                    f"claims {claims.shape}"
+                )
         if self.lower and self.upper:
-            crossed = claims & claims.T
+            # Category j's own family crosses when j is claimed above k
+            # at j's threshold and k above j at j's threshold.
+            crossed = claims & columns.T
             if np.count_nonzero(crossed):
                 for j in self.J0:
                     if crossed[j].any():
@@ -343,31 +373,78 @@ class PairwiseRejections:
                             f"than {np.flatnonzero(crossed[j]).tolist()}"
                         )
         object.__setattr__(self, "claims", claims)
+        object.__setattr__(self, "column_claims", columns)
 
     @classmethod
     def from_claims(
-        cls, family: IndexFamily, claims: np.ndarray
+        cls,
+        family: IndexFamily,
+        claims: np.ndarray,
+        column_claims: np.ndarray | None = None,
     ) -> "PairwiseRejections":
         """Attach a family's directions to its claim matrix.
 
-        ``claims`` must be a ``p x p`` bool matrix inside
-        ``family.mask``; a claim outside the family raises
-        ``ValueError``.  The family's kind sets the directions, even
-        when a claim could speak to both sides.
+        ``claims`` (and ``column_claims``, when given) must be ``p x
+        p`` bool matrices inside ``family.mask``; a claim outside the
+        family raises ``ValueError``.  The family's kind sets the
+        directions, even when a claim could speak to both sides.
         """
-        claims = np.asarray(claims, dtype=bool)
-        if claims.shape != family.mask.shape:
-            raise ValueError(
-                f"claims must have shape {family.mask.shape}, got {claims.shape}"
-            )
-        outside = claims & ~family.mask
-        if np.count_nonzero(outside):
-            a, b = np.argwhere(outside)[0].tolist()
-            raise ValueError(f"pair ({a}, {b}) is not in the family")
+        for matrix in (claims, column_claims):
+            if matrix is None:
+                continue
+            matrix = np.asarray(matrix, dtype=bool)
+            if matrix.shape != family.mask.shape:
+                raise ValueError(
+                    f"claims must have shape {family.mask.shape}, "
+                    f"got {matrix.shape}"
+                )
+            outside = matrix & ~family.mask
+            if np.count_nonzero(outside):
+                a, b = np.argwhere(outside)[0].tolist()
+                raise ValueError(f"pair ({a}, {b}) is not in the family")
         return cls(
             J0=family.J0, claims=claims,
             lower=family.kind != "upper", upper=family.kind != "lower",
+            column_claims=column_claims,
         )
+
+    @classmethod
+    def at_threshold(
+        cls, family: IndexFamily, claimed, threshold
+    ) -> "PairwiseRejections":
+        """Claims of a statistic inside the family at its threshold(s).
+
+        ``claimed`` maps a threshold, broadcast against the ``p x p``
+        statistic, to the bool matrix of claims it makes.  A scalar
+        ``threshold`` holds every pair to it (simultaneous scope).  One
+        threshold per category of ``family.J0`` (marginal scope) claims
+        row ``a`` at ``a``'s threshold and column ``b`` at ``b``'s.  The
+        rows and columns of categories outside ``J0`` are never read;
+        their threshold is NaN, which compares false, so they hold no
+        claims.
+        """
+        t = np.asarray(threshold)
+        if t.ndim == 0:
+            return cls.from_claims(family, family.mask & claimed(t))
+        per_category = np.full(family.p, np.nan)
+        per_category[list(family.J0)] = t
+        return cls.from_claims(
+            family,
+            family.mask & claimed(per_category[:, None]),
+            family.mask & claimed(per_category[None, :]),
+        )
+
+
+def _claim_matrix(claims) -> np.ndarray:
+    claims = np.asarray(claims, dtype=bool)
+    if claims.ndim != 2 or claims.shape[0] != claims.shape[1]:
+        raise ValueError(f"claims must be a square matrix, got {claims.shape}")
+    # np.count_nonzero is several times cheaper than .any() on the
+    # small matrices of the paper's tables.
+    if np.count_nonzero(claims.diagonal()):
+        j = int(np.argmax(claims.diagonal()))
+        raise ValueError(f"category {j} rejected against itself")
+    return claims
 
 
 @dataclass(frozen=True)
@@ -435,9 +512,10 @@ def rankset_from_rejections(
     Returns
     -------
     RankSet
-        ``lo_j = 1 + C[:, j].sum()`` (when ``rej.lower``, else 1) and
+        ``lo_j = 1 + K[:, j].sum()`` (when ``rej.lower``, else 1) and
         ``hi_j = p - C[j, :].sum()`` (when ``rej.upper``, else ``p``)
-        for each category of interest ``rej.J0``.
+        for each category of interest ``rej.J0``, where ``C`` is
+        ``rej.claims`` and ``K`` is ``rej.column_claims``.
 
     Raises
     ------
@@ -445,7 +523,7 @@ def rankset_from_rejections(
         If some ``lo_j > hi_j``, which a sound level-alpha family
         cannot produce.
     """
-    beaten_by = rej.claims.sum(axis=0).tolist() if rej.lower else [0] * p
+    beaten_by = rej.column_claims.sum(axis=0).tolist() if rej.lower else [0] * p
     beats = rej.claims.sum(axis=1).tolist() if rej.upper else [0] * p
     lo = {j: 1 + beaten_by[j] for j in rej.J0}
     hi = {j: p - beats[j] for j in rej.J0}

@@ -26,6 +26,7 @@ from .core import (
     MultinomialSample,
     PairwiseRejections,
     RankSet,
+    _is_marginal,
     build_index_family,
     rankset_from_rejections,
 )
@@ -117,17 +118,24 @@ def pairwise_pvalues(
 
 
 def bonferroni_reject(
-    table: PairwisePValueTable, alpha: float
+    table: PairwisePValueTable, alpha: float, scope: str = "simultaneous"
 ) -> PairwiseRejections:
-    """Reject every pair whose p-value is at most ``alpha / |I|``."""
+    """Reject every pair whose p-value is at most ``alpha / m``.
+
+    ``m`` is the family size ``|I|``, or in marginal ``scope`` the size
+    of one target's own family (``2(p - 1)`` two-sided, ``p - 1``
+    one-sided), which is the same for every target.
+    """
     _check_alpha(alpha)
-    family = table.family
-    claims = family.mask & (table.pvalues <= alpha / len(family))
-    return PairwiseRejections.from_claims(family, claims)
+    family, pvalues = table.family, table.pvalues
+    m = _target_family_size(family) if _is_marginal(scope) else len(family)
+    return PairwiseRejections.at_threshold(
+        family, lambda t: pvalues <= t, alpha / m
+    )
 
 
 def holm_reject(
-    table: PairwisePValueTable, alpha: float
+    table: PairwisePValueTable, alpha: float, scope: str = "simultaneous"
 ) -> PairwiseRejections:
     """Step-down rejection: strictly more powerful than Bonferroni.
 
@@ -135,17 +143,47 @@ def holm_reject(
     one passed its own threshold ``alpha / (|I| + 1 - l)``.  The
     thresholds strictly increase, so p-values tied with the first
     failure fail with it, and the rejections are exactly the p-values
-    below that failure.
+    below that failure.  In marginal ``scope`` every target steps down
+    through its own family (its row and column of the table), and all
+    targets' stops come from one row-wise sort.
     """
     _check_alpha(alpha)
     family, pvalues = table.family, table.pvalues
-    m = len(family)
-    ordered = np.sort(pvalues[family.mask])
-    failed = (ordered > alpha / np.arange(m, 0, -1)).nonzero()[0]
-    claims = family.mask
-    if failed.size:
-        claims = claims & (pvalues < ordered[failed[0]])
-    return PairwiseRejections.from_claims(family, claims)
+    marginal = _is_marginal(scope)
+    if marginal:
+        ordered = _target_pvalues(family, pvalues)
+    else:
+        ordered = np.sort(pvalues[family.mask])[None, :]
+    m = ordered.shape[1]
+    failed = ordered > alpha / np.arange(m, 0, -1)
+    first = failed.argmax(axis=1)
+    stop = np.where(
+        failed.any(axis=1), ordered[np.arange(len(ordered)), first], np.inf
+    )
+    return PairwiseRejections.at_threshold(
+        family, lambda t: pvalues < t, stop if marginal else stop[0]
+    )
+
+
+def _target_family_size(family: IndexFamily) -> int:
+    """Pairs in the own family ``J0 = {j}`` of one target of ``family``."""
+    return (family.p - 1) * (2 if family.kind == "two_sided" else 1)
+
+
+def _target_pvalues(family: IndexFamily, pvalues: np.ndarray) -> np.ndarray:
+    """Each target's own-family p-values, sorted, one row per target.
+
+    A target's row and column of the joint family are its own family,
+    except the diagonal, whose NaN sorts last and is cut off.
+    """
+    j0 = list(family.J0)
+    parts = []
+    if family.kind != "lower":
+        parts.append(pvalues[j0, :])
+    if family.kind != "upper":
+        parts.append(pvalues[:, j0].T)
+    gathered = np.sort(np.concatenate(parts, axis=1), axis=1)
+    return gathered[:, :_target_family_size(family)]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -159,6 +197,7 @@ def exact_rank_cs(
     kind: str = "two_sided",
     alpha: float = 0.05,
     correction: str = "holm",
+    scope: str = "simultaneous",
 ) -> RankSet:
     """Finite-sample confidence set for the ranks of selected categories.
 
@@ -174,12 +213,16 @@ def exact_rank_cs(
         One minus the simultaneous coverage level over ``J0``.
     correction : {'bonferroni', 'holm'}
         Familywise error correction for the pairwise tests.
+    scope : {'simultaneous', 'marginal'}
+        ``'marginal'`` gives each target the interval of its own family
+        ``J0 = {j}`` (coverage ``1 - alpha`` per target) from one
+        p-value table.
 
     Returns
     -------
     RankSet
-        Rank intervals with simultaneous finite-sample coverage at
-        least ``1 - alpha``.
+        Rank intervals with simultaneous (or, in marginal scope,
+        per-target) finite-sample coverage at least ``1 - alpha``.
     """
     if correction not in CORRECTIONS:
         raise ValueError(
@@ -188,10 +231,10 @@ def exact_rank_cs(
     family = build_index_family(kind, J0, sample.p)
     table = pairwise_pvalues(sample, family)
     if correction == "bonferroni":
-        rej = bonferroni_reject(table, alpha)
+        rej = bonferroni_reject(table, alpha, scope)
         method = "exactBonf"
     else:
-        rej = holm_reject(table, alpha)
+        rej = holm_reject(table, alpha, scope)
         method = "exactHolm"
     return rankset_from_rejections(
         rej, sample.p, method=method, alpha=alpha, kind=kind

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dispatch import normalize_method, rank_cs
+from ._dispatch import SCOPES, normalize_method, rank_cs
 from .boot import BootstrapConfig, difference_cs
 from .core import (
     MultinomialSample,
@@ -111,7 +111,7 @@ class SimDesign:
     master_seed : int
         Seed from which all replication substreams are spawned.
     scope : {'marginal', 'simultaneous'}
-        Marginal builds one rank set per tracked category
+        Marginal gives each tracked category the set of its own family
         (``J0 = {j}``); simultaneous builds a single joint set
         (``J0 = J``) and additionally records joint coverage.
     categories : tuple of int, optional
@@ -138,7 +138,7 @@ class SimDesign:
             raise ValueError("n must be positive")
         if self.reps < 1:
             raise ValueError("reps must be positive")
-        if self.scope not in ("marginal", "simultaneous"):
+        if self.scope not in SCOPES:
             raise ValueError(f"unknown scope {self.scope!r}")
         object.__setattr__(
             self, "methods", tuple(normalize_method(m) for m in self.methods)
@@ -316,6 +316,8 @@ def run_design(design: SimDesign) -> SimReport:
     theta = np.asarray(design.theta)
     p = theta.size
     cats = _categories_of_interest(design.categories, p)
+    # A joint set covers every category, tracked or not.
+    targets = cats if design.scope == "marginal" else None
     triples = compute_ranks(theta)
     cover = {(m, j): 0 for m in design.methods for j in cats}
     length = {(m, j): 0 for m in design.methods for j in cats}
@@ -326,19 +328,10 @@ def run_design(design: SimDesign) -> SimReport:
         sample = MultinomialSample(counts=counts)
         config = BootstrapConfig(B=design.B, seed=boot_seed)
         for m in design.methods:
-            if design.scope == "marginal":
-                sets = {
-                    j: rank_cs(m, sample, J0=(j,), kind="two_sided",
-                               alpha=design.alpha, config=config)
-                    for j in cats
-                }
-            else:
-                rs = rank_cs(m, sample, J0=None, kind="two_sided",
-                             alpha=design.alpha, config=config)
-                sets = {j: rs for j in cats}
+            rs = rank_cs(m, sample, J0=targets, kind="two_sided",
+                         alpha=design.alpha, config=config, scope=design.scope)
             all_covered = True
             for j in cats:
-                rs = sets[j]
                 covered = rs.covers(j, triples[j].r_lo, triples[j].r_hi)
                 cover[(m, j)] += covered
                 length[(m, j)] += rs.length(j)

@@ -82,7 +82,8 @@ def _stat(counts, theta_hat, pairs, studentize=True, variant="lower"):
     n = sum(counts)
     star = np.asarray(counts, dtype=float)[None, :] / n
     theta = np.asarray(theta_hat, dtype=float)
-    return float(_pair_stats(star, theta, n, pairs, studentize, variant)[0])
+    jj, kk = np.asarray(pairs).T
+    return float(_pair_stats(star, theta, n, jj, kk, studentize, variant)[0])
 
 
 def test_stat_zero_over_zero_is_zero():
@@ -182,10 +183,11 @@ def test_blocked_stats_equal_one_shot_oracle(case, studentize):
     expected = _one_shot_stats(star, theta_hat, n, pairs, studentize, variant)
     if falling:
         assert (expected < 0).all()
+    jj, kk = np.asarray(pairs).T
     for width in (1, 2, 3, len(pairs)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * B * width)
-            got = _pair_stats(star, theta_hat, n, pairs, studentize, variant)
+            got = _pair_stats(star, theta_hat, n, jj, kk, studentize, variant)
         assert np.array_equal(got, expected), width
 
 
@@ -318,6 +320,24 @@ def test_calibration_memory_is_bounded_at_p_200(kind):
     assert peak < 32 * 2**20
 
 
+def test_joint_readout_memory_is_bounded_at_p_1000():
+    # The joint readout calibrates 499,500 unordered pairs.  It reads
+    # only the critical value and the largest scale, so it keeps index
+    # arrays, never a list of pair tuples or per-pair dicts (which
+    # once held about 240 MB here).
+    weights = 1.0 / np.arange(1, 1001) ** 0.5
+    counts = np.random.default_rng(0).multinomial(100_000, weights / weights.sum())
+    sample = MultinomialSample(tuple(int(c) for c in counts))
+    _theta_star_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        rank_cs("bootStud", sample, config=BootstrapConfig(B=200, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
+
+
 def test_difference_cs_marginal_coverage_two_categories():
     # p = 2, theta = (.5, .5), n = 2000: the studentized symmetric band
     # should cover the zero true difference at close to nominal rate.
@@ -351,7 +371,9 @@ def test_rank_cs_band_threshold_is_crit_times_largest_scale():
                 calibrated, shape = build_index_family(kind, targets, 7), "lower"
             cfg = BootstrapConfig(B=500, seed=0, shape=shape)
             dcs = difference_cs(MELBOURNE, cfg, 0.05, calibrated.pairs)
-            half = _band_half_width(dcs, MELBOURNE.n)
+            half = _band_half_width(
+                dcs.crit[0], max(dcs.sigma.values()), MELBOURNE.n
+            )
             assert half == pytest.approx(
                 dcs.crit[0] * max(dcs.sigma.values()) / math.sqrt(MELBOURNE.n),
                 rel=1e-12,
@@ -399,7 +421,8 @@ def test_symm_calibration_counts_each_unordered_pair_once(table, studentize, see
     if len(J0) == sample.p:
         assert 2 * len(once) == len(full)
     # The rank readout equals the one read off the full family.
-    half, th, p = _band_half_width(full_cs, sample.n), sample.theta_hat, sample.p
+    half = _band_half_width(full_cs.crit[0], max(full_cs.sigma.values()), sample.n)
+    th, p = sample.theta_hat, sample.p
     rs = boot_rank_cs(sample, J0, config=cfg)
     for j in J0:
         lo = 1 + sum(th[k] - th[j] > half for k in range(p) if k != j)

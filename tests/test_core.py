@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranksets._dispatch import METHOD_NAMES, rank_cs
-from ranksets.boot import BootstrapConfig
+from ranksets import cli, sim
+from ranksets._dispatch import METHOD_NAMES, SCOPES, rank_cs
+from ranksets.boot import BootstrapConfig, boot_rank_cs
 from ranksets.core import (
+    KINDS,
     IndexFamily,
     InvalidTestFamilyError,
     MultinomialSample,
@@ -17,6 +19,12 @@ from ranksets.core import (
     build_index_family,
     compute_ranks,
     rankset_from_rejections,
+)
+from ranksets.exact import (
+    bonferroni_reject,
+    exact_rank_cs,
+    holm_reject,
+    pairwise_pvalues,
 )
 
 # ---------------------------------------------------------------------------
@@ -134,9 +142,71 @@ def test_family_none_means_every_category():
 def test_every_method_rejects_bad_j0(method):
     sample = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
     cfg = BootstrapConfig(B=50, seed=0)
-    for J0 in [(-1,), (sample.p,), ()]:
-        with pytest.raises(ValueError):
-            rank_cs(method, sample, J0=J0, config=cfg)
+    for scope in SCOPES:
+        for J0 in [(-1,), (sample.p,), ()]:
+            with pytest.raises(ValueError):
+                rank_cs(method, sample, J0=J0, config=cfg, scope=scope)
+
+
+def test_unknown_scope_is_rejected_everywhere():
+    sample = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
+    for method in METHOD_NAMES:
+        with pytest.raises(ValueError, match="scope"):
+            rank_cs(method, sample, scope="joint")
+    table = pairwise_pvalues(sample, build_index_family("two_sided", None, 7))
+    for reject in (bonferroni_reject, holm_reject):
+        with pytest.raises(ValueError, match="scope"):
+            reject(table, 0.05, scope="joint")
+    with pytest.raises(ValueError, match="scope"):
+        exact_rank_cs(sample, scope="joint")
+    with pytest.raises(ValueError, match="scope"):
+        boot_rank_cs(sample, config=BootstrapConfig(B=50), scope="joint")
+    with pytest.raises(cli.DataError, match="scope"):
+        cli.analyze(cli.Dataset({"g": sample}), "cp", scope="joint")
+    with pytest.raises(ValueError, match="scope"):
+        sim.uniform_design(p=3, n=10, scope="joint")
+    assert cli.SCOPES is SCOPES and sim.SCOPES is SCOPES
+
+
+_METHOD_KINDS = [
+    (method, kind)
+    for method in METHOD_NAMES
+    for kind in (("two_sided",) if method == "naive" else KINDS)
+]
+
+
+@st.composite
+def _table_targets_alpha(draw):
+    p = draw(st.integers(2, 12))
+    counts = draw(st.lists(st.integers(0, 40), min_size=p, max_size=p))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, p - 1))] = 1
+    J0 = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
+    alpha = draw(st.sampled_from((0.05, 0.1, 0.2)))
+    config = BootstrapConfig(B=draw(st.integers(1, 60)),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+    return MultinomialSample(tuple(counts)), J0, alpha, config
+
+
+@pytest.mark.parametrize("method,kind", _METHOD_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(_table_targets_alpha())
+def test_marginal_scope_equals_per_target_loop(method, kind, case):
+    # One marginal call gives every target the interval of its own
+    # family J0 = {j}: Holm steps down per target, Bonferroni divides by
+    # one target's family size, and the bootstrap calibrates one
+    # critical value and one band per target.  The per-target loop is
+    # the oracle.
+    sample, J0, alpha, config = case
+
+    def run(targets, scope):
+        return rank_cs(method, sample, J0=targets, kind=kind, alpha=alpha,
+                       config=config, scope=scope)
+
+    expected = {j: run((j,), "simultaneous").interval(j) for j in J0}
+    marginal = run(J0, "marginal")
+    assert marginal.J0 == J0
+    assert {j: marginal.interval(j) for j in J0} == expected
 
 
 @given(
@@ -241,6 +311,26 @@ def test_from_claims_rejects_pair_outside_family():
         PairwiseRejections.from_claims(fam, _claims(3, (1, 2)))
     with pytest.raises(ValueError):
         PairwiseRejections.from_claims(fam, _claims(4, (1, 0)))
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not in the family"):
+        PairwiseRejections.from_claims(
+            fam, _claims(3, (1, 0)), column_claims=_claims(3, (1, 2))
+        )
+
+
+def test_column_claims_raise_lower_bounds_and_cross_per_target():
+    # Marginal scope: rows are claimed at the row category's threshold
+    # and columns at the column category's, so the matrices can differ.
+    rows = _claims(3, (0, 1), (1, 0))
+    rej = PairwiseRejections(J0=(0, 1), claims=rows, column_claims=_claims(3, (2, 0)))
+    rs = rankset_from_rejections(rej, 3)
+    # 0 beats 1 at 0's threshold, 2 beats 0 at 0's threshold; 1 beats
+    # 0 at 1's threshold, which says nothing about 0's lower bound.
+    assert (rs.interval(0), rs.interval(1)) == ((2, 2), (1, 2))
+    # 1 beats 0 at 0's threshold while 0 beats 1 at 0's: crossing.
+    with pytest.raises(InvalidTestFamilyError, match="category 0"):
+        PairwiseRejections(J0=(0,), claims=rows, column_claims=_claims(3, (1, 0)))
+    with pytest.raises(ValueError, match="shape"):
+        PairwiseRejections(J0=(0,), claims=rows, column_claims=_claims(4))
 
 
 def _family_oracle(kind, J0, p):
