@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .core import (
     PairwiseRejections,
     RankSet,
     _categories_of_interest,
+    _check_alpha,
     _is_marginal,
     _theta_array,
     build_index_family,
@@ -158,9 +159,10 @@ def _pair_stats(
 ) -> np.ndarray:
     """(B,) bootstrap max statistics over the pairs ``(jj[i], kk[i])``.
 
-    ``jj`` and ``kk`` are non-empty index arrays of equal length.  The pairs are walked in column blocks of ``_BLOCK_BYTES`` per
-    ``B x block`` temporary, keeping a running maximum per resample, so
-    memory is ``O(B * p)`` plus one block whatever the number of pairs.
+    ``jj`` and ``kk`` are non-empty index arrays of equal length.  The
+    pairs are walked in column blocks of ``_BLOCK_BYTES`` per ``B x
+    block`` temporary, keeping a running maximum per resample, so memory
+    is ``O(B * p)`` plus one block whatever the number of pairs.
     Each element is computed exactly as over all pairs at once and the
     maximum is exact, so the result does not depend on the block size.
     """
@@ -229,36 +231,54 @@ def _quantiles(stats: np.ndarray, level: float) -> np.ndarray:
     return np.sort(stats, axis=0)[max(k, 1) - 1]
 
 
-@dataclass(frozen=True)
+# eq=False: == on numpy fields would be elementwise.
+@dataclass(frozen=True, eq=False)
 class DifferenceCS:
     """Simultaneous confidence intervals for pairwise differences.
 
-    ``lo`` and ``hi`` map each pair ``(j, k)`` to interval endpoints
-    for ``theta_j - theta_k``; one-sided shapes carry an infinite
-    endpoint.  ``crit`` holds the bootstrap critical value(s): one
-    entry for ``lower``/``upper``/``symm``, the pair of half-level
-    values for ``equi``.  ``sigma`` is the per-pair scale of the
+    ``mask`` (read-only, ``p x p``) marks the covered pairs ``(j, k)``;
+    ``lo`` and ``hi`` (read-only ``p x p``, NaN outside the mask) bound
+    ``theta_j - theta_k``, and one-sided shapes carry an infinite
+    endpoint.  ``crit`` holds the bootstrap critical value(s): one entry
+    for ``lower``/``upper``/``symm``, the pair of half-level values for
+    ``equi``.  ``sigma`` (same layout) is the per-pair scale of the
     original data (1 for every pair when not studentized).
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    mask: np.ndarray
     shape: str
     studentize: bool
     alpha: float
     crit: tuple[float, ...]
-    lo: Mapping[tuple[int, int], float]
-    hi: Mapping[tuple[int, int], float]
-    sigma: Mapping[tuple[int, int], float]
+    lo: np.ndarray
+    hi: np.ndarray
+    sigma: np.ndarray
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The covered pairs in row-major order, built on every call."""
+        rows, cols = np.nonzero(self.mask)
+        return tuple(zip(rows.tolist(), cols.tolist()))
 
     def interval(self, pair: tuple[int, int]) -> tuple[float, float]:
-        return self.lo[pair], self.hi[pair]
+        """``(lo, hi)`` of a covered pair; ``KeyError`` for any other."""
+        j, k = pair
+        if not (0 <= min(j, k) and max(j, k) < len(self.mask) and self.mask[j, k]):
+            raise KeyError(pair)
+        return float(self.lo[j, k]), float(self.hi[j, k])
 
     def contains(self, pair: tuple[int, int], delta: float) -> bool:
-        return self.lo[pair] <= delta <= self.hi[pair]
+        lo, hi = self.interval(pair)
+        return lo <= delta <= hi
 
-    def covers(self, deltas: Mapping[tuple[int, int], float]) -> bool:
-        """Whether every pair's interval contains its true difference."""
-        return all(self.contains(pair, deltas[pair]) for pair in self.pairs)
+    def covers(self, theta) -> bool:
+        """Whether each interval contains its difference under the true ``theta``."""
+        theta = _theta_array(theta)
+        if theta.shape != self.mask.shape[:1]:
+            raise ValueError(f"theta must have {self.mask.shape[0]} components")
+        delta = (theta[:, None] - theta[None, :])[self.mask]
+        lo, hi = self.lo[self.mask], self.hi[self.mask]
+        return bool(np.all((lo <= delta) & (delta <= hi)))
 
 
 def _sigma_hat(theta_hat: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
@@ -266,11 +286,19 @@ def _sigma_hat(theta_hat: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndar
     return np.sqrt(tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk)
 
 
+def _on_mask(mask: np.ndarray, values) -> np.ndarray:
+    """Read-only ``values`` on the cells of ``mask`` (row-major), NaN elsewhere."""
+    out = np.full(mask.shape, np.nan)
+    out[mask] = values
+    out.flags.writeable = False
+    return out
+
+
 def difference_cs(
     sample: MultinomialSample,
     config: BootstrapConfig,
     alpha: float = 0.05,
-    pairs: Sequence[tuple[int, int]] | None = None,
+    mask: np.ndarray | None = None,
 ) -> DifferenceCS:
     """Bootstrap confidence set for all pairwise differences at once.
 
@@ -282,8 +310,9 @@ def difference_cs(
         Resampling knobs; ``config.shape`` picks the interval shape.
     alpha : float
         One minus the simultaneous coverage level over the pairs.
-    pairs : sequence of (j, k), optional
-        Pairs to cover, at least one; all ordered pairs by default.
+    mask : (p, p) array-like of bool, optional
+        Pairs ``(j, k)`` to cover, at least one and none on the
+        diagonal; every ordered pair by default.
 
     Returns
     -------
@@ -294,63 +323,37 @@ def difference_cs(
         ``d`` is the estimated difference and ``scale`` is
         ``sigma_hat / sqrt(n)`` (``1 / sqrt(n)`` unstudentized).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if pairs is None:
-        p = sample.p
-        pairs = [(j, k) for j in range(p) for k in range(p) if j != k]
-    pairs = [(int(j), int(k)) for j, k in pairs]
-    if not pairs:
+    _check_alpha(alpha)
+    p, n = sample.p, sample.n
+    mask = ~np.eye(p, dtype=bool) if mask is None else np.array(mask, dtype=bool)
+    if mask.shape != (p, p):
+        raise ValueError(f"mask must have shape {(p, p)}, got {mask.shape}")
+    if mask.diagonal().any():
+        raise ValueError("mask must not mark a diagonal pair (j, j)")
+    if not mask.any():
         raise ValueError("pairs must be non-empty")
+    mask.flags.writeable = False
     theta_hat = sample.theta_hat
-    n = sample.n
-    jj = np.asarray([j for j, _ in pairs])
-    kk = np.asarray([k for _, k in pairs])
+    jj, kk = np.nonzero(mask)
     d_hat = theta_hat[jj] - theta_hat[kk]
-    if config.studentize:
-        sigma = _sigma_hat(theta_hat, jj, kk)
-    else:
-        sigma = np.ones(len(pairs))
+    sigma = _sigma_hat(theta_hat, jj, kk) if config.studentize else np.ones(len(jj))
     scale = sigma / math.sqrt(n)
-
     star = _theta_star_matrix(sample, config)
 
     def crit(variant: str, level: float) -> float:
         stats = _pair_stats(star, theta_hat, n, jj, kk, config.studentize, variant)
         return bootstrap_quantile(stats, level)
 
-    if config.shape == "lower":
-        c = crit("lower", 1.0 - alpha)
-        lo_arr = d_hat - _scaled(c, scale)
-        hi_arr = np.full(len(pairs), np.inf)
-        crits = (c,)
-    elif config.shape == "upper":
-        c = crit("upper", 1.0 - alpha)
-        lo_arr = np.full(len(pairs), -np.inf)
-        hi_arr = d_hat + _scaled(c, scale)
-        crits = (c,)
-    elif config.shape == "symm":
-        c = crit("symm", 1.0 - alpha)
-        lo_arr = d_hat - _scaled(c, scale)
-        hi_arr = d_hat + _scaled(c, scale)
-        crits = (c,)
-    else:  # equi: both one-sided shapes at half level
-        c_lo = crit("lower", 1.0 - alpha / 2)
-        c_up = crit("upper", 1.0 - alpha / 2)
-        lo_arr = d_hat - _scaled(c_lo, scale)
-        hi_arr = d_hat + _scaled(c_up, scale)
-        crits = (c_lo, c_up)
-
-    pair_tuple = tuple(pairs)
+    if config.shape == "equi":  # both one-sided shapes at half level
+        crits = (crit("lower", 1.0 - alpha / 2), crit("upper", 1.0 - alpha / 2))
+    else:
+        crits = (crit(config.shape, 1.0 - alpha),)
+    lo = -np.inf if config.shape == "upper" else d_hat - _scaled(crits[0], scale)
+    hi = np.inf if config.shape == "lower" else d_hat + _scaled(crits[-1], scale)
     return DifferenceCS(
-        pairs=pair_tuple,
-        shape=config.shape,
-        studentize=config.studentize,
-        alpha=alpha,
-        crit=crits,
-        lo=dict(zip(pair_tuple, lo_arr.tolist())),
-        hi=dict(zip(pair_tuple, hi_arr.tolist())),
-        sigma=dict(zip(pair_tuple, sigma.tolist())),
+        mask=mask, shape=config.shape, studentize=config.studentize,
+        alpha=alpha, crit=crits, lo=_on_mask(mask, lo),
+        hi=_on_mask(mask, hi), sigma=_on_mask(mask, sigma),
     )
 
 
@@ -450,8 +453,7 @@ def boot_rank_cs(
     """
     if config is None:
         config = BootstrapConfig()
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     marginal = _is_marginal(scope)
     p, n = sample.p, sample.n
     family = build_index_family(kind, J0, p)
@@ -510,8 +512,7 @@ def naive_rank_cs(
     """
     if config is None:
         config = BootstrapConfig()
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     j0 = _categories_of_interest(J0, sample.p)
     star = _theta_star_matrix(sample, config)
     targets = list(j0)

@@ -263,7 +263,11 @@ class IndexFamily:
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The family's pairs ``(a, b)`` in row-major order."""
+        """The family's pairs ``(a, b)`` in row-major order.
+
+        Builds and keeps up to ``p(p - 1)`` tuples (106 MiB at p = 1000);
+        the library reads ``mask`` and never calls this.
+        """
         rows, cols = np.nonzero(self.mask)
         return tuple(zip(rows.tolist(), cols.tolist()))
 
@@ -294,6 +298,11 @@ def _is_marginal(scope: str) -> bool:
     return scope == "marginal"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie strictly between 0 and 1")
+
+
 def build_index_family(
     kind: str, J0: Iterable[int] | None, p: int
 ) -> IndexFamily:
@@ -320,7 +329,7 @@ def build_index_family(
     return _index_family(kind, None if J0 is None else tuple(J0), p)
 
 
-# A p x p bool mask is 1 MB at p = 1000; a method run needs at most two.
+# A family holds its p x p mask (1 MB at p = 1000); the library never fills pairs.
 _index_family = lru_cache(maxsize=32)(IndexFamily)
 
 

@@ -24,6 +24,7 @@ from .core import (
     MultinomialSample,
     PairwiseRejections,
     RankSet,
+    _check_alpha,
     build_index_family,
     rankset_from_rejections,
 )
@@ -99,8 +100,7 @@ def cp_box(sample: MultinomialSample, alpha: float = 0.05) -> IntervalBox:
     running at level ``1 - alpha/p``, so the box covers the whole
     probability vector with probability at least ``1 - alpha``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     lo, hi = _cp_box_cached(sample.counts, sample.n, float(alpha))
     return IntervalBox(lo=lo, hi=hi, alpha=alpha)
 

@@ -26,6 +26,7 @@ from .core import (
     MultinomialSample,
     PairwiseRejections,
     RankSet,
+    _check_alpha,
     _is_marginal,
     build_index_family,
     rankset_from_rejections,
@@ -109,11 +110,11 @@ def pairwise_pvalues(
     sample: MultinomialSample, family: IndexFamily
 ) -> PairwisePValueTable:
     """Evaluate the conditional test p-value for every family pair."""
-    counts = sample.counts
+    c = np.asarray(sample.counts)
+    rows, cols = np.nonzero(family.mask)
     pvalues = np.full(family.mask.shape, np.nan)
-    pvalues[family.mask] = [
-        conditional_pvalue(counts[a], counts[b]) for a, b in family.pairs
-    ]
+    tails = map(conditional_pvalue, c[rows].tolist(), c[cols].tolist())
+    pvalues[rows, cols] = list(tails)
     return PairwisePValueTable(family=family, pvalues=pvalues)
 
 
@@ -184,11 +185,6 @@ def _target_pvalues(family: IndexFamily, pvalues: np.ndarray) -> np.ndarray:
         parts.append(pvalues[:, j0].T)
     gathered = np.sort(np.concatenate(parts, axis=1), axis=1)
     return gathered[:, :_target_family_size(family)]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 def exact_rank_cs(

@@ -390,9 +390,6 @@ def erratic_coverage_curves(
         theta = np.asarray(erratic_theta(pi))
         triples = compute_ranks(theta)
         family = build_index_family("two_sided", (0,), theta.size)
-        deltas = {
-            (j, k): float(theta[j] - theta[k]) for j, k in family.pairs
-        }
         for n in n_grid:
             diff_cov = {True: 0, False: 0}
             rank_cov = {"bootStud": 0, "boot": 0, "exactBonf": 0}
@@ -403,8 +400,8 @@ def erratic_coverage_curves(
                     cfg = BootstrapConfig(
                         B=B, seed=boot_seed, studentize=studentize, shape="symm"
                     )
-                    dcs = difference_cs(sample, cfg, alpha, family.pairs)
-                    diff_cov[studentize] += dcs.covers(deltas)
+                    dcs = difference_cs(sample, cfg, alpha, family.mask)
+                    diff_cov[studentize] += dcs.covers(theta)
                 for m in rank_cov:
                     rs = rank_cs(m, sample, J0=(0,), kind="two_sided",
                                  alpha=alpha,

@@ -228,36 +228,40 @@ def test_resample_goodness_of_fit_smoke():
 def test_difference_cs_sigma_uses_plugin_variance_of_a_difference():
     dcs = difference_cs(MELBOURNE, BootstrapConfig(B=50, seed=0))
     th = MELBOURNE.theta_hat
-    for (j, k), sig in dcs.sigma.items():
+    for j, k in zip(*np.nonzero(dcs.mask)):
         expected = math.sqrt(
             th[j] * (1 - th[j]) + th[k] * (1 - th[k]) + 2 * th[j] * th[k]
         )
-        assert sig == pytest.approx(expected, rel=1e-12)
+        assert dcs.sigma[j, k] == pytest.approx(expected, rel=1e-12)
+    assert np.isnan(dcs.sigma[~dcs.mask]).all()
+    assert not dcs.sigma.flags.writeable
 
 
 def test_difference_cs_defaults_to_all_ordered_pairs():
     dcs = difference_cs(MELBOURNE, BootstrapConfig(B=50, seed=0))
-    assert len(dcs.pairs) == 7 * 6
-    assert set(dcs.pairs) == {(j, k) for j in range(7) for k in range(7) if j != k}
+    assert np.count_nonzero(dcs.mask) == 7 * 6
+    assert (dcs.mask == ~np.eye(7, dtype=bool)).all()
+    assert dcs.pairs == tuple(
+        (j, k) for j in range(7) for k in range(7) if j != k
+    )
 
 
 def test_difference_cs_symm_width_without_studentizing_is_constant():
     cfg = BootstrapConfig(B=400, seed=2, studentize=False, shape="symm")
     dcs = difference_cs(MELBOURNE, cfg)
     width = 2 * dcs.crit[0] / math.sqrt(MELBOURNE.n)
-    for pair in dcs.pairs:
-        lo, hi = dcs.interval(pair)
-        assert hi - lo == pytest.approx(width, rel=1e-12)
-        d_hat = MELBOURNE.theta_hat[pair[0]] - MELBOURNE.theta_hat[pair[1]]
-        assert lo <= d_hat <= hi
+    th = MELBOURNE.theta_hat
+    d_hat = (th[:, None] - th[None, :])[dcs.mask]
+    lo, hi = dcs.lo[dcs.mask], dcs.hi[dcs.mask]
+    assert hi - lo == pytest.approx(np.full(42, width), rel=1e-12)
+    assert ((lo <= d_hat) & (d_hat <= hi)).all()
 
 
 def test_difference_cs_one_sided_shapes_leave_one_end_infinite():
     lo_cs = difference_cs(MELBOURNE, BootstrapConfig(B=200, seed=5, shape="lower"))
     up_cs = difference_cs(MELBOURNE, BootstrapConfig(B=200, seed=5, shape="upper"))
-    for pair in lo_cs.pairs:
-        assert lo_cs.hi[pair] == math.inf
-        assert up_cs.lo[pair] == -math.inf
+    assert (lo_cs.hi[lo_cs.mask] == math.inf).all()
+    assert (up_cs.lo[up_cs.mask] == -math.inf).all()
 
 
 def test_difference_cs_equi_is_intersection_of_half_level_one_sided():
@@ -265,9 +269,8 @@ def test_difference_cs_equi_is_intersection_of_half_level_one_sided():
     equi = difference_cs(MELBOURNE, BootstrapConfig(shape="equi", **kw), alpha=0.10)
     one_lo = difference_cs(MELBOURNE, BootstrapConfig(shape="lower", **kw), alpha=0.05)
     one_up = difference_cs(MELBOURNE, BootstrapConfig(shape="upper", **kw), alpha=0.05)
-    for pair in equi.pairs:
-        assert equi.lo[pair] == one_lo.lo[pair]
-        assert equi.hi[pair] == one_up.hi[pair]
+    assert np.array_equal(equi.lo, one_lo.lo, equal_nan=True)
+    assert np.array_equal(equi.hi, one_up.hi, equal_nan=True)
     assert equi.crit == (one_lo.crit[0], one_up.crit[0])
 
 
@@ -284,8 +287,7 @@ def test_difference_cs_zero_frequency_pair_degenerates_to_a_point():
 def test_difference_cs_contains_and_covers():
     dcs = difference_cs(MELBOURNE, BootstrapConfig(B=300, seed=9))
     th = MELBOURNE.theta_hat
-    deltas = {(j, k): th[j] - th[k] for j, k in dcs.pairs}
-    assert dcs.covers(deltas)  # symm intervals are centered on d_hat
+    assert dcs.covers(th)  # symm intervals are centered on d_hat
     assert dcs.contains((0, 1), th[0] - th[1])
 
 
@@ -298,7 +300,90 @@ def test_difference_cs_rejects_bad_alpha():
 
 def test_difference_cs_rejects_empty_pairs():
     with pytest.raises(ValueError, match="pairs must be non-empty"):
-        difference_cs(MELBOURNE, BootstrapConfig(B=10, seed=0), pairs=[])
+        difference_cs(
+            MELBOURNE, BootstrapConfig(B=10, seed=0), mask=np.zeros((7, 7), bool)
+        )
+
+
+def _mask_with(*pairs, p=7):
+    mask = np.zeros((p, p), dtype=bool)
+    for j, k in pairs:
+        mask[j, k] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "mask, match",
+    [
+        (np.ones((7, 6), dtype=bool), "shape"),
+        (_mask_with((0, 1), p=8), "shape"),
+        ([(-1, 0)], "shape"),  # a pair list, which once wrapped to (6, 0)
+        ([(0, 7)], "shape"),  # a pair list, which once raised IndexError
+        (_mask_with((0, 1), (2, 2)), "diagonal"),
+        (np.eye(7, dtype=bool), "diagonal"),
+        (np.zeros((7, 7), dtype=bool), "pairs must be non-empty"),
+    ],
+    ids=["7x6", "8x8", "pair-list-negative", "pair-list-out-of-range",
+         "one-diagonal-cell", "identity", "empty"],
+)
+def test_difference_cs_rejects_bad_masks(mask, match):
+    with pytest.raises(ValueError, match=match):
+        difference_cs(MELBOURNE, BootstrapConfig(B=10, seed=0), mask=mask)
+
+
+def test_difference_cs_pair_outside_mask_raises_key_error():
+    mask = _mask_with((0, 1), (1, 0))
+    dcs = difference_cs(MELBOURNE, BootstrapConfig(B=10, seed=0), mask=mask)
+    assert dcs.pairs == ((0, 1), (1, 0))
+    lo, hi = dcs.interval((0, 1))
+    assert (lo, hi) == (-dcs.hi[1, 0], -dcs.lo[1, 0])  # symm is mirror-symmetric
+    for pair in [(0, 2), (2, 2), (-7, 1), (6, 0), (0, 7)]:
+        with pytest.raises(KeyError):
+            dcs.interval(pair)
+        with pytest.raises(KeyError):
+            dcs.contains(pair, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_difference_cs_covers_equals_per_pair_loop(data):
+    # covers(theta) is one vectorized check; the per-pair loop over
+    # contains() is the reference.  theta is a perturbed estimate, so
+    # both outcomes occur.
+    p = data.draw(st.integers(2, 8))
+    counts = data.draw(st.lists(st.integers(0, 30), min_size=p, max_size=p))
+    counts[data.draw(st.integers(0, p - 1))] += 1
+    sample = MultinomialSample(tuple(counts))
+    cells = data.draw(st.lists(st.booleans(), min_size=p * p, max_size=p * p))
+    mask = np.array(cells).reshape(p, p) & ~np.eye(p, dtype=bool)
+    mask[0, 1] = True
+    shape = data.draw(st.sampled_from(["lower", "upper", "symm", "equi"]))
+    cfg = BootstrapConfig(B=30, seed=data.draw(st.integers(0, 99)), shape=shape)
+    dcs = difference_cs(sample, cfg, 0.1, mask)
+    noise = np.array(data.draw(st.lists(st.floats(0.0, 0.2), min_size=p, max_size=p)))
+    theta = (sample.theta_hat + noise) / (1.0 + noise.sum())
+    loop = all(dcs.contains((j, k), theta[j] - theta[k]) for j, k in dcs.pairs)
+    assert dcs.covers(theta) == loop
+    with pytest.raises(ValueError):
+        dcs.covers(np.full(p + 1, 1.0 / (p + 1)))
+
+
+def test_difference_cs_memory_is_bounded_at_p_1000():
+    # Every ordered pair at p = 1000 is 999,000 pairs.  Intervals and
+    # scales are p x p arrays over the mask, so the result holds no
+    # pair tuples or per-pair dicts (which once peaked at 363 MiB here).
+    weights = 1.0 / np.arange(1, 1001) ** 0.5
+    counts = np.random.default_rng(0).multinomial(2_000, weights / weights.sum())
+    sample = MultinomialSample(tuple(int(c) for c in counts))
+    _theta_star_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        dcs = difference_cs(sample, BootstrapConfig(B=200, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert dcs.lo.shape == (1000, 1000)
 
 
 @pytest.mark.parametrize("kind", ["two_sided", "lower"])
@@ -370,12 +455,12 @@ def test_rank_cs_band_threshold_is_crit_times_largest_scale():
             else:
                 calibrated, shape = build_index_family(kind, targets, 7), "lower"
             cfg = BootstrapConfig(B=500, seed=0, shape=shape)
-            dcs = difference_cs(MELBOURNE, cfg, 0.05, calibrated.pairs)
+            dcs = difference_cs(MELBOURNE, cfg, 0.05, calibrated.mask)
             half = _band_half_width(
-                dcs.crit[0], max(dcs.sigma.values()), MELBOURNE.n
+                dcs.crit[0], np.nanmax(dcs.sigma), MELBOURNE.n
             )
             assert half == pytest.approx(
-                dcs.crit[0] * max(dcs.sigma.values()) / math.sqrt(MELBOURNE.n),
+                dcs.crit[0] * np.nanmax(dcs.sigma) / math.sqrt(MELBOURNE.n),
                 rel=1e-12,
             )
             manual = []
@@ -410,18 +495,17 @@ def test_symm_calibration_counts_each_unordered_pair_once(table, studentize, see
     # anchored family leaves the critical value and the largest scale
     # exactly as they were.  Zero cells give c/0 = +-inf ratios.
     sample, J0 = table
-    full = build_index_family("upper", J0, sample.p).pairs
-    present = set(full)
-    once = [(a, b) for a, b in full if a < b or (b, a) not in present]
+    full = build_index_family("upper", J0, sample.p).mask
+    once = full & (np.triu(full) | ~full.T)
     cfg = BootstrapConfig(B=200, seed=seed, studentize=studentize, shape="symm")
     full_cs = difference_cs(sample, cfg, 0.05, full)
     once_cs = difference_cs(sample, cfg, 0.05, once)
     assert once_cs.crit == full_cs.crit
-    assert max(once_cs.sigma.values()) == max(full_cs.sigma.values())
+    assert np.nanmax(once_cs.sigma) == np.nanmax(full_cs.sigma)
     if len(J0) == sample.p:
-        assert 2 * len(once) == len(full)
+        assert 2 * np.count_nonzero(once) == np.count_nonzero(full)
     # The rank readout equals the one read off the full family.
-    half = _band_half_width(full_cs.crit[0], max(full_cs.sigma.values()), sample.n)
+    half = _band_half_width(full_cs.crit[0], np.nanmax(full_cs.sigma), sample.n)
     th, p = sample.theta_hat, sample.p
     rs = boot_rank_cs(sample, J0, config=cfg)
     for j in J0:
@@ -441,11 +525,11 @@ def test_rank_cs_without_studentizing_band_equals_per_pair_readout():
         MELBOURNE,
         BootstrapConfig(B=3000, seed=0, studentize=False, shape="symm"),
         0.05,
-        anchored.pairs,
+        anchored.mask,
     )
     for j in range(7):
-        lo = 1 + sum(dcs.hi[(j, k)] < 0 for k in range(7) if k != j)
-        hi = 7 - sum(dcs.lo[(j, k)] > 0 for k in range(7) if k != j)
+        lo = 1 + sum(dcs.hi[j, k] < 0 for k in range(7) if k != j)
+        hi = 7 - sum(dcs.lo[j, k] > 0 for k in range(7) if k != j)
         assert rs.interval(j) == (lo, hi)
 
 

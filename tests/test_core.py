@@ -16,6 +16,7 @@ from ranksets.core import (
     PairwiseRejections,
     ProbabilityVector,
     RankSet,
+    _index_family,
     build_index_family,
     compute_ranks,
     rankset_from_rejections,
@@ -403,6 +404,21 @@ def test_family_is_cached_and_read_only():
     assert not fam.mask.flags.writeable
     with pytest.raises(ValueError):
         fam.mask[0, 1] = False
+
+
+def test_no_method_builds_the_pair_tuples_of_a_family():
+    # Methods read the p x p mask; IndexFamily.pairs would add p(p - 1)
+    # tuples to a family that stays cached.
+    p = 50
+    rng = np.random.default_rng(5)
+    for method in METHOD_NAMES:
+        sample = MultinomialSample(tuple(int(c) for c in rng.integers(0, 40, p)))
+        _index_family.cache_clear()
+        rank_cs(method, sample, config=BootstrapConfig(B=50, seed=0))
+        for kind in KINDS:
+            for J0 in (None, tuple(range(p))):
+                family = build_index_family(kind, J0, p)
+                assert "pairs" not in family.__dict__, (method, kind, J0)
 
 
 def test_rank_set_rejects_inverted_interval():
