@@ -8,10 +8,16 @@ interval excludes zero then drives directional claims about the
 sign of each difference, which assemble into rank confidence sets
 exactly as in :mod:`ranksets.core`.
 
-The maximum over a family of ``m`` pairs (up to ``p(p-1)``) is taken
-block by block over the pairs with a running maximum per resample, so
-calibration holds the ``B x p`` resample matrix plus one cache-sized
-block, never a ``B x m`` array.
+Calibration reads the resamples category-major: each call copies the
+``B x p`` resample matrix once into a ``p x B`` array whose rows are
+one category's draws, and for the studentized statistic computes each
+category's ``theta*(1 - theta*)`` row once, rather than once per pair.
+The maximum over a family of ``m`` pairs (up to ``p(p-1)``) is then
+taken block by block over the pairs, gathering whole contiguous rows,
+with a running maximum per resample.  Calibration thus holds the
+``B x p`` matrix, its ``p x B`` copy and variance terms, and one
+cache-sized block, never a ``B x m`` array.  The critical values are
+the same bit for bit as from the whole ``B x m`` array at once.
 
 Zero counts need conventions: a bootstrap ratio evaluates ``0/0`` as 0
 and ``c/0`` as ``sign(c) * inf``.  Infinities are kept and propagate
@@ -27,8 +33,8 @@ per-pair interval, so its simultaneous coverage is at least as high.
 
 Marginal scope gives each target its own family ``J0 = {j}``, so each
 target gets its own calibration and its own band.  The targets share
-the estimates and the resample matrix, and all critical values are
-read from one sort of the ``B x |J0|`` max statistics.
+the estimates and the category-major resamples, and all critical
+values are read from one sort of the ``B x |J0|`` max statistics.
 
 The naive alternative resamples the ranks themselves and reads off
 their empirical quantiles; it is included as a comparison baseline and
@@ -136,59 +142,103 @@ def _theta_star_matrix(sample: MultinomialSample, config: BootstrapConfig) -> np
     return _theta_star_cached(sample.counts, sample.n, config.B, int(config.seed))
 
 
-def _safe_ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Divide with the conventions 0/0 = 0 and c/0 = sign(c) * inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / denom
-    return np.where((num == 0.0) & (denom == 0.0), 0.0, out)
-
-
-#: Bytes of one ``B x block`` float temporary in :func:`_pair_stats`;
-#: small enough that a block's temporaries stay in cache.
+#: Bytes of one ``block x B`` float buffer in :func:`_pair_stats`;
+#: small enough that a block's four buffers stay in cache.
 _BLOCK_BYTES = 256 * 1024
 
 
+def _category_major(
+    theta_star: np.ndarray, studentize: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The resamples laid out for :func:`_pair_stats`, built once per call.
+
+    Returns ``rows``, the ``(p, B)`` C-contiguous copy of the ``(B, p)``
+    resample matrix, so each category's ``B`` draws are one contiguous
+    row, and, when studentizing, ``var = rows * (1 - rows)``, each
+    category's variance term (``None`` otherwise).
+    """
+    rows = np.ascontiguousarray(theta_star.T)
+    if not studentize:
+        return rows, None
+    var = 1.0 - rows
+    var *= rows
+    return rows, var
+
+
 def _pair_stats(
-    theta_star: np.ndarray,
+    rows: np.ndarray,
+    var: np.ndarray | None,
     theta_hat: np.ndarray,
     n: int,
     jj: np.ndarray,
     kk: np.ndarray,
-    studentize: bool,
     variant: str,
 ) -> np.ndarray:
     """(B,) bootstrap max statistics over the pairs ``(jj[i], kk[i])``.
 
-    ``jj`` and ``kk`` are non-empty index arrays of equal length.  The
-    pairs are walked in column blocks of ``_BLOCK_BYTES`` per ``B x
-    block`` temporary, keeping a running maximum per resample, so memory
-    is ``O(B * p)`` plus one block whatever the number of pairs.
-    Each element is computed exactly as over all pairs at once and the
-    maximum is exact, so the result does not depend on the block size.
+    ``rows`` and ``var`` come from :func:`_category_major`; ``var`` is
+    ``None`` for the unstudentized statistic.  ``jj`` and ``kk`` are
+    non-empty index arrays of equal length.  The pairs are walked in
+    blocks of ``_BLOCK_BYTES`` per ``block x B`` buffer: a block gathers
+    the contiguous rows of its pairs' categories into four preallocated
+    buffers, is evaluated in place, and folds its maximum over the pair
+    axis into a running maximum per resample.  Memory is the ``p x B``
+    rows and variance terms plus one block, whatever the number of
+    pairs, and the inputs are never written.
+
+    Each element takes ``(tj - tk) - d_hat``, then the variant, then
+    either times ``sqrt(n)`` or, studentized, over ``sqrt(v_j + v_k +
+    (2 tj) tk) / sqrt(n)``: the operations, in the order, of the
+    elementwise formula over all ``B x m`` pairs at once.  With an
+    exact maximum, the result is that formula's bit for bit, whatever
+    the block size.  Numerator and denominator are finite, so the
+    quotient's only NaNs are its ``0/0`` cells, which count as 0, and
+    ``c/0`` is ``sign(c) * inf``.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    B = rows.shape[1]
     d_hat = theta_hat[jj] - theta_hat[kk]
-    width = max(1, _BLOCK_BYTES // (8 * theta_star.shape[0]))
+    width = min(len(jj), max(1, _BLOCK_BYTES // (8 * B)))
+    buf_j, buf_k, buf_num, buf_sd = (np.empty((width, B)) for _ in range(4))
+    root_n = math.sqrt(n)
     best = None
-    for start in range(0, len(jj), width):
-        block = slice(start, start + width)
-        tj, tk = theta_star[:, jj[block]], theta_star[:, kk[block]]
-        num = (tj - tk) - d_hat[block]
-        if variant == "upper":
-            num = -num
-        elif variant == "symm":
-            num = np.abs(num)
-        if studentize:
-            sig2 = tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk
-            denom = np.sqrt(sig2) / math.sqrt(n)
-            ratios = _safe_ratios(num, denom)
-        else:
-            ratios = num * math.sqrt(n)
-        if best is None:
-            best = ratios.max(axis=1)
-        else:
-            np.maximum(best, ratios.max(axis=1), out=best)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(jj), width):
+            j, k = jj[start:start + width], kk[start:start + width]
+            w = len(j)
+            tj, tk, num = buf_j[:w], buf_k[:w], buf_num[:w]
+            # The indices come from the caller's own masks; "clip" lets
+            # take write straight into the buffer.
+            rows.take(j, axis=0, out=tj, mode="clip")
+            rows.take(k, axis=0, out=tk, mode="clip")
+            np.subtract(tj, tk, out=num)
+            num -= d_hat[start:start + w, None]
+            if variant == "upper":
+                np.negative(num, out=num)
+            elif variant == "symm":
+                np.abs(num, out=num)
+            if var is None:
+                num *= root_n
+            else:
+                sd = buf_sd[:w]
+                tj *= 2.0
+                tj *= tk
+                var.take(j, axis=0, out=sd, mode="clip")
+                var.take(k, axis=0, out=tk, mode="clip")
+                sd += tk
+                sd += tj
+                np.sqrt(sd, out=sd)
+                sd /= root_n
+                num /= sd
+            top = num.max(axis=0)
+            if var is not None and np.isnan(top).any():
+                np.copyto(num, 0.0, where=np.isnan(num))
+                top = num.max(axis=0)
+            if best is None:
+                best = top
+            else:
+                np.maximum(best, top, out=best)
     return best
 
 
@@ -338,10 +388,10 @@ def difference_cs(
     d_hat = theta_hat[jj] - theta_hat[kk]
     sigma = _sigma_hat(theta_hat, jj, kk) if config.studentize else np.ones(len(jj))
     scale = sigma / math.sqrt(n)
-    star = _theta_star_matrix(sample, config)
+    rows, var = _category_major(_theta_star_matrix(sample, config), config.studentize)
 
     def crit(variant: str, level: float) -> float:
-        stats = _pair_stats(star, theta_hat, n, jj, kk, config.studentize, variant)
+        stats = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
         return bootstrap_quantile(stats, level)
 
     if config.shape == "equi":  # both one-sided shapes at half level
@@ -460,10 +510,10 @@ def boot_rank_cs(
     targets = [(j,) for j in family.J0] if marginal else [family.J0]
     calibrations = [_calibration_pairs(kind, t, p) for t in targets]
     theta_hat = sample.theta_hat
-    star = _theta_star_matrix(sample, config)
+    rows, var = _category_major(_theta_star_matrix(sample, config), config.studentize)
     variant = "symm" if kind == "two_sided" else "lower"
     stats = np.column_stack([
-        _pair_stats(star, theta_hat, n, jj, kk, config.studentize, variant)
+        _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
         for jj, kk in calibrations
     ])
     if config.studentize:

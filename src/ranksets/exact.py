@@ -97,20 +97,38 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
 class PairwisePValueTable:
     """Exact p-values of an index family as one ``p x p`` array.
 
-    ``pvalues[a, b]`` is the p-value of ``theta_a <= theta_b``, whose
-    rejection claims ``theta_a > theta_b``; entries outside
-    ``family.mask`` are NaN.
+    ``pvalues[a, b]`` (read-only) is the p-value of ``theta_a <=
+    theta_b``, whose rejection claims ``theta_a > theta_b``; entries
+    outside ``family.mask`` are NaN.
     """
 
     family: IndexFamily
     pvalues: np.ndarray
 
+    def __post_init__(self) -> None:
+        pvalues = np.asarray(self.pvalues, dtype=float).view()
+        pvalues.flags.writeable = False
+        object.__setattr__(self, "pvalues", pvalues)
+
 
 def pairwise_pvalues(
     sample: MultinomialSample, family: IndexFamily
 ) -> PairwisePValueTable:
-    """Evaluate the conditional test p-value for every family pair."""
-    c = np.asarray(sample.counts)
+    """Evaluate the conditional test p-value for every family pair.
+
+    The table is shared: ``exactBonf`` and ``exactHolm`` on the same
+    counts and family get one table, built once.
+    """
+    return _pvalue_table(sample.counts, family)
+
+
+# Bonferroni and Holm on one table run back to back, over every group
+# of a dataset in turn; each entry is p x p floats (8 MB at p = 1000).
+@lru_cache(maxsize=8)
+def _pvalue_table(
+    counts: tuple[int, ...], family: IndexFamily
+) -> PairwisePValueTable:
+    c = np.asarray(counts)
     rows, cols = np.nonzero(family.mask)
     pvalues = np.full(family.mask.shape, np.nan)
     tails = map(conditional_pvalue, c[rows].tolist(), c[cols].tolist())

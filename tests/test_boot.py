@@ -21,6 +21,7 @@ from ranksets.boot import (
 from ranksets.boot import (
     _band_half_width,
     _best_ranks,
+    _category_major,
     _pair_stats,
     _theta_star_cached,
 )
@@ -83,7 +84,8 @@ def _stat(counts, theta_hat, pairs, studentize=True, variant="lower"):
     star = np.asarray(counts, dtype=float)[None, :] / n
     theta = np.asarray(theta_hat, dtype=float)
     jj, kk = np.asarray(pairs).T
-    return float(_pair_stats(star, theta, n, jj, kk, studentize, variant)[0])
+    rows, var = _category_major(star, studentize)
+    return float(_pair_stats(rows, var, theta, n, jj, kk, variant)[0])
 
 
 def test_stat_zero_over_zero_is_zero():
@@ -187,8 +189,49 @@ def test_blocked_stats_equal_one_shot_oracle(case, studentize):
     for width in (1, 2, 3, len(pairs)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * B * width)
-            got = _pair_stats(star, theta_hat, n, jj, kk, studentize, variant)
+            rows, var = _category_major(star, studentize)
+            got = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
         assert np.array_equal(got, expected), width
+
+
+_ZERO_COLUMNS = (
+    # B = 3 draws over p = 5; columns 3 and 4 are zero in every draw.
+    np.array([[0.5, 0.5, 0.0, 0.0, 0.0],
+              [1.0, 0.0, 0.0, 0.0, 0.0],
+              [0.25, 0.5, 0.25, 0.0, 0.0]]),
+    np.array([0.5, 0.25, 0.25, 0.0, 0.0]),
+    # (3, 4) is 0/0 in every draw, (1, 3) is c/0 and (0, 1) is c/0 in
+    # the second draw; pairs repeat.
+    [(3, 4), (1, 3), (0, 1), (3, 4), (1, 3), (2, 4)],
+)
+
+
+@pytest.mark.parametrize("case", [
+    (np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), [(0, 1), (1, 0)]),
+    _ZERO_COLUMNS,
+], ids=["p2_B1", "zero_columns"])
+@pytest.mark.parametrize("variant", ["lower", "upper", "symm"])
+@pytest.mark.parametrize("studentize", [False, True])
+@pytest.mark.parametrize("one_pair_blocks", [False, True])
+def test_pair_stats_never_writes_its_inputs(case, variant, studentize, one_pair_blocks):
+    # The kernel evaluates its blocks in place; every write must land
+    # in its own buffers, never in the resample rows, the variance
+    # terms, the estimates or the indices it was given.
+    star, theta_hat, pairs = case[0].copy(), case[1].copy(), case[2]
+    jj, kk = np.asarray(pairs).T
+    n = 4
+    rows, var = _category_major(star, studentize)
+    inputs = [star, theta_hat, jj, kk, rows] + ([var] if studentize else [])
+    before = [x.copy() for x in inputs]
+    with pytest.MonkeyPatch.context() as mp:
+        if one_pair_blocks:
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * star.shape[0])
+        first = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
+        second = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
+    assert np.array_equal(first, second)
+    assert not np.isnan(first).any()
+    for got, saved in zip(inputs, before):
+        assert np.array_equal(got, saved)
 
 
 # ---------------------------------------------------------------------------

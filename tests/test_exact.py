@@ -265,6 +265,20 @@ def test_unanimous_sample_pins_winner():
     assert rs.interval(0) == (1, 1)
 
 
+def test_pairwise_pvalues_shares_one_read_only_table():
+    s = MultinomialSample(counts=(40, 31, 22, 9, 0))
+    fam = build_index_family("two_sided", None, 5)
+    table = pairwise_pvalues(s, fam)
+    assert pairwise_pvalues(MultinomialSample(counts=(40, 31, 22, 9, 0)), fam) is table
+    with pytest.raises(ValueError):
+        table.pvalues[0, 1] = 0.0
+    rows, cols = np.nonzero(fam.mask)
+    fresh = [conditional_pvalue(s.counts[a], s.counts[b]) for a, b in zip(rows, cols)]
+    assert table.pvalues[rows, cols].tolist() == fresh
+    other = MultinomialSample(counts=(40, 31, 22, 0, 9))
+    assert pairwise_pvalues(other, fam) is not table
+
+
 def test_zero_zero_pairs_never_reject():
     s = MultinomialSample(counts=(0, 0, 5))
     fam = build_index_family("two_sided", (0, 1, 2), 3)
