@@ -7,7 +7,6 @@ aliases are accepted for API ergonomics.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from .boot import BootstrapConfig, boot_rank_cs, naive_rank_cs
@@ -60,7 +59,9 @@ def rank_cs(
     threshold over shared pairwise statistics.  ``cp`` and ``naive``
     claims do not depend on ``J0``, so for them the two scopes agree.
 
-    ``boot`` and ``bootStud`` set ``config.studentize`` from the name.
+    ``config``, the resampling stream of ``boot``, ``bootStud`` and
+    ``naive``, is passed through unchanged; the name alone picks the
+    bootstrap statistic (``bootStud`` studentized, ``boot`` not).
     """
     canonical = normalize_method(method)
     _is_marginal(scope)  # cp and naive take no scope but must reject a bad one
@@ -70,11 +71,9 @@ def rank_cs(
         return exact_rank_cs(sample, J0, kind, alpha, "holm", scope)
     if canonical == "cp":
         return cp_rank_cs(sample, J0, kind, alpha)
-    if config is None:
-        config = BootstrapConfig()
     if canonical in ("boot", "bootStud"):
-        cfg = replace(config, studentize=canonical == "bootStud")
-        return boot_rank_cs(sample, J0, kind, alpha, cfg, scope)
+        return boot_rank_cs(sample, J0, kind, alpha, config, scope,
+                            studentize=canonical == "bootStud")
     # naive
     if kind != "two_sided":
         raise ValueError("the naive bootstrap only supports two-sided sets")

@@ -81,7 +81,12 @@ _VARIANTS = ("lower", "upper", "symm")
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Knobs of a bootstrap run.
+    """The resampling stream of a bootstrap run.
+
+    Every method given one config reads the same resamples; the
+    statistic and interval shape computed from them are chosen by the
+    method name or the keywords of :func:`difference_cs` and
+    :func:`boot_rank_cs`.
 
     Parameters
     ----------
@@ -90,22 +95,14 @@ class BootstrapConfig:
     seed : int, optional
         Seed for the resampling stream; ``None`` draws fresh entropy
         (not reproducible).
-    studentize : bool
-        Scale each pairwise ratio by its resample standard deviation.
-    shape : {'lower', 'upper', 'symm', 'equi'}
-        Interval shape for difference confidence sets.
     """
 
     B: int = 2000
     seed: int | None = 0
-    studentize: bool = True
-    shape: str = "symm"
 
     def __post_init__(self) -> None:
         if self.B < 1:
             raise ValueError("B must be at least 1")
-        if self.shape not in SHAPES:
-            raise ValueError(f"shape must be one of {SHAPES}, got {self.shape!r}")
 
 
 def resample(theta_hat, n: int, rng: np.random.Generator) -> MultinomialSample:
@@ -349,6 +346,9 @@ def difference_cs(
     config: BootstrapConfig,
     alpha: float = 0.05,
     mask: np.ndarray | None = None,
+    *,
+    shape: str = "symm",
+    studentize: bool = True,
 ) -> DifferenceCS:
     """Bootstrap confidence set for all pairwise differences at once.
 
@@ -357,12 +357,17 @@ def difference_cs(
     sample : MultinomialSample
         Observed counts.
     config : BootstrapConfig
-        Resampling knobs; ``config.shape`` picks the interval shape.
+        The resampling stream.
     alpha : float
         One minus the simultaneous coverage level over the pairs.
     mask : (p, p) array-like of bool, optional
         Pairs ``(j, k)`` to cover, at least one and none on the
         diagonal; every ordered pair by default.
+    shape : {'lower', 'upper', 'symm', 'equi'}
+        Interval shape.
+    studentize : bool
+        Scale each pairwise statistic by its resample standard
+        deviation.
 
     Returns
     -------
@@ -374,6 +379,8 @@ def difference_cs(
         ``sigma_hat / sqrt(n)`` (``1 / sqrt(n)`` unstudentized).
     """
     _check_alpha(alpha)
+    if shape not in SHAPES:
+        raise ValueError(f"shape must be one of {SHAPES}, got {shape!r}")
     p, n = sample.p, sample.n
     mask = ~np.eye(p, dtype=bool) if mask is None else np.array(mask, dtype=bool)
     if mask.shape != (p, p):
@@ -386,22 +393,22 @@ def difference_cs(
     theta_hat = sample.theta_hat
     jj, kk = np.nonzero(mask)
     d_hat = theta_hat[jj] - theta_hat[kk]
-    sigma = _sigma_hat(theta_hat, jj, kk) if config.studentize else np.ones(len(jj))
+    sigma = _sigma_hat(theta_hat, jj, kk) if studentize else np.ones(len(jj))
     scale = sigma / math.sqrt(n)
-    rows, var = _category_major(_theta_star_matrix(sample, config), config.studentize)
+    rows, var = _category_major(_theta_star_matrix(sample, config), studentize)
 
     def crit(variant: str, level: float) -> float:
         stats = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
         return bootstrap_quantile(stats, level)
 
-    if config.shape == "equi":  # both one-sided shapes at half level
+    if shape == "equi":  # both one-sided shapes at half level
         crits = (crit("lower", 1.0 - alpha / 2), crit("upper", 1.0 - alpha / 2))
     else:
-        crits = (crit(config.shape, 1.0 - alpha),)
-    lo = -np.inf if config.shape == "upper" else d_hat - _scaled(crits[0], scale)
-    hi = np.inf if config.shape == "lower" else d_hat + _scaled(crits[-1], scale)
+        crits = (crit(shape, 1.0 - alpha),)
+    lo = -np.inf if shape == "upper" else d_hat - _scaled(crits[0], scale)
+    hi = np.inf if shape == "lower" else d_hat + _scaled(crits[-1], scale)
     return DifferenceCS(
-        mask=mask, shape=config.shape, studentize=config.studentize,
+        mask=mask, shape=shape, studentize=studentize,
         alpha=alpha, crit=crits, lo=_on_mask(mask, lo),
         hi=_on_mask(mask, hi), sigma=_on_mask(mask, sigma),
     )
@@ -461,6 +468,8 @@ def boot_rank_cs(
     alpha: float = 0.05,
     config: BootstrapConfig | None = None,
     scope: str = "simultaneous",
+    *,
+    studentize: bool = True,
 ) -> RankSet:
     """Rank confidence set driven by a bootstrap difference band.
 
@@ -487,19 +496,19 @@ def boot_rank_cs(
     alpha : float
         One minus the simultaneous coverage level over ``J0``.
     config : BootstrapConfig, optional
-        Resampling knobs; the shape is chosen by ``kind`` and any
-        shape set on the config is ignored.
+        The resampling stream; ``BootstrapConfig()`` by default.
     scope : {'simultaneous', 'marginal'}
         ``'marginal'`` calibrates each target's own family ``J0 = {j}``
         and gives it its own band, sharing the estimates and the
         resample matrix; all critical values come from one sort of the
         ``B x |J0|`` statistics.
+    studentize : bool
+        Studentize the max statistic (``bootStud``) or not (``boot``).
 
     Returns
     -------
     RankSet
-        Method is ``"bootStud"`` or ``"boot"`` per
-        ``config.studentize``.
+        Method is ``"bootStud"`` or ``"boot"`` per ``studentize``.
     """
     if config is None:
         config = BootstrapConfig()
@@ -510,13 +519,13 @@ def boot_rank_cs(
     targets = [(j,) for j in family.J0] if marginal else [family.J0]
     calibrations = [_calibration_pairs(kind, t, p) for t in targets]
     theta_hat = sample.theta_hat
-    rows, var = _category_major(_theta_star_matrix(sample, config), config.studentize)
+    rows, var = _category_major(_theta_star_matrix(sample, config), studentize)
     variant = "symm" if kind == "two_sided" else "lower"
     stats = np.column_stack([
         _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
         for jj, kk in calibrations
     ])
-    if config.studentize:
+    if studentize:
         sigma_max = [_sigma_hat(theta_hat, jj, kk).max() for jj, kk in calibrations]
     else:
         sigma_max = np.ones(len(calibrations))
@@ -526,7 +535,7 @@ def boot_rank_cs(
         family, lambda t: diff > t, half if marginal else half[0]
     )
     return rankset_from_rejections(
-        rej, p, method="bootStud" if config.studentize else "boot",
+        rej, p, method="bootStud" if studentize else "boot",
         alpha=alpha, kind=kind,
     )
 

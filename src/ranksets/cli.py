@@ -63,6 +63,18 @@ def _write_text(path, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
+def _csv_text(header: Sequence[str], rows, path=None) -> str:
+    """CSV of ``header`` and then ``rows``, also written to ``path`` if given."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buf.getvalue()
+    if path is not None:
+        _write_text(path, text)
+    return text
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Named groups of category counts.
@@ -157,7 +169,8 @@ def ingest(path, format: str | None = None, drop_zero: bool = False) -> Dataset:
     format : {'csv', 'json'}, optional
         Input format; inferred from the extension by default.  CSV
         needs the exact header ``group,category,count``; JSON is a
-        list of objects with those keys.
+        list of objects with those keys.  Either is read as UTF-8,
+        with or without a byte-order mark.
     drop_zero : bool
         Drop zero-count categories after validation, mirroring
         analyses restricted to categories with positive support.
@@ -176,7 +189,7 @@ def ingest(path, format: str | None = None, drop_zero: bool = False) -> Dataset:
     if format not in ("csv", "json"):
         raise DataError(f"unknown format {format!r}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {p}: {exc}") from None
     rows = _rows_from_json(text) if format == "json" else _rows_from_csv(text)
@@ -215,13 +228,12 @@ def emit_dataset(dataset: Dataset, path=None, format: str = "csv") -> str:
     exactly.
     """
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["group", "category", "count"])
-        for group, sample in dataset.samples.items():
-            for label, count in zip(sample.labels, sample.counts):
-                writer.writerow([group, label, count])
-        text = buf.getvalue()
+        text = _csv_text(
+            ["group", "category", "count"],
+            ([group, label, count]
+             for group, sample in dataset.samples.items()
+             for label, count in zip(sample.labels, sample.counts)),
+        )
     elif format == "json":
         text = json.dumps(
             [
@@ -337,20 +349,18 @@ class AnalysisReport:
     dataset_id: tuple
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["group", "category", "theta_hat", "se", "rank", "method", "lo", "hi"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [r.group, r.category, f"{r.theta_hat:.6f}", f"{r.se:.6f}",
-                 r.rank, self.method, r.lo, r.hi]
-            )
-        text = buf.getvalue()
-        if path is not None:
-            _write_text(path, text)
-        return text
+        return _reports_csv([self], path)
+
+
+def _reports_csv(reports: Sequence[AnalysisReport], path=None) -> str:
+    """One CSV of the rows of ``reports`` in order, under one header."""
+    return _csv_text(
+        ["group", "category", "theta_hat", "se", "rank", "method", "lo", "hi"],
+        ([r.group, r.category, f"{r.theta_hat:.6f}", f"{r.se:.6f}",
+          r.rank, rep.method, r.lo, r.hi]
+         for rep in reports for r in rep.rows),
+        path,
+    )
 
 
 def _j0_indices(sample: MultinomialSample, j0: str) -> tuple[int, ...]:
@@ -427,7 +437,7 @@ def analyze(
     j0 : str
         ``'all'`` or ``'single:<category label>'``.
     config : BootstrapConfig, optional
-        Bootstrap knobs for the resampling methods; the same seed is
+        The resampling stream of the bootstrap methods; the same one is
         used for every group, so reports are deterministic given it.
 
     Returns
@@ -444,8 +454,6 @@ def analyze(
         raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
     if method == "naive" and kind != "two_sided":
         raise DataError("the naive bootstrap only supports two-sided sets")
-    if config is None:
-        config = BootstrapConfig()
     rows = tuple(
         row
         for group, sample in dataset.samples.items()
@@ -540,19 +548,13 @@ def emit_plotdata(reports, path=None) -> str:
     """
     if isinstance(reports, AnalysisReport):
         reports = [reports]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["group", "category", "theta_hat", "se", "method", "lo", "hi"])
-    for rep in reports:
-        for r in rep.rows:
-            writer.writerow(
-                [r.group, r.category, f"{r.theta_hat:.6f}", f"{r.se:.6f}",
-                 rep.method, r.lo, r.hi]
-            )
-    text = buf.getvalue()
-    if path is not None:
-        _write_text(path, text)
-    return text
+    return _csv_text(
+        ["group", "category", "theta_hat", "se", "method", "lo", "hi"],
+        ([r.group, r.category, f"{r.theta_hat:.6f}", f"{r.se:.6f}",
+          rep.method, r.lo, r.hi]
+         for rep in reports for r in rep.rows),
+        path,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -810,22 +812,28 @@ def _load_dataset(args) -> Dataset:
     return dataset
 
 
-def _run_analyze(args, out) -> int:
-    dataset = _load_dataset(args)
-    config = BootstrapConfig(B=args.boot_samples, seed=_resolve_seed(args.seed))
-    reports = [
+def _boot_config(args) -> BootstrapConfig:
+    """The one resampling stream of a request: ``--boot-samples`` and the seed."""
+    return BootstrapConfig(B=args.boot_samples, seed=_resolve_seed(args.seed))
+
+
+def _method_reports(args, dataset: Dataset, j0: str) -> list[AnalysisReport]:
+    """One :func:`analyze` report per ``--method``, all on one resampling stream."""
+    config = _boot_config(args)
+    return [
         analyze(dataset, m, kind=args.kind, alpha=args.alpha,
-                scope=args.scope, j0=args.j0, config=config)
+                scope=args.scope, j0=j0, config=config)
         for m in args.method
     ]
+
+
+def _run_analyze(args, out) -> int:
+    dataset = _load_dataset(args)
+    reports = _method_reports(args, dataset, args.j0)
     for report in reports:
         _print_report(report, dataset, out)
     if args.out:
-        text = "".join(
-            rep.to_csv() if i == 0 else "".join(rep.to_csv().splitlines(True)[1:])
-            for i, rep in enumerate(reports)
-        )
-        _write_text(args.out, text)
+        _reports_csv(reports, args.out)
     return 0
 
 
@@ -833,9 +841,8 @@ def _run_tau(args, out) -> int:
     if args.method == "naive":
         raise DataError("tau-best needs one-sided rank sets, which naive lacks")
     dataset = _load_dataset(args)
-    config = BootstrapConfig(B=args.boot_samples, seed=_resolve_seed(args.seed))
+    config = _boot_config(args)
     select = tau_worst if args.worst else tau_best
-    direction = "worst" if args.worst else "best"
     csv_rows = []
     for group, sample in dataset.samples.items():
         if args.tau > sample.p:
@@ -845,6 +852,7 @@ def _run_tau(args, out) -> int:
         result = select(sample, args.tau, alpha=args.alpha,
                         method=args.method, config=config)
         members = [sample.labels[j] for j in sorted(result.members)]
+        direction = result.direction
         print(
             f"group={group}  direction={direction}  tau={args.tau}  "
             f"method={result.method}  alpha={args.alpha:g}",
@@ -855,10 +863,10 @@ def _run_tau(args, out) -> int:
             file=out,
         )
         rs = result.rank_set
-        bound_name = "lo" if direction == "best" else "hi"
+        bound_name, side = ("lo", 0) if direction == "best" else ("hi", 1)
         body = []
         for j in range(sample.p):
-            bound = rs.interval(j)[0 if direction == "best" else 1]
+            bound = rs.interval(j)[side]
             member = "yes" if j in result.members else "no"
             body.append((sample.labels[j], bound, member))
             csv_rows.append(
@@ -866,25 +874,15 @@ def _run_tau(args, out) -> int:
             )
         print(_render_table(("category", bound_name, "member"), body), file=out)
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["group", "direction", "tau", "category", "bound", "member"])
-        writer.writerows(csv_rows)
-        _write_text(args.out, buf.getvalue())
+        _csv_text(["group", "direction", "tau", "category", "bound", "member"],
+                  csv_rows, args.out)
     return 0
 
 
 def _run_compare(args, out) -> int:
     if len(args.method) < 2:
         raise DataError("compare needs at least two methods")
-    dataset = _load_dataset(args)
-    config = BootstrapConfig(B=args.boot_samples, seed=_resolve_seed(args.seed))
-    reports = [
-        analyze(dataset, m, kind=args.kind, alpha=args.alpha,
-                scope=args.scope, j0="all", config=config)
-        for m in args.method
-    ]
-    matrix = compare_methods(reports)
+    matrix = compare_methods(_method_reports(args, _load_dataset(args), "all"))
     print(
         f"% of {matrix.cells} group x category cells where the row method's "
         f"interval is strictly wider (alpha={args.alpha:g}, scope={args.scope})",
@@ -892,25 +890,17 @@ def _run_compare(args, out) -> int:
     )
     print(matrix.to_text(), file=out)
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["method"] + list(matrix.methods))
-        for i, m in enumerate(matrix.methods):
-            writer.writerow(
-                [m] + ["" if v is None else f"{v:.3f}" for v in matrix.percent[i]]
-            )
-        _write_text(args.out, buf.getvalue())
+        _csv_text(
+            ["method", *matrix.methods],
+            ([m, *("" if v is None else f"{v:.3f}" for v in row)]
+             for m, row in zip(matrix.methods, matrix.percent)),
+            args.out,
+        )
     return 0
 
 
 def _run_plotdata(args, out) -> int:
-    dataset = _load_dataset(args)
-    config = BootstrapConfig(B=args.boot_samples, seed=_resolve_seed(args.seed))
-    reports = [
-        analyze(dataset, m, kind=args.kind, alpha=args.alpha,
-                scope=args.scope, j0=args.j0, config=config)
-        for m in args.method
-    ]
+    reports = _method_reports(args, _load_dataset(args), args.j0)
     text = emit_plotdata(reports, path=args.out)
     if not args.out:
         print(text, end="", file=out)

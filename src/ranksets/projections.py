@@ -51,9 +51,17 @@ class TauBestSet:
         return len(self.members)
 
 
-def _check_projection_inputs(
-    sample: MultinomialSample, tau: int, method: str
-) -> str:
+def _project(
+    sample: MultinomialSample,
+    tau: int,
+    alpha: float,
+    method: str,
+    config: BootstrapConfig | None,
+    kind: str,
+    rank: int,
+    direction: str,
+) -> TauBestSet:
+    """``{j : rank in j's interval}`` of the simultaneous ``kind`` rank set."""
     canonical = normalize_method(method)
     if canonical not in _PROJECTION_METHODS:
         raise ValueError(
@@ -61,7 +69,12 @@ def _check_projection_inputs(
         )
     if not (1 <= tau <= sample.p):
         raise ValueError(f"tau={tau} outside [1, {sample.p}]")
-    return canonical
+    rs = rank_cs(canonical, sample, J0=None, kind=kind, alpha=alpha, config=config)
+    members = frozenset(j for j in rs.J0 if rs.contains(j, rank))
+    return TauBestSet(
+        tau=tau, direction=direction, members=members,
+        method=canonical, alpha=alpha, rank_set=rs,
+    )
 
 
 def tau_best(
@@ -85,7 +98,7 @@ def tau_best(
         One of ``exactBonf``, ``exactHolm``, ``cp``, ``boot``,
         ``bootStud`` (the naive bootstrap has no one-sided variant).
     config : BootstrapConfig, optional
-        Resampling knobs for the bootstrap methods.
+        The resampling stream of the bootstrap methods.
 
     Returns
     -------
@@ -95,14 +108,7 @@ def tau_best(
         ``1 - alpha`` it contains every category whose true rank is
         ``<= tau``.
     """
-    canonical = _check_projection_inputs(sample, tau, method)
-    rs = rank_cs(canonical, sample, J0=None, kind="lower",
-                 alpha=alpha, config=config)
-    members = frozenset(j for j in rs.J0 if rs.contains(j, tau))
-    return TauBestSet(
-        tau=tau, direction="best", members=members,
-        method=canonical, alpha=alpha, rank_set=rs,
-    )
+    return _project(sample, tau, alpha, method, config, "lower", tau, "best")
 
 
 def tau_worst(
@@ -119,12 +125,6 @@ def tau_worst(
     ``p - tau + 1``, so the result covers every category whose true
     rank is ``>= p - tau + 1`` with probability at least ``1 - alpha``.
     """
-    canonical = _check_projection_inputs(sample, tau, method)
-    rs = rank_cs(canonical, sample, J0=None, kind="upper",
-                 alpha=alpha, config=config)
-    threshold = sample.p - tau + 1
-    members = frozenset(j for j in rs.J0 if rs.contains(j, threshold))
-    return TauBestSet(
-        tau=tau, direction="worst", members=members,
-        method=canonical, alpha=alpha, rank_set=rs,
+    return _project(
+        sample, tau, alpha, method, config, "upper", sample.p - tau + 1, "worst"
     )

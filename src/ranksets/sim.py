@@ -396,16 +396,14 @@ def erratic_coverage_curves(
             for rng, boot_seed in _rep_streams(master_seed, reps):
                 counts = tuple(int(c) for c in rng.multinomial(int(n), theta))
                 sample = MultinomialSample(counts=counts)
+                config = BootstrapConfig(B=B, seed=boot_seed)
                 for studentize in (True, False):
-                    cfg = BootstrapConfig(
-                        B=B, seed=boot_seed, studentize=studentize, shape="symm"
-                    )
-                    dcs = difference_cs(sample, cfg, alpha, family.mask)
+                    dcs = difference_cs(sample, config, alpha, family.mask,
+                                        shape="symm", studentize=studentize)
                     diff_cov[studentize] += dcs.covers(theta)
                 for m in rank_cov:
                     rs = rank_cs(m, sample, J0=(0,), kind="two_sided",
-                                 alpha=alpha,
-                                 config=BootstrapConfig(B=B, seed=boot_seed))
+                                 alpha=alpha, config=config)
                     rank_cov[m] += rs.covers(0, triples[0].r_lo, triples[0].r_hi)
             rows.append({
                 "pi": float(pi),

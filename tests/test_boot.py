@@ -1,5 +1,7 @@
 """Bootstrap difference bands, their rank readouts, and the naive baseline."""
 
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ranksets._dispatch as dispatch
 from ranksets import rank_cs
 from ranksets.boot import (
     BootstrapConfig,
@@ -290,8 +293,8 @@ def test_difference_cs_defaults_to_all_ordered_pairs():
 
 
 def test_difference_cs_symm_width_without_studentizing_is_constant():
-    cfg = BootstrapConfig(B=400, seed=2, studentize=False, shape="symm")
-    dcs = difference_cs(MELBOURNE, cfg)
+    cfg = BootstrapConfig(B=400, seed=2)
+    dcs = difference_cs(MELBOURNE, cfg, shape="symm", studentize=False)
     width = 2 * dcs.crit[0] / math.sqrt(MELBOURNE.n)
     th = MELBOURNE.theta_hat
     d_hat = (th[:, None] - th[None, :])[dcs.mask]
@@ -301,17 +304,18 @@ def test_difference_cs_symm_width_without_studentizing_is_constant():
 
 
 def test_difference_cs_one_sided_shapes_leave_one_end_infinite():
-    lo_cs = difference_cs(MELBOURNE, BootstrapConfig(B=200, seed=5, shape="lower"))
-    up_cs = difference_cs(MELBOURNE, BootstrapConfig(B=200, seed=5, shape="upper"))
+    cfg = BootstrapConfig(B=200, seed=5)
+    lo_cs = difference_cs(MELBOURNE, cfg, shape="lower")
+    up_cs = difference_cs(MELBOURNE, cfg, shape="upper")
     assert (lo_cs.hi[lo_cs.mask] == math.inf).all()
     assert (up_cs.lo[up_cs.mask] == -math.inf).all()
 
 
 def test_difference_cs_equi_is_intersection_of_half_level_one_sided():
-    kw = dict(B=500, seed=3)
-    equi = difference_cs(MELBOURNE, BootstrapConfig(shape="equi", **kw), alpha=0.10)
-    one_lo = difference_cs(MELBOURNE, BootstrapConfig(shape="lower", **kw), alpha=0.05)
-    one_up = difference_cs(MELBOURNE, BootstrapConfig(shape="upper", **kw), alpha=0.05)
+    cfg = BootstrapConfig(B=500, seed=3)
+    equi = difference_cs(MELBOURNE, cfg, alpha=0.10, shape="equi")
+    one_lo = difference_cs(MELBOURNE, cfg, alpha=0.05, shape="lower")
+    one_up = difference_cs(MELBOURNE, cfg, alpha=0.05, shape="upper")
     assert np.array_equal(equi.lo, one_lo.lo, equal_nan=True)
     assert np.array_equal(equi.hi, one_up.hi, equal_nan=True)
     assert equi.crit == (one_lo.crit[0], one_up.crit[0])
@@ -401,8 +405,8 @@ def test_difference_cs_covers_equals_per_pair_loop(data):
     mask = np.array(cells).reshape(p, p) & ~np.eye(p, dtype=bool)
     mask[0, 1] = True
     shape = data.draw(st.sampled_from(["lower", "upper", "symm", "equi"]))
-    cfg = BootstrapConfig(B=30, seed=data.draw(st.integers(0, 99)), shape=shape)
-    dcs = difference_cs(sample, cfg, 0.1, mask)
+    cfg = BootstrapConfig(B=30, seed=data.draw(st.integers(0, 99)))
+    dcs = difference_cs(sample, cfg, 0.1, mask, shape=shape)
     noise = np.array(data.draw(st.lists(st.floats(0.0, 0.2), min_size=p, max_size=p)))
     theta = (sample.theta_hat + noise) / (1.0 + noise.sum())
     loop = all(dcs.contains((j, k), theta[j] - theta[k]) for j, k in dcs.pairs)
@@ -497,8 +501,8 @@ def test_rank_cs_band_threshold_is_crit_times_largest_scale():
                 shape = "symm"
             else:
                 calibrated, shape = build_index_family(kind, targets, 7), "lower"
-            cfg = BootstrapConfig(B=500, seed=0, shape=shape)
-            dcs = difference_cs(MELBOURNE, cfg, 0.05, calibrated.mask)
+            cfg = BootstrapConfig(B=500, seed=0)
+            dcs = difference_cs(MELBOURNE, cfg, 0.05, calibrated.mask, shape=shape)
             half = _band_half_width(
                 dcs.crit[0], np.nanmax(dcs.sigma), MELBOURNE.n
             )
@@ -540,9 +544,10 @@ def test_symm_calibration_counts_each_unordered_pair_once(table, studentize, see
     sample, J0 = table
     full = build_index_family("upper", J0, sample.p).mask
     once = full & (np.triu(full) | ~full.T)
-    cfg = BootstrapConfig(B=200, seed=seed, studentize=studentize, shape="symm")
-    full_cs = difference_cs(sample, cfg, 0.05, full)
-    once_cs = difference_cs(sample, cfg, 0.05, once)
+    cfg = BootstrapConfig(B=200, seed=seed)
+    kw = dict(shape="symm", studentize=studentize)
+    full_cs = difference_cs(sample, cfg, 0.05, full, **kw)
+    once_cs = difference_cs(sample, cfg, 0.05, once, **kw)
     assert once_cs.crit == full_cs.crit
     assert np.nanmax(once_cs.sigma) == np.nanmax(full_cs.sigma)
     if len(J0) == sample.p:
@@ -550,7 +555,7 @@ def test_symm_calibration_counts_each_unordered_pair_once(table, studentize, see
     # The rank readout equals the one read off the full family.
     half = _band_half_width(full_cs.crit[0], np.nanmax(full_cs.sigma), sample.n)
     th, p = sample.theta_hat, sample.p
-    rs = boot_rank_cs(sample, J0, config=cfg)
+    rs = boot_rank_cs(sample, J0, config=cfg, studentize=studentize)
     for j in J0:
         lo = 1 + sum(th[k] - th[j] > half for k in range(p) if k != j)
         hi = p - sum(th[j] - th[k] > half for k in range(p) if k != j)
@@ -561,14 +566,11 @@ def test_rank_cs_without_studentizing_band_equals_per_pair_readout():
     # All scales are 1, so the common band and the per-pair intervals
     # make identical claims: a difference is asserted iff its interval
     # excludes zero.
-    cfg = BootstrapConfig(B=3000, seed=0, studentize=False)
-    rs = boot_rank_cs(MELBOURNE, config=cfg)
+    cfg = BootstrapConfig(B=3000, seed=0)
+    rs = boot_rank_cs(MELBOURNE, config=cfg, studentize=False)
     anchored = build_index_family("upper", tuple(range(7)), 7)
     dcs = difference_cs(
-        MELBOURNE,
-        BootstrapConfig(B=3000, seed=0, studentize=False, shape="symm"),
-        0.05,
-        anchored.mask,
+        MELBOURNE, cfg, 0.05, anchored.mask, shape="symm", studentize=False
     )
     for j in range(7):
         lo = 1 + sum(dcs.hi[j, k] < 0 for k in range(7) if k != j)
@@ -583,11 +585,10 @@ def test_rank_cs_survey_per_category_readouts():
     # probability just under 0.05 per draw -- so their sets are the
     # full range; dropping to 90% brings the quantile back to finite.
     cfg = BootstrapConfig(B=10_000, seed=0)
-    cfg_plain = BootstrapConfig(B=10_000, seed=0, studentize=False)
     stud = [boot_rank_cs(MELBOURNE, J0=(j,), config=cfg).interval(j) for j in range(7)]
     assert stud == [(1, 2), (1, 2), (3, 4), (3, 7), (4, 7), (1, 7), (1, 7)]
     plain = [
-        boot_rank_cs(MELBOURNE, J0=(j,), config=cfg_plain).interval(j)
+        boot_rank_cs(MELBOURNE, J0=(j,), config=cfg, studentize=False).interval(j)
         for j in range(7)
     ]
     assert plain == [(1, 2), (1, 2), (3, 4), (3, 7), (4, 7), (5, 7), (5, 7)]
@@ -620,8 +621,38 @@ def test_rank_cs_one_sided_kinds_bound_one_side_only():
 def test_rank_cs_method_label_tracks_studentization():
     cfg = BootstrapConfig(B=50, seed=0)
     assert boot_rank_cs(MELBOURNE, config=cfg).method == "bootStud"
-    cfg_plain = BootstrapConfig(B=50, seed=0, studentize=False)
-    assert boot_rank_cs(MELBOURNE, config=cfg_plain).method == "boot"
+    assert boot_rank_cs(MELBOURNE, config=cfg, studentize=False).method == "boot"
+
+
+@pytest.mark.parametrize("method, studentize", [("boot", False), ("bootStud", True)])
+@pytest.mark.parametrize("kind", ["two_sided", "lower", "upper"])
+@pytest.mark.parametrize("scope", ["simultaneous", "marginal"])
+def test_rank_cs_names_pick_the_studentization(method, studentize, kind, scope):
+    # The name alone picks the statistic: the same config gives the
+    # interval of boot_rank_cs with the matching studentize keyword.
+    cfg = BootstrapConfig(B=300, seed=4)
+    via_name = rank_cs(method, MELBOURNE, (0, 3, 5), kind, 0.1, cfg, scope)
+    direct = boot_rank_cs(MELBOURNE, (0, 3, 5), kind, 0.1, cfg, scope,
+                          studentize=studentize)
+    assert via_name.method == direct.method == method
+    assert via_name.lo == direct.lo and via_name.hi == direct.hi
+
+
+@pytest.mark.parametrize("method", ["boot", "bootStud", "naive"])
+def test_rank_cs_passes_the_config_through_unchanged(method, monkeypatch):
+    seen = []
+    for name in ("boot_rank_cs", "naive_rank_cs"):
+        real = getattr(dispatch, name)
+
+        def spy(*args, _real=real, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            seen.append(bound.arguments["config"])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch, name, spy)
+    cfg = BootstrapConfig(B=20, seed=1)
+    rank_cs(method, MELBOURNE, config=cfg)
+    assert len(seen) == 1 and seen[0] is cfg
 
 
 def test_rank_cs_is_deterministic_for_a_seed():
@@ -712,5 +743,12 @@ def test_naive_rejects_bad_alpha():
 def test_config_rejects_bad_knobs():
     with pytest.raises(ValueError):
         BootstrapConfig(B=0)
-    with pytest.raises(ValueError):
-        BootstrapConfig(shape="round")
+
+
+def test_config_is_the_resampling_stream_only():
+    assert [f.name for f in dataclasses.fields(BootstrapConfig)] == ["B", "seed"]
+
+
+def test_difference_cs_rejects_an_unknown_shape():
+    with pytest.raises(ValueError, match="shape must be one of"):
+        difference_cs(MELBOURNE, BootstrapConfig(B=10, seed=0), shape="round")

@@ -127,6 +127,28 @@ def test_ingest_json_error_reports_entry_index(tmp_path):
         ingest(path)
 
 
+def test_ingest_accepts_a_utf8_byte_order_mark_in_csv(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+    path = tmp_path / "bom.csv"
+    path.write_text("group,category,count\nA,x,3\nA,y,7\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    ds = ingest(path)
+    assert ds.samples["A"].counts == (3, 7)
+    assert ds.samples["A"].labels == ("x", "y")
+
+
+def test_ingest_accepts_a_utf8_byte_order_mark_in_json(tmp_path):
+    payload = [
+        {"group": "A", "category": "x", "count": 3},
+        {"group": "A", "category": "y", "count": 7},
+    ]
+    path = tmp_path / "bom.json"
+    path.write_text(json.dumps(payload), encoding="utf-8-sig")
+    ds = ingest(path)
+    assert ds.samples["A"].counts == (3, 7)
+    assert ds.samples["A"].labels == ("x", "y")
+
+
 def test_ingest_format_override_beats_extension(tmp_path):
     payload = [
         {"group": "A", "category": "x", "count": 3},
@@ -410,6 +432,23 @@ def test_main_analyze_success(melbourne_csv, capsys, tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("group,category")
     assert len(lines) == 1 + 14  # one header, 7 rows per method
+
+
+def test_main_analyze_out_is_the_report_csvs_under_one_header(
+    territories_csv, capsys, tmp_path
+):
+    out = tmp_path / "report.csv"
+    argv = ["analyze", str(territories_csv), "--method", "exactHolm,boot,naive",
+            "--boot-samples", "200", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    ds = ingest(territories_csv)
+    cfg = BootstrapConfig(B=200, seed=0)
+    texts = [analyze(ds, m, config=cfg).to_csv() for m in ("exactHolm", "boot", "naive")]
+    header = texts[0].splitlines(True)[0]
+    assert all(t.startswith(header) for t in texts)
+    expected = header + "".join(t[len(header):] for t in texts)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_main_unreadable_data_exits_one(tmp_path, capsys):
