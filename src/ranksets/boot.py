@@ -44,6 +44,7 @@ is known to under-cover when categories are (nearly) tied.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -91,18 +92,27 @@ class BootstrapConfig:
     Parameters
     ----------
     B : int
-        Number of bootstrap resamples, at least 1.
+        Number of bootstrap resamples, an integer of at least 1.
     seed : int, optional
-        Seed for the resampling stream; ``None`` draws fresh entropy
-        (not reproducible).
+        Non-negative integer seed for the resampling stream; ``None``
+        draws fresh entropy (not reproducible).  Numpy integers count
+        as integers and ``bool`` does not.
     """
 
     B: int = 2000
     seed: int | None = 0
 
     def __post_init__(self) -> None:
-        if self.B < 1:
-            raise ValueError("B must be at least 1")
+        if not _is_integer(self.B) or self.B < 1:
+            raise ValueError(f"B must be an integer of at least 1, got {self.B!r}")
+        if self.seed is not None and (not _is_integer(self.seed) or self.seed < 0):
+            raise ValueError(
+                f"seed must be None or a non-negative integer, got {self.seed!r}"
+            )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def resample(theta_hat, n: int, rng: np.random.Generator) -> MultinomialSample:
@@ -535,8 +545,7 @@ def boot_rank_cs(
         family, lambda t: diff > t, half if marginal else half[0]
     )
     return rankset_from_rejections(
-        rej, p, method="bootStud" if studentize else "boot",
-        alpha=alpha, kind=kind,
+        rej, method="bootStud" if studentize else "boot", alpha=alpha
     )
 
 

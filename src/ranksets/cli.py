@@ -277,7 +277,7 @@ def group_small(
     ------
     DataError
         Unknown labels, a threshold outside (0, 1), or a merge that
-        would swallow every category.
+        would leave fewer than two categories.
     """
     if isinstance(threshold_or_list, (int, float)) and not isinstance(
         threshold_or_list, bool
@@ -299,8 +299,6 @@ def group_small(
             merge.add(label)
     if not merge:
         return sample
-    if len(merge) == sample.p:
-        raise DataError("grouping would merge every category")
 
     kept_labels: list[str] = []
     kept_counts: list[int] = []
@@ -316,6 +314,8 @@ def group_small(
     else:
         kept_labels.append(other_label)
         kept_counts.append(other)
+    if len(kept_labels) < 2:
+        raise DataError(f"grouping would merge every category into {other_label!r}")
     return MultinomialSample(counts=tuple(kept_counts), labels=tuple(kept_labels))
 
 
@@ -955,10 +955,8 @@ def _run_simulate(args, out) -> int:
     text = report.to_json() if args.format == "json" else report.to_csv()
     print(text, end="" if text.endswith("\n") else "\n", file=out)
     if args.out:
-        if args.out.endswith(".json") or args.format == "json":
-            report.to_json(args.out)
-        else:
-            report.to_csv(args.out)
+        as_json = args.out.endswith(".json") or args.format == "json"
+        _write_text(args.out, report.to_json() if as_json else report.to_csv())
     return 0
 
 

@@ -13,10 +13,13 @@ rank bound up by one and every category ``j`` is claimed to beat pulls
 its upper bound down by one: ``lo = 1 + C[:, J0].sum(0)`` and ``hi = p
 - C[J0, :].sum(1)``.  A procedure only supplies a pairwise statistic
 and the threshold at which the statistic turns into claims, restricted
-to the ``p x p`` mask of its index family.  The assembly is
-test-agnostic; any family of pairwise tests with familywise error
-control at level ``alpha`` yields a confidence set with simultaneous
-coverage ``1 - alpha`` over the categories of interest.
+to the ``p x p`` mask of its index family.  The claims hold that
+family (:class:`PairwiseRejections`), which is checked once against
+it, and the assembly reads ``p``, ``J0`` and the kind from the family
+alone.  The assembly is test-agnostic; any family of pairwise tests
+with familywise error control at level ``alpha`` yields a confidence
+set with simultaneous coverage ``1 - alpha`` over the categories of
+interest.
 
 Marginal scope gives each target ``j`` in ``J0`` the set its own family
 ``J0 = {j}`` would give.  That family is row ``j`` and column ``j`` of
@@ -336,15 +339,17 @@ _index_family = lru_cache(maxsize=32)(IndexFamily)
 # eq=False: == on numpy fields would be elementwise.
 @dataclass(frozen=True, eq=False)
 class PairwiseRejections:
-    """Directional claims of a pairwise procedure as one claim matrix.
+    """Directional claims of a pairwise procedure inside its index family.
 
     ``claims[a, b]`` (``p x p`` bool) is the claim ``theta_a >
-    theta_b``.  When ``lower`` is set a claim raises ``b``'s lower rank
-    bound, and when ``upper`` is set it lowers ``a``'s upper rank
-    bound; the bounds of the categories of interest ``J0`` are column
-    and row sums.  A ``lower`` family only raises lower bounds (upper
-    bounds stay at ``p``, which is what makes best-tau projections
-    valid) and an ``upper`` family only lowers upper bounds.
+    theta_b`` and must lie inside ``family.mask``, which also rules out
+    self-claims.  The family fixes everything else: unless its kind is
+    ``upper`` a claim raises ``b``'s lower rank bound, and unless it is
+    ``lower`` it lowers ``a``'s upper rank bound; the bounds of the
+    categories of interest ``family.J0`` are column and row sums.  A
+    ``lower`` family only raises lower bounds (upper bounds stay at
+    ``p``, which is what makes best-tau projections valid) and an
+    ``upper`` family only lowers upper bounds.
 
     With one threshold per target (marginal scope) a pair can be
     claimed at one end's threshold and not at the other's.  ``claims``
@@ -352,30 +357,40 @@ class PairwiseRejections:
     ``column_claims`` each column's claims at the column category's
     threshold; lower bounds count ``column_claims``.  It defaults to
     ``claims``.
+
+    Raises ``ValueError`` for a matrix of the wrong shape or with a
+    claim outside the family, and ``InvalidTestFamilyError`` when a
+    two-sided family claims a target both above and below another
+    category.
     """
 
-    J0: tuple[int, ...]
+    family: IndexFamily
     claims: np.ndarray
-    lower: bool = True
-    upper: bool = True
     column_claims: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        claims = _claim_matrix(self.claims)
-        columns = claims
-        if self.column_claims is not None:
-            columns = _claim_matrix(self.column_claims)
-            if columns.shape != claims.shape:
+        mask = self.family.mask
+        claims = np.asarray(self.claims, dtype=bool)
+        columns = claims if self.column_claims is None else np.asarray(
+            self.column_claims, dtype=bool
+        )
+        for matrix in (claims,) if columns is claims else (claims, columns):
+            if matrix.shape != mask.shape:
                 raise ValueError(
-                    f"column claims have shape {columns.shape}, "
-                    f"claims {claims.shape}"
+                    f"claims must have shape {mask.shape}, got {matrix.shape}"
                 )
-        if self.lower and self.upper:
+            # np.count_nonzero is several times cheaper than .any() on
+            # the small matrices of the paper's tables.
+            outside = matrix & ~mask
+            if np.count_nonzero(outside):
+                a, b = np.argwhere(outside)[0].tolist()
+                raise ValueError(f"pair ({a}, {b}) is not in the family")
+        if self.family.kind == "two_sided":
             # Category j's own family crosses when j is claimed above k
             # at j's threshold and k above j at j's threshold.
             crossed = claims & columns.T
             if np.count_nonzero(crossed):
-                for j in self.J0:
+                for j in self.family.J0:
                     if crossed[j].any():
                         raise InvalidTestFamilyError(
                             f"category {j} claimed both smaller and larger "
@@ -391,31 +406,12 @@ class PairwiseRejections:
         claims: np.ndarray,
         column_claims: np.ndarray | None = None,
     ) -> "PairwiseRejections":
-        """Attach a family's directions to its claim matrix.
+        """Claims of ``family``, validated on construction.
 
-        ``claims`` (and ``column_claims``, when given) must be ``p x
-        p`` bool matrices inside ``family.mask``; a claim outside the
-        family raises ``ValueError``.  The family's kind sets the
-        directions, even when a claim could speak to both sides.
+        Every procedure builds its rejections through this constructor
+        (directly or through :meth:`at_threshold`).
         """
-        for matrix in (claims, column_claims):
-            if matrix is None:
-                continue
-            matrix = np.asarray(matrix, dtype=bool)
-            if matrix.shape != family.mask.shape:
-                raise ValueError(
-                    f"claims must have shape {family.mask.shape}, "
-                    f"got {matrix.shape}"
-                )
-            outside = matrix & ~family.mask
-            if np.count_nonzero(outside):
-                a, b = np.argwhere(outside)[0].tolist()
-                raise ValueError(f"pair ({a}, {b}) is not in the family")
-        return cls(
-            J0=family.J0, claims=claims,
-            lower=family.kind != "upper", upper=family.kind != "lower",
-            column_claims=column_claims,
-        )
+        return cls(family, claims, column_claims)
 
     @classmethod
     def at_threshold(
@@ -442,18 +438,6 @@ class PairwiseRejections:
             family.mask & claimed(per_category[:, None]),
             family.mask & claimed(per_category[None, :]),
         )
-
-
-def _claim_matrix(claims) -> np.ndarray:
-    claims = np.asarray(claims, dtype=bool)
-    if claims.ndim != 2 or claims.shape[0] != claims.shape[1]:
-        raise ValueError(f"claims must be a square matrix, got {claims.shape}")
-    # np.count_nonzero is several times cheaper than .any() on the
-    # small matrices of the paper's tables.
-    if np.count_nonzero(claims.diagonal()):
-        j = int(np.argmax(claims.diagonal()))
-        raise ValueError(f"category {j} rejected against itself")
-    return claims
 
 
 @dataclass(frozen=True)
@@ -501,30 +485,28 @@ class RankSet:
 
 def rankset_from_rejections(
     rej: PairwiseRejections,
-    p: int,
     *,
     method: str = "",
     alpha: float = float("nan"),
-    kind: str = "two_sided",
 ) -> RankSet:
     """Assemble rank intervals from a claim matrix: two sums.
 
     Parameters
     ----------
     rej : PairwiseRejections
-        Claim matrix produced by a multiple-testing procedure.
-    p : int
-        Total number of categories.
-    method, alpha, kind
+        Claims of a multiple-testing procedure; its family gives the
+        number of categories ``p``, the categories of interest ``J0``
+        and the ``kind`` recorded on the returned set.
+    method, alpha
         Metadata recorded on the returned set.
 
     Returns
     -------
     RankSet
-        ``lo_j = 1 + K[:, j].sum()`` (when ``rej.lower``, else 1) and
-        ``hi_j = p - C[j, :].sum()`` (when ``rej.upper``, else ``p``)
-        for each category of interest ``rej.J0``, where ``C`` is
-        ``rej.claims`` and ``K`` is ``rej.column_claims``.
+        ``lo_j = 1 + K[:, j].sum()`` (``1`` for an ``upper`` family) and
+        ``hi_j = p - C[j, :].sum()`` (``p`` for a ``lower`` family) for
+        each ``j`` in ``J0``, where ``C`` is ``rej.claims`` and ``K`` is
+        ``rej.column_claims``.
 
     Raises
     ------
@@ -532,10 +514,12 @@ def rankset_from_rejections(
         If some ``lo_j > hi_j``, which a sound level-alpha family
         cannot produce.
     """
-    beaten_by = rej.column_claims.sum(axis=0).tolist() if rej.lower else [0] * p
-    beats = rej.claims.sum(axis=1).tolist() if rej.upper else [0] * p
-    lo = {j: 1 + beaten_by[j] for j in rej.J0}
-    hi = {j: p - beats[j] for j in rej.J0}
+    family = rej.family
+    p, kind = family.p, family.kind
+    beaten_by = rej.column_claims.sum(axis=0).tolist() if kind != "upper" else [0] * p
+    beats = rej.claims.sum(axis=1).tolist() if kind != "lower" else [0] * p
+    lo = {j: 1 + beaten_by[j] for j in family.J0}
+    hi = {j: p - beats[j] for j in family.J0}
     return RankSet(
-        p=p, J0=rej.J0, lo=lo, hi=hi, method=method, alpha=alpha, kind=kind
+        p=p, J0=family.J0, lo=lo, hi=hi, method=method, alpha=alpha, kind=kind
     )

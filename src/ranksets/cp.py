@@ -138,6 +138,4 @@ def cp_rank_cs(
     hi = np.asarray(box.hi)
     claims = family.mask & (lo[:, None] > hi[None, :])
     rej = PairwiseRejections.from_claims(family, claims)
-    return rankset_from_rejections(
-        rej, sample.p, method="cp", alpha=alpha, kind=kind
-    )
+    return rankset_from_rejections(rej, method="cp", alpha=alpha)

@@ -250,6 +250,4 @@ def exact_rank_cs(
     else:
         rej = holm_reject(table, alpha, scope)
         method = "exactHolm"
-    return rankset_from_rejections(
-        rej, sample.p, method=method, alpha=alpha, kind=kind
-    )
+    return rankset_from_rejections(rej, method=method, alpha=alpha)

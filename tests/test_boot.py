@@ -745,6 +745,21 @@ def test_config_rejects_bad_knobs():
         BootstrapConfig(B=0)
 
 
+@pytest.mark.parametrize("knobs", [
+    {"B": 2.5}, {"B": True}, {"seed": 1.7}, {"seed": -3}, {"seed": True},
+])
+def test_config_rejects_non_integer_or_negative_values(knobs):
+    with pytest.raises(ValueError):
+        BootstrapConfig(**knobs)
+
+
+def test_config_accepts_numpy_integers():
+    config = BootstrapConfig(B=np.int64(20), seed=np.uint32(3))
+    a = naive_rank_cs(MELBOURNE, config=config)
+    b = naive_rank_cs(MELBOURNE, config=BootstrapConfig(B=20, seed=3))
+    assert (a.lo, a.hi) == (b.lo, b.hi)
+
+
 def test_config_is_the_resampling_stream_only():
     assert [f.name for f in dataclasses.fields(BootstrapConfig)] == ["B", "seed"]
 

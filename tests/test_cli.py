@@ -229,6 +229,14 @@ def test_group_small_rejects_degenerate_requests(melbourne):
         group_small(melbourne, list(melbourne.labels))
 
 
+def test_group_small_rejects_merging_into_the_last_category():
+    # The merge adds into the existing "Other", which would be all that is left.
+    sample = MultinomialSample(counts=(1, 1, 8), labels=("A", "B", "Other"))
+    for spec in (["A", "B"], 0.5):
+        with pytest.raises(DataError, match="every category"):
+            group_small(sample, spec)
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -462,10 +470,13 @@ def test_main_unreadable_data_exits_one(tmp_path, capsys):
     ["tau-best", "--tau", "2", "--method", "cp"],
     ["compare", "--method", "exactHolm,cp"],
     ["plotdata", "--method", "cp"],
+    ["simulate", "--method", "cp", "--reps", "5"],
 ])
 def test_main_unwritable_out_exits_one(command, melbourne_csv, capsys, tmp_path):
     target = tmp_path / "missing" / "x.csv"
-    code = main([command[0], str(melbourne_csv), *command[1:], "--out", str(target)])
+    # simulate draws its tables from a design; the others read a data file.
+    source = "uniform:p=3,n=40" if command[0] == "simulate" else str(melbourne_csv)
+    code = main([command[0], source, *command[1:], "--out", str(target)])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
 
@@ -551,6 +562,22 @@ def test_main_group_small_flag(melbourne_csv, capsys):
     stdout = capsys.readouterr().out
     assert "Other" in stdout
     assert "One Nation" not in stdout
+
+
+def test_main_group_small_leaving_one_category_exits_one(tmp_path, capsys):
+    data = tmp_path / "t.csv"
+    data.write_text("group,category,count\ng,A,5\ng,B,3\ng,Other,2\n", encoding="utf-8")
+    assert main(["analyze", str(data), "--group-small", "A,B"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "every category" in err
+
+
+def test_readme_analyze_transcript_matches_main(melbourne_csv, capsys):
+    readme = (melbourne_csv.parent.parent / "README.md").read_text(encoding="utf-8")
+    command = "$ ranksets analyze data/melbourne.csv --method exactHolm\n"
+    transcript = readme.split(command, 1)[1].split("```", 1)[0]
+    assert main(["analyze", str(melbourne_csv), "--method", "exactHolm"]) == 0
+    assert capsys.readouterr().out.rstrip("\n") == transcript.rstrip("\n")
 
 
 def test_main_tau_best_subcommand(melbourne_csv, capsys):

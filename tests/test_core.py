@@ -1,5 +1,8 @@
 """Rank definitions, index families, and rank-set assembly."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,21 +240,22 @@ def _rejections(p, j, n_minus, n_plus):
     claims = np.zeros((p, p), dtype=bool)
     claims[others[:n_minus], j] = True
     claims[j, others[n_minus:n_minus + n_plus]] = True
-    return PairwiseRejections(J0=(j,), claims=claims)
+    family = build_index_family("two_sided", (j,), p)
+    return PairwiseRejections.from_claims(family, claims)
 
 
 def test_interval_formula_counts_rejections():
-    rs = rankset_from_rejections(_rejections(5, 0, 2, 1), 5)
+    rs = rankset_from_rejections(_rejections(5, 0, 2, 1))
     assert rs.interval(0) == (3, 4)
 
 
 def test_no_rejections_gives_full_interval():
-    rs = rankset_from_rejections(_rejections(5, 2, 0, 0), 5)
+    rs = rankset_from_rejections(_rejections(5, 2, 0, 0))
     assert rs.interval(2) == (1, 5)
 
 
 def test_beating_everyone_pins_first_place():
-    rs = rankset_from_rejections(_rejections(4, 1, 0, 3), 4)
+    rs = rankset_from_rejections(_rejections(4, 1, 0, 3))
     assert rs.interval(1) == (1, 1)
 
 
@@ -259,12 +263,12 @@ def test_adding_rejections_tightens_monotonically():
     p = 6
     for m in range(p - 1):
         for q in range(p - 1 - m):
-            rs = rankset_from_rejections(_rejections(p, 0, m, q), p)
+            rs = rankset_from_rejections(_rejections(p, 0, m, q))
             lo, hi = rs.interval(0)
             assert lo == m + 1
             assert hi == p - q
             if m + q < p - 1:
-                wider = rankset_from_rejections(_rejections(p, 0, m, q), p)
+                wider = rankset_from_rejections(_rejections(p, 0, m, q))
                 assert wider.lo[0] <= rs.lo[0] and wider.hi[0] >= rs.hi[0]
 
 
@@ -276,21 +280,32 @@ def _claims(p, *pairs):
 
 
 def test_conflicting_directions_rejected():
+    fam = build_index_family("two_sided", (0,), 3)
     with pytest.raises(InvalidTestFamilyError):
-        PairwiseRejections(J0=(0,), claims=_claims(3, (0, 1), (1, 0)))
+        PairwiseRejections.from_claims(fam, _claims(3, (0, 1), (1, 0)))
 
 
 def test_self_claims_rejected():
+    fam = build_index_family("two_sided", (0,), 3)
     with pytest.raises(ValueError):
-        PairwiseRejections(J0=(0,), claims=_claims(3, (0, 0)))
+        PairwiseRejections.from_claims(fam, _claims(3, (0, 0)))
+
+
+def test_rejections_hold_their_family_and_claims_only():
+    assert [f.name for f in dataclasses.fields(PairwiseRejections)] == [
+        "family", "claims", "column_claims",
+    ]
+    assert list(inspect.signature(rankset_from_rejections).parameters) == [
+        "rej", "method", "alpha",
+    ]
 
 
 def test_from_claims_routes_both_directions():
     fam = build_index_family("two_sided", (0, 1), 3)
     rej = PairwiseRejections.from_claims(fam, _claims(3, (0, 1), (0, 2)))
-    assert rej.lower and rej.upper
-    assert rej.J0 == (0, 1)
-    rs = rankset_from_rejections(rej, 3)
+    assert rej.family.kind == "two_sided"
+    assert rej.family.J0 == (0, 1)
+    rs = rankset_from_rejections(rej)
     assert rs.interval(0) == (1, 1)
     assert rs.interval(1) == (2, 3)
 
@@ -300,8 +315,8 @@ def test_from_claims_lower_kind_only_raises_lower_bounds():
     # bound but must leave 0's upper bound at p.
     fam = build_index_family("lower", (0, 1), 3)
     rej = PairwiseRejections.from_claims(fam, _claims(3, (0, 1)))
-    assert rej.lower and not rej.upper
-    rs = rankset_from_rejections(rej, 3)
+    assert rej.family.kind == "lower"
+    rs = rankset_from_rejections(rej)
     assert rs.interval(0) == (1, 3)
     assert rs.interval(1) == (2, 3)
 
@@ -316,22 +331,36 @@ def test_from_claims_rejects_pair_outside_family():
         PairwiseRejections.from_claims(
             fam, _claims(3, (1, 0)), column_claims=_claims(3, (1, 2))
         )
+    # The raw constructor runs the same check: no claim outside J0's family.
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not in the family"):
+        PairwiseRejections(build_index_family("two_sided", (0,), 3), _claims(3, (1, 2)))
+
+
+def test_assembly_reads_p_j0_and_kind_from_the_family():
+    # A lower family assembles to a lower set over its own p and J0.
+    fam = build_index_family("lower", (2,), 3)
+    rej = PairwiseRejections.from_claims(fam, _claims(3, (0, 2)))
+    rs = rankset_from_rejections(rej)
+    assert (rs.p, rs.J0, rs.kind) == (3, (2,), "lower")
+    assert rs.interval(2) == (2, 3)
 
 
 def test_column_claims_raise_lower_bounds_and_cross_per_target():
     # Marginal scope: rows are claimed at the row category's threshold
     # and columns at the column category's, so the matrices can differ.
     rows = _claims(3, (0, 1), (1, 0))
-    rej = PairwiseRejections(J0=(0, 1), claims=rows, column_claims=_claims(3, (2, 0)))
-    rs = rankset_from_rejections(rej, 3)
+    fam = build_index_family("two_sided", (0, 1), 3)
+    rej = PairwiseRejections.from_claims(fam, rows, column_claims=_claims(3, (2, 0)))
+    rs = rankset_from_rejections(rej)
     # 0 beats 1 at 0's threshold, 2 beats 0 at 0's threshold; 1 beats
     # 0 at 1's threshold, which says nothing about 0's lower bound.
     assert (rs.interval(0), rs.interval(1)) == ((2, 2), (1, 2))
     # 1 beats 0 at 0's threshold while 0 beats 1 at 0's: crossing.
+    fam = build_index_family("two_sided", (0,), 3)
     with pytest.raises(InvalidTestFamilyError, match="category 0"):
-        PairwiseRejections(J0=(0,), claims=rows, column_claims=_claims(3, (1, 0)))
+        PairwiseRejections.from_claims(fam, rows, column_claims=_claims(3, (1, 0)))
     with pytest.raises(ValueError, match="shape"):
-        PairwiseRejections(J0=(0,), claims=rows, column_claims=_claims(4))
+        PairwiseRejections.from_claims(fam, rows, column_claims=_claims(4))
 
 
 def _family_oracle(kind, J0, p):
@@ -386,14 +415,11 @@ def test_claim_matrix_bounds_match_per_pair_routing(args):
     expected = _routed_oracle(family, claims)
     if expected is None:
         with pytest.raises(InvalidTestFamilyError):
-            rankset_from_rejections(
-                PairwiseRejections.from_claims(family, claims), family.p
-            )
+            rankset_from_rejections(PairwiseRejections.from_claims(family, claims))
         return
-    rs = rankset_from_rejections(
-        PairwiseRejections.from_claims(family, claims), family.p
-    )
+    rs = rankset_from_rejections(PairwiseRejections.from_claims(family, claims))
     assert {j: rs.interval(j) for j in family.J0} == expected
+    assert (rs.p, rs.J0, rs.kind) == (family.p, family.J0, family.kind)
 
 
 def test_family_is_cached_and_read_only():

@@ -148,13 +148,13 @@ def test_bonferroni_rejects_only_below_split_level():
 def test_bonferroni_all_ones_keeps_full_interval():
     rej = bonferroni_reject(_table([1.0, 1.0, 1.0]), 0.05)
     assert not rej.claims.any()
-    assert rankset_from_rejections(rej, 4).interval(0) == (1, 4)
+    assert rankset_from_rejections(rej).interval(0) == (1, 4)
 
 
 def test_bonferroni_single_test_reduces_to_plain_level():
     rej = bonferroni_reject(_table([0.04]), 0.05)
     assert rej.claims[1, 0]
-    assert rankset_from_rejections(rej, 2).interval(0) == (2, 2)
+    assert rankset_from_rejections(rej).interval(0) == (2, 2)
 
 
 def test_holm_steps_through_all_three():
