@@ -31,10 +31,11 @@ per-pair scale — so a claim is made only when a difference clears the
 band that covers all pairs simultaneously.  The band contains each
 per-pair interval, so its simultaneous coverage is at least as high.
 
-Marginal scope gives each target its own family ``J0 = {j}``, so each
-target gets its own calibration and its own band.  The targets share
-the estimates and the category-major resamples, and all critical
-values are read from one sort of the ``B x |J0|`` max statistics.
+Marginal scope gives each target its own family ``J0 = {j}``, whose
+pairs :mod:`ranksets.core` forms, so each target gets its own
+calibration and its own band.  The targets share the estimates and
+the category-major resamples, and all critical values are read from
+one sort of the ``B x |J0|`` max statistics.
 
 The naive alternative resamples the ranks themselves and reads off
 their empirical quantiles; it is included as a comparison baseline and
@@ -57,7 +58,7 @@ from .core import (
     RankSet,
     _categories_of_interest,
     _check_alpha,
-    _is_marginal,
+    _target_pairs,
     _theta_array,
     build_index_family,
     rankset_from_rejections,
@@ -95,8 +96,9 @@ class BootstrapConfig:
         Number of bootstrap resamples, an integer of at least 1.
     seed : int, optional
         Non-negative integer seed for the resampling stream; ``None``
-        draws fresh entropy (not reproducible).  Numpy integers count
-        as integers and ``bool`` does not.
+        draws a seed from fresh entropy once, on construction, and
+        stores it, so the config is one stream that ``seed`` replays.
+        Numpy integers count as integers and ``bool`` does not.
     """
 
     B: int = 2000
@@ -105,7 +107,10 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if not _is_integer(self.B) or self.B < 1:
             raise ValueError(f"B must be an integer of at least 1, got {self.B!r}")
-        if self.seed is not None and (not _is_integer(self.seed) or self.seed < 0):
+        if self.seed is None:
+            seed = int(np.random.SeedSequence().entropy % (2**63))
+            object.__setattr__(self, "seed", seed)
+        elif not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(
                 f"seed must be None or a non-negative integer, got {self.seed!r}"
             )
@@ -141,11 +146,6 @@ def _theta_star_cached(
 
 
 def _theta_star_matrix(sample: MultinomialSample, config: BootstrapConfig) -> np.ndarray:
-    if config.seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**63))
-        return _theta_star_cached.__wrapped__(
-            sample.counts, sample.n, config.B, seed
-        )
     return _theta_star_cached(sample.counts, sample.n, config.B, int(config.seed))
 
 
@@ -452,25 +452,6 @@ def _band_half_width(crit, sigma_max, n: int) -> np.ndarray:
     return _scaled(crit, np.asarray(sigma_max) / math.sqrt(n))
 
 
-def _calibration_pairs(
-    kind: str, J0: tuple[int, ...], p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``(jj, kk)`` of the pairs calibrated for a family.
-
-    One-sided kinds calibrate their own family.  The two-sided kind
-    calibrates the pairs anchored at each category of interest, each
-    unordered pair once: ``|d_ab|`` and ``sigma_ab`` equal ``|d_ba|``
-    and ``sigma_ba`` bit for bit, so ``(a, b)`` goes when ``a > b`` and
-    its mirror ``(b, a)`` is anchored too.
-    """
-    if kind != "two_sided":
-        return np.nonzero(build_index_family(kind, J0, p).mask)
-    anchored = build_index_family("upper", J0, p).mask
-    rows, cols = np.nonzero(anchored)
-    once = (rows < cols) | ~anchored[cols, rows]
-    return rows[once], cols[once]
-
-
 def boot_rank_cs(
     sample: MultinomialSample,
     J0: Iterable[int] | None = None,
@@ -483,15 +464,17 @@ def boot_rank_cs(
 ) -> RankSet:
     """Rank confidence set driven by a bootstrap difference band.
 
-    One-sided kinds calibrate the lower-variant max statistic over the
-    matching family; the two-sided kind calibrates the symmetric
-    variant over the pairs anchored at each category of interest, with
-    each unordered pair entering the symmetric max once (its mirror
-    gives the same statistic and scale, bit for bit).
-    Either way the claims use a constant-width band: a comparison is
-    rejected only when its estimated difference clears the critical
-    value times the largest per-pair scale in the family (over
-    ``sqrt(n)``), so every pair faces the same threshold.  Without
+    Each row of pairs that :func:`~ranksets.core._target_pairs` holds
+    to one threshold (the whole family, or in marginal ``scope`` each
+    target's own family) is calibrated on its own.  One-sided kinds
+    calibrate the lower-variant max statistic over the row's pairs;
+    the two-sided kind calibrates the symmetric variant with each
+    unordered pair of the row entering the max once (its mirror gives
+    the same statistic and scale, bit for bit).  Either way the claims
+    use a constant-width band per row: a comparison is rejected only
+    when its estimated difference clears the row's critical value
+    times the largest per-pair scale in the row (over ``sqrt(n)``), so
+    every pair of the row faces the same threshold.  Without
     studentization all scales equal 1 and the band reduces to the
     per-pair intervals of :func:`difference_cs`.
 
@@ -511,7 +494,7 @@ def boot_rank_cs(
         ``'marginal'`` calibrates each target's own family ``J0 = {j}``
         and gives it its own band, sharing the estimates and the
         resample matrix; all critical values come from one sort of the
-        ``B x |J0|`` statistics.
+        ``B x |J0|`` statistics, one column per target.
     studentize : bool
         Studentize the max statistic (``bootStud``) or not (``boot``).
 
@@ -523,27 +506,27 @@ def boot_rank_cs(
     if config is None:
         config = BootstrapConfig()
     _check_alpha(alpha)
-    marginal = _is_marginal(scope)
-    p, n = sample.p, sample.n
-    family = build_index_family(kind, J0, p)
-    targets = [(j,) for j in family.J0] if marginal else [family.J0]
-    calibrations = [_calibration_pairs(kind, t, p) for t in targets]
+    n = sample.n
+    family = build_index_family(kind, J0, sample.p)
+    jj, kk = _target_pairs(family, scope)
+    variant = "symm" if kind == "two_sided" else "lower"
+    if variant == "symm":
+        # |d| and sigma of (a, b) equal those of (b, a) bit for bit, so
+        # each row calibrates every unordered pair once.
+        once = jj < kk
+        jj, kk = jj[once].reshape(len(jj), -1), kk[once].reshape(len(kk), -1)
     theta_hat = sample.theta_hat
     rows, var = _category_major(_theta_star_matrix(sample, config), studentize)
-    variant = "symm" if kind == "two_sided" else "lower"
     stats = np.column_stack([
-        _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
-        for jj, kk in calibrations
+        _pair_stats(rows, var, theta_hat, n, j, k, variant) for j, k in zip(jj, kk)
     ])
     if studentize:
-        sigma_max = [_sigma_hat(theta_hat, jj, kk).max() for jj, kk in calibrations]
+        sigma_max = _sigma_hat(theta_hat, jj, kk).max(axis=1)
     else:
-        sigma_max = np.ones(len(calibrations))
+        sigma_max = np.ones(len(jj))
     half = _band_half_width(_quantiles(stats, 1.0 - alpha), sigma_max, n)
     diff = theta_hat[:, None] - theta_hat[None, :]
-    rej = PairwiseRejections.at_threshold(
-        family, lambda t: diff > t, half if marginal else half[0]
-    )
+    rej = PairwiseRejections.at_threshold(family, lambda t: diff > t, half)
     return rankset_from_rejections(
         rej, method="bootStud" if studentize else "boot", alpha=alpha
     )

@@ -631,7 +631,7 @@ def _alpha_value(text: str) -> float:
     return value
 
 
-def _resolve_seed(flag_value: int | None) -> int | None:
+def _resolve_seed(flag_value: int) -> int:
     seed = flag_value
     env = os.environ.get("RANKSETS_SEED")
     if env is not None and env.strip() != "":
@@ -641,7 +641,7 @@ def _resolve_seed(flag_value: int | None) -> int | None:
             raise DataError(
                 f"RANKSETS_SEED must be an integer, got {env!r}"
             ) from None
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise DataError(f"seed must be a non-negative integer, got {seed}")
     return seed
 
@@ -910,10 +910,9 @@ def _run_plotdata(args, out) -> int:
 def _run_simulate(args, out) -> int:
     parsed = _parse_design(args.design)
     name, kw = parsed["name"], parsed["kwargs"]
-    seed = _resolve_seed(args.seed)
     common = dict(
         alpha=args.alpha, reps=args.reps, B=args.boot_samples,
-        master_seed=0 if seed is None else seed, scope=args.scope,
+        master_seed=_resolve_seed(args.seed), scope=args.scope,
     )
     if args.method:
         common["methods"] = tuple(args.method)

@@ -21,13 +21,18 @@ with familywise error control at level ``alpha`` yields a confidence
 set with simultaneous coverage ``1 - alpha`` over the categories of
 interest.
 
-Marginal scope gives each target ``j`` in ``J0`` the set its own family
-``J0 = {j}`` would give.  That family is row ``j`` and column ``j`` of
-the joint mask, tested at ``j``'s own threshold, so a procedure
-supplies one threshold per target instead of one shared threshold:
-rows are claimed at ``t[:, None]`` (upper bounds) and columns at
-``t[None, :]`` (lower bounds).  With one shared threshold the two are
-the same matrix.
+Scope is decided here alone: :func:`_target_pairs` gives the pairs
+held to each threshold, one row of index arrays per threshold.
+Simultaneous scope holds the whole family to one threshold.  Marginal
+scope gives each target ``j`` in ``J0`` the set its own family ``J0 =
+{j}`` would give; that family is row ``j`` and/or column ``j`` of the
+joint mask, tested at ``j``'s own threshold.  A procedure computes its
+statistic once and derives one threshold per row (Bonferroni from the
+row length, Holm by stepping down the row, the bootstrap by
+calibrating the row), and :meth:`PairwiseRejections.at_threshold`
+claims rows at ``t[:, None]`` (upper bounds) and columns at ``t[None,
+:]`` (lower bounds).  With one shared threshold the two are the same
+matrix.
 
 Category indices are 0-based throughout the API; rank values are
 1-based integers in ``{1, ..., p}``.
@@ -301,6 +306,35 @@ def _is_marginal(scope: str) -> bool:
     return scope == "marginal"
 
 
+def _target_pairs(
+    family: IndexFamily, scope: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(jj, kk)``, shape ``(T, m)``, of each threshold's pairs.
+
+    Row ``t`` holds the pairs ``(jj[t, i], kk[t, i])`` of ``family``
+    held to threshold ``t``.  Simultaneous scope has one threshold for
+    the whole family (``T = 1``, its pairs in row-major order).  Marginal
+    scope has one per target ``j`` in ``family.J0``, whose row is ``j``'s
+    own family ``J0 = {j}``: row ``j`` of the mask (``j`` above each
+    other category) unless the kind is ``lower``, then column ``j``
+    (each other category above ``j``) unless it is ``upper``, so ``m``
+    is ``p - 1`` one-sided and ``2(p - 1)`` two-sided.  Raises
+    ``ValueError`` for a scope not in ``SCOPES``.
+    """
+    if not _is_marginal(scope):
+        jj, kk = np.nonzero(family.mask)
+        return jj[None, :], kk[None, :]
+    j = np.asarray(family.J0)[:, None]
+    k = np.arange(family.p - 1)[None, :]
+    k = k + (k >= j)  # the categories other than j, ascending
+    j = np.repeat(j, k.shape[1], axis=1)
+    if family.kind == "upper":
+        return j, k
+    if family.kind == "lower":
+        return k, j
+    return np.hstack([j, k]), np.hstack([k, j])
+
+
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -420,16 +454,17 @@ class PairwiseRejections:
         """Claims of a statistic inside the family at its threshold(s).
 
         ``claimed`` maps a threshold, broadcast against the ``p x p``
-        statistic, to the bool matrix of claims it makes.  A scalar
-        ``threshold`` holds every pair to it (simultaneous scope).  One
-        threshold per category of ``family.J0`` (marginal scope) claims
-        row ``a`` at ``a``'s threshold and column ``b`` at ``b``'s.  The
-        rows and columns of categories outside ``J0`` are never read;
-        their threshold is NaN, which compares false, so they hold no
-        claims.
+        statistic, to the bool matrix of claims it makes.  ``threshold``
+        holds one entry per row of :func:`_target_pairs`: a threshold of
+        size 1 holds every pair to it (simultaneous scope, or marginal
+        scope with one target).  One threshold per category of
+        ``family.J0`` (marginal scope) claims row ``a`` at ``a``'s
+        threshold and column ``b`` at ``b``'s.  The rows and columns of
+        categories outside ``J0`` are never read; their threshold is
+        NaN, which compares false, so they hold no claims.
         """
         t = np.asarray(threshold)
-        if t.ndim == 0:
+        if t.size == 1:
             return cls.from_claims(family, family.mask & claimed(t))
         per_category = np.full(family.p, np.nan)
         per_category[list(family.J0)] = t

@@ -27,7 +27,7 @@ from .core import (
     PairwiseRejections,
     RankSet,
     _check_alpha,
-    _is_marginal,
+    _target_pairs,
     build_index_family,
     rankset_from_rejections,
 )
@@ -141,13 +141,14 @@ def bonferroni_reject(
 ) -> PairwiseRejections:
     """Reject every pair whose p-value is at most ``alpha / m``.
 
-    ``m`` is the family size ``|I|``, or in marginal ``scope`` the size
-    of one target's own family (``2(p - 1)`` two-sided, ``p - 1``
-    one-sided), which is the same for every target.
+    ``m`` is the number of pairs held to one threshold: the family size
+    ``|I|``, or in marginal ``scope`` the size of one target's own family
+    (``2(p - 1)`` two-sided, ``p - 1`` one-sided), which is the same for
+    every target and so gives one shared threshold.
     """
     _check_alpha(alpha)
     family, pvalues = table.family, table.pvalues
-    m = _target_family_size(family) if _is_marginal(scope) else len(family)
+    m = _target_pairs(family, scope)[0].shape[1]
     return PairwiseRejections.at_threshold(
         family, lambda t: pvalues <= t, alpha / m
     )
@@ -159,50 +160,25 @@ def holm_reject(
     """Step-down rejection: strictly more powerful than Bonferroni.
 
     The ``l``-th smallest p-value is rejected iff it and every smaller
-    one passed its own threshold ``alpha / (|I| + 1 - l)``.  The
+    one passed its own threshold ``alpha / (m + 1 - l)``.  The
     thresholds strictly increase, so p-values tied with the first
     failure fail with it, and the rejections are exactly the p-values
-    below that failure.  In marginal ``scope`` every target steps down
-    through its own family (its row and column of the table), and all
-    targets' stops come from one row-wise sort.
+    below that failure.  Each row of :func:`~ranksets.core._target_pairs`
+    (the whole family, or in marginal ``scope`` each target's own family
+    of ``m`` pairs) steps down on its own, and all rows' stops come from
+    one row-wise sort.
     """
     _check_alpha(alpha)
     family, pvalues = table.family, table.pvalues
-    marginal = _is_marginal(scope)
-    if marginal:
-        ordered = _target_pvalues(family, pvalues)
-    else:
-        ordered = np.sort(pvalues[family.mask])[None, :]
+    jj, kk = _target_pairs(family, scope)
+    ordered = np.sort(pvalues[jj, kk], axis=1)
     m = ordered.shape[1]
     failed = ordered > alpha / np.arange(m, 0, -1)
     first = failed.argmax(axis=1)
     stop = np.where(
         failed.any(axis=1), ordered[np.arange(len(ordered)), first], np.inf
     )
-    return PairwiseRejections.at_threshold(
-        family, lambda t: pvalues < t, stop if marginal else stop[0]
-    )
-
-
-def _target_family_size(family: IndexFamily) -> int:
-    """Pairs in the own family ``J0 = {j}`` of one target of ``family``."""
-    return (family.p - 1) * (2 if family.kind == "two_sided" else 1)
-
-
-def _target_pvalues(family: IndexFamily, pvalues: np.ndarray) -> np.ndarray:
-    """Each target's own-family p-values, sorted, one row per target.
-
-    A target's row and column of the joint family are its own family,
-    except the diagonal, whose NaN sorts last and is cut off.
-    """
-    j0 = list(family.J0)
-    parts = []
-    if family.kind != "lower":
-        parts.append(pvalues[j0, :])
-    if family.kind != "upper":
-        parts.append(pvalues[:, j0].T)
-    gathered = np.sort(np.concatenate(parts, axis=1), axis=1)
-    return gathered[:, :_target_family_size(family)]
+    return PairwiseRejections.at_threshold(family, lambda t: pvalues < t, stop)
 
 
 def exact_rank_cs(

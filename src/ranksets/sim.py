@@ -241,8 +241,8 @@ class SimReport:
                 return c
         raise KeyError(f"no cell for method={method!r}, category={category}")
 
-    def to_csv(self, path: str | None = None) -> str:
-        """Render (and optionally write) the report as CSV."""
+    def to_csv(self) -> str:
+        """Render the report as CSV."""
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(
@@ -253,14 +253,10 @@ class SimReport:
                 [self.design, c.method, c.label,
                  f"{c.coverage:.6f}", f"{c.coverage_se:.6f}", f"{c.avg_length:.6f}"]
             )
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
-    def to_json(self, path: str | None = None) -> str:
-        """Render (and optionally write) the report as JSON."""
+    def to_json(self) -> str:
+        """Render the report as JSON."""
         payload = {
             "design": self.design,
             "reps": self.reps,
@@ -277,11 +273,7 @@ class SimReport:
                 for c in self.cells
             ],
         }
-        text = json.dumps(payload, indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return json.dumps(payload, indent=2)
 
 
 def _mc_se(freq: float, reps: int) -> float:

@@ -668,6 +668,18 @@ def test_rank_cs_fresh_entropy_does_not_poison_the_seeded_cache():
     assert [a.interval(j) for j in range(7)] == [b.interval(j) for j in range(7)]
 
 
+def test_unseeded_config_is_one_stream_that_its_seed_replays():
+    # seed=None draws its seed once, on construction: every call on the
+    # config reads the same resamples, and the stored seed replays them.
+    cfg = BootstrapConfig(B=200, seed=None)
+    assert isinstance(cfg.seed, int)
+    runs = [
+        rank_cs("naive", MELBOURNE, config=config)
+        for config in (cfg, cfg, BootstrapConfig(B=200, seed=cfg.seed))
+    ]
+    assert len({tuple(rs.interval(j) for j in range(7)) for rs in runs}) == 1
+
+
 def test_rank_cs_three_category_coverage():
     # theta = (.5, .3, .2), n = 2000: ranks are well separated, and the
     # studentized band should cover the true ranks (1, 2, 3) at close

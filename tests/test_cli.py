@@ -619,16 +619,22 @@ def test_main_plotdata_subcommand(melbourne_csv, capsys):
 
 
 def test_main_simulate_subcommand(capsys, tmp_path):
+    argv = ["simulate", "uniform:p=3,n=40", "--method", "exactHolm",
+            "--reps", "20", "--boot-samples", "100"]
     out = tmp_path / "sim.csv"
-    code = main([
-        "simulate", "uniform:p=3,n=40", "--method", "exactHolm",
-        "--reps", "20", "--boot-samples", "100", "--out", str(out),
-    ])
+    code = main(argv + ["--out", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out
     assert stdout.startswith("design,method,category")
     assert "uniform(p=3, n=40)" in stdout
-    assert out.exists()
+    assert out.read_bytes().decode("utf-8") == stdout
+    # A .json --out writes the --format json payload whatever stdout shows.
+    out_json = tmp_path / "sim.json"
+    assert main(argv + ["--out", str(out_json)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert json.loads(out_json.read_text(encoding="utf-8")) == payload
 
 
 def test_main_simulate_json_format(capsys):

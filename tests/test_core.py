@@ -20,6 +20,7 @@ from ranksets.core import (
     ProbabilityVector,
     RankSet,
     _index_family,
+    _target_pairs,
     build_index_family,
     compute_ranks,
     rankset_from_rejections,
@@ -229,6 +230,36 @@ def test_family_never_contains_self_pairs_or_duplicates(args):
     assert len(set(fam.pairs)) == len(fam.pairs)
     if kind == "two_sided" and len(j0) == p:
         assert len(fam.pairs) == p * (p - 1)
+
+
+def _pair_set(jj, kk):
+    return set(zip(jj.tolist(), kk.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.sets(st.integers(0, p - 1), min_size=1, max_size=p),
+            st.sampled_from(KINDS),
+        )
+    )
+)
+def test_target_pairs_rows_are_each_thresholds_own_family(args):
+    p, j0, kind = args
+    family = build_index_family(kind, j0, p)
+    jj, kk = _target_pairs(family, "simultaneous")
+    assert jj.shape == kk.shape == (1, len(family))
+    assert _pair_set(jj[0], kk[0]) == _pair_set(*np.nonzero(family.mask))
+    jj, kk = _target_pairs(family, "marginal")
+    m = (p - 1) * (2 if kind == "two_sided" else 1)
+    assert jj.shape == kk.shape == (len(family.J0), m)
+    for row, j in enumerate(family.J0):
+        own = build_index_family(kind, (j,), p).mask
+        assert _pair_set(jj[row], kk[row]) == _pair_set(*np.nonzero(own))
+    with pytest.raises(ValueError, match="scope"):
+        _target_pairs(family, "joint")
 
 
 # ---------------------------------------------------------------------------

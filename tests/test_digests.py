@@ -7,11 +7,12 @@ outputs hash to the pinned 16-hex sha256 prefix below.  An output is
 ``(p, J0, kind, method, alpha, intervals)``, or the ``ValueError`` text
 for the one-sided ``naive`` paths, which do not exist.
 
-A refactor that claims bit-identical outputs keeps these digests.  They
-pin the resampling stream of this numpy (and the exact tails of this
-scipy), as ``bench/reference.json`` does: a numpy whose multinomial
-sampler draws differently changes the bootstrap digests, not the
-code's correctness.
+A refactor that claims bit-identical outputs keeps these digests; a
+change that means to alter outputs says why and re-pins them from
+``_digests()``.  They pin the resampling stream of this numpy and the
+Clopper-Pearson quantiles of this scipy, as ``bench/reference.json``
+does: a numpy whose multinomial sampler draws differently changes the
+bootstrap digests, not the code's correctness.
 """
 
 import functools
