@@ -534,7 +534,7 @@ def boot_rank_cs(
 
 def _best_ranks(theta_star: np.ndarray) -> np.ndarray:
     """(B, p) best ranks ``1 + #{k : theta*_k > theta*_j}`` of each row."""
-    order = np.argsort(-theta_star, axis=1, kind="stable")
+    order = np.argsort(-theta_star, axis=1)
     desc = np.take_along_axis(theta_star, order, axis=1)
     # In descending order a tie group shares the position of its first member.
     starts = np.ones(desc.shape, dtype=bool)

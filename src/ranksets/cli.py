@@ -348,8 +348,8 @@ class AnalysisReport:
     rows: tuple[AnalysisRow, ...]
     dataset_id: tuple
 
-    def to_csv(self, path=None) -> str:
-        return _reports_csv([self], path)
+    def to_csv(self) -> str:
+        return _reports_csv([self])
 
 
 def _reports_csv(reports: Sequence[AnalysisReport], path=None) -> str:

@@ -4,10 +4,16 @@ The comparison of two multinomial categories reduces, conditional on
 the sum of their counts ``s = X_j + X_k``, to a binomial problem:
 under the boundary of ``H: theta_j <= theta_k`` the first count is
 Binomial(s, 1/2).  The one-sided p-value is therefore an exact
-binomial tail, computable in integer arithmetic, and any familywise
-error correction over a family of such tests yields rank confidence
-sets with finite-sample coverage via the rejection-counting
-construction in :mod:`ranksets.core`.
+binomial tail, and any familywise error correction over a family of
+such tests yields rank confidence sets with finite-sample coverage via
+the rejection-counting construction in :mod:`ranksets.core`.
+
+Every p-value is the correctly rounded double of the exact tail.  Up
+to ``s = 512`` the tail is summed in exact integers.  Above that, its
+shorter side is summed with a fixed-precision term of about 128 bits
+and a proven error bound; the p-value is returned when both ends of
+the bound round to the same double, and otherwise (rare at 128
+bits) the exact integer sum decides.
 
 Inference always uses the non-randomized rule "reject iff p-value <=
 threshold".
@@ -43,6 +49,11 @@ __all__ = [
 
 CORRECTIONS = ("bonferroni", "holm")
 
+# Up to this total, exact integers cost no more than fixed-precision ones.
+_EXACT_MAX_S = 512
+# Bits kept in the running term of the fixed-precision tail sum.
+_PRECISION_BITS = 128
+
 
 @lru_cache(maxsize=64)
 def _tail_numerator(x: int, s: int) -> int:
@@ -67,6 +78,41 @@ def _tail_numerator(x: int, s: int) -> int:
     return (1 << s) - total
 
 
+def _short_sum_bounds(t: int, s: int) -> tuple[int, int, int]:
+    """``(a, e, g)`` with ``a * 2**g <= S <= (a + e) * 2**g``, ``S = sum_{i<t} C(s, i)``.
+
+    Proven for ``2t <= s + 1``, where the terms only rise, and for ``t <=
+    2**(K - 2)`` with ``K = _PRECISION_BITS``.  The terms follow the
+    recurrence ``C(s, i + 1) = C(s, i) * (s - i) / (i + 1)`` exactly
+    until one passes ``K + 32`` bits; from then on the term and the
+    running total are shifted right together to keep ``K`` bits in the
+    term, and ``2**g`` is the scale shifted out.  The returned ``e`` is
+    0 when nothing was shifted.
+
+    Why the bound holds: after the first shift the term never drops
+    below ``2**(K - 1)``, so each of the at most ``2t`` floors (one per
+    step, one per shift) loses under one unit, a relative
+    ``eps = 2**(1 - K)`` of the term.  By induction the true term is at
+    most ``w`` times the one held, ``w = (1 + eps)**(2t) <= 1 + 4t*eps
+    <= 3``, and the true total at most ``w * (a + shifts)``, with
+    ``shifts <= t``: an excess of at most ``4t*eps*a + 3t``.
+    """
+    K = _PRECISION_BITS
+    cap = 1 << (K + 32)
+    term, total, g = 1, 0, 0
+    for num, den in zip(range(s, s - t, -1), range(1, t + 1)):
+        total += term
+        term = term * num // den
+        if term >= cap:
+            k = term.bit_length() - K
+            term >>= k
+            total >>= k
+            g += k
+    if not g:
+        return total, 0, 0
+    return total, ((4 * t * total) >> (K - 1)) + 3 * t + 1, g
+
+
 # Each entry is one float; the paper's tables (n <= 238) have < 57k pairs.
 @lru_cache(maxsize=2**16)
 def conditional_pvalue(x_j: int, x_k: int) -> float:
@@ -81,14 +127,31 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
     -------
     float
         ``2**-s * sum_{i=x_j}^{s} C(s, i)`` with ``s = x_j + x_k``,
-        evaluated in exact integer arithmetic (the final division is
-        correctly rounded).  Always in ``(0, 1]``; a pair with
-        ``s = 0`` carries no evidence and returns 1.
+        correctly rounded to a double (it underflows to 0 only beyond
+        ``s = 1074``); a pair with ``s = 0`` carries no evidence and
+        returns 1.  Up to ``s = 512`` the sum is an exact integer.
+        Above, the shorter side of the tail is summed in fixed
+        precision between proven bounds, and the value is returned when
+        both bounds round to it; otherwise the exact integer sum is
+        divided out instead.
     """
     x_j, x_k = int(x_j), int(x_k)
     if x_j < 0 or x_k < 0:
         raise ValueError("counts must be non-negative")
     s = x_j + x_k
+    # The short side: the upper tail is sum_{i<=x_k} C(s, i) when
+    # 2 x_j > s, else the lower tail sum_{i<x_j} C(s, i) is taken from 1.
+    upper = 2 * x_j > s
+    t = x_k + 1 if upper else x_j
+    if s > _EXACT_MAX_S and t <= 1 << (_PRECISION_BITS - 2):
+        a, e, g = _short_sum_bounds(t, s)
+        scale = 1 << (s - g)
+        if upper:
+            lo, hi = a / scale, (a + e) / scale
+        else:
+            lo, hi = (scale - a - e) / scale, (scale - a) / scale
+        if lo == hi:
+            return lo
     return _tail_numerator(x_j, s) / (1 << s)
 
 
@@ -128,11 +191,23 @@ def pairwise_pvalues(
 def _pvalue_table(
     counts: tuple[int, ...], family: IndexFamily
 ) -> PairwisePValueTable:
-    c = np.asarray(counts)
-    rows, cols = np.nonzero(family.mask)
+    # A p-value depends only on the two counts: evaluate each distinct
+    # (count, count) cell that a family pair falls in once, then gather.
+    values = sorted(set(counts))
+    d = len(values)
+    index = {x: i for i, x in enumerate(values)}
+    inverse = np.array([index[x] for x in counts])
+    cell = (inverse[:, None] * d + inverse)[family.mask]
+    used = np.zeros(d * d, dtype=bool)
+    used[cell] = True
+    rows, cols = np.nonzero(used.reshape(d, d))
+    x = np.array(values)
+    distinct = np.empty(d * d)
+    distinct[used] = list(
+        map(conditional_pvalue, x[rows].tolist(), x[cols].tolist())
+    )
     pvalues = np.full(family.mask.shape, np.nan)
-    tails = map(conditional_pvalue, c[rows].tolist(), c[cols].tolist())
-    pvalues[rows, cols] = list(tails)
+    pvalues[family.mask] = distinct[cell]
     return PairwisePValueTable(family=family, pvalues=pvalues)
 
 

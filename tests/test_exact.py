@@ -1,7 +1,7 @@
 """Exact conditional tests, multiplicity corrections, and their rank sets."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from ranksets.core import (
     build_index_family,
     rankset_from_rejections,
 )
+from ranksets import exact
 from ranksets.exact import (
     PairwisePValueTable,
     bonferroni_reject,
@@ -21,7 +22,7 @@ from ranksets.exact import (
     holm_reject,
     pairwise_pvalues,
 )
-from ranksets.exact import _tail_numerator
+from ranksets.exact import _short_sum_bounds, _tail_numerator
 
 # ---------------------------------------------------------------------------
 # conditional p-value
@@ -107,6 +108,72 @@ def test_tail_numerator_obeys_pascal_and_complement(point):
 @pytest.mark.parametrize("x_j, x_k", [(1902, 1579), (1579, 1902), (881, 449)])
 def test_pvalue_is_correctly_rounded_rational_at_large_s(x_j, x_k):
     assert conditional_pvalue(x_j, x_k) == float(_pvalue_oracle(x_j, x_k))
+
+
+@st.composite
+def _large_s_point(draw):
+    # Above the exact regime: near the centre, where the tail is close to
+    # 1/2 and the walk is longest, and within 64 of either end.
+    s = draw(st.integers(exact._EXACT_MAX_S + 1, 20_000))
+    r = 3 * isqrt(s)
+    x = draw(st.one_of(
+        st.integers(max(0, s // 2 - r), min(s, s // 2 + r)),
+        st.sampled_from([0, 1, s - 1, s]),
+        st.integers(0, 64),
+        st.integers(s - 64, s),
+    ))
+    return x, s
+
+
+def _uncached_pvalue(x, s):
+    return conditional_pvalue.__wrapped__(x, s - x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_large_s_point())
+@example((exact._EXACT_MAX_S + 1, exact._EXACT_MAX_S + 1))
+@example((1075, 1075))  # 2**-1075 rounds to 0
+@example((1074, 1074))  # the smallest subnormal
+def test_fixed_precision_pvalue_is_the_rounded_exact_tail(point):
+    x, s = point
+    assert _uncached_pvalue(x, s) == _tail_numerator(x, s) / (1 << s)
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_low_precision_falls_back_to_the_exact_tail(bits, monkeypatch):
+    # Few bits leave the two ends of the bound on different doubles, so
+    # the exact sum has to decide; the value must still be the same.
+    fallbacks = []
+
+    def counted(x, s):
+        fallbacks.append((x, s))
+        return _tail_numerator(x, s)
+
+    monkeypatch.setattr(exact, "_PRECISION_BITS", bits)
+    monkeypatch.setattr(exact, "_tail_numerator", counted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_large_s_point())
+    def check(point):
+        x, s = point
+        assert _uncached_pvalue(x, s) == _tail_numerator(x, s) / (1 << s)
+
+    check()
+    assert fallbacks
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 128])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_short_sum_bounds_contain_the_exact_sum(bits, data):
+    # The bound is proven for 2t <= s + 1 and t <= 2**(bits - 2).
+    s = data.draw(st.integers(exact._EXACT_MAX_S + 1, 4000))
+    t = data.draw(st.integers(0, min((s + 1) // 2, 1 << (bits - 2))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_PRECISION_BITS", bits)
+        a, e, g = _short_sum_bounds(t, s)
+    assert e >= 0
+    assert a << g <= sum(comb(s, i) for i in range(t)) <= (a + e) << g
 
 
 def test_pvalue_caches_are_bounded():
@@ -277,6 +344,33 @@ def test_pairwise_pvalues_shares_one_read_only_table():
     assert table.pvalues[rows, cols].tolist() == fresh
     other = MultinomialSample(counts=(40, 31, 22, 0, 9))
     assert pairwise_pvalues(other, fam) is not table
+
+
+@st.composite
+def _table_with_repeats(draw):
+    # Counts from a small pool repeat, include zeros, and sometimes pass
+    # the exact regime (s > 512).
+    p = draw(st.integers(2, 30))
+    pool = draw(st.lists(st.integers(0, 700), min_size=1, max_size=p))
+    counts = draw(st.lists(st.sampled_from([0, *pool]), min_size=p, max_size=p))
+    if sum(counts) == 0:
+        counts[0] = 1
+    kind = draw(st.sampled_from(["lower", "upper", "two_sided"]))
+    J0 = draw(st.none() | st.sets(st.integers(0, p - 1), min_size=1))
+    return tuple(counts), build_index_family(kind, J0, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_with_repeats())
+def test_pvalue_table_equals_the_per_pair_map(args):
+    counts, fam = args
+    table = pairwise_pvalues(MultinomialSample(counts), fam)
+    rows, cols = np.nonzero(fam.mask)
+    expected = np.full(fam.mask.shape, np.nan)
+    expected[rows, cols] = [
+        conditional_pvalue(counts[a], counts[b]) for a, b in zip(rows, cols)
+    ]
+    assert np.array_equal(table.pvalues, expected, equal_nan=True)
 
 
 def test_zero_zero_pairs_never_reject():
