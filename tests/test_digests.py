@@ -7,6 +7,11 @@ outputs hash to the pinned 16-hex sha256 prefix below.  An output is
 ``(p, J0, kind, method, alpha, intervals)``, or the ``ValueError`` text
 for the one-sided ``naive`` paths, which do not exist.
 
+The wide digests pin the joint two-sided ``boot`` and ``bootStud``
+intervals (``J0`` all) and the ``symm`` intervals of
+:func:`difference_cs` on twelve tables with ``p`` from 17 to 150,
+where the calibration maximum runs over thousands of pairs.
+
 A refactor that claims bit-identical outputs keeps these digests; a
 change that means to alter outputs says why and re-pins them from
 ``_digests()``.  They pin the resampling stream of this numpy and the
@@ -22,7 +27,7 @@ import numpy as np
 import pytest
 
 from ranksets import METHOD_NAMES, rank_cs
-from ranksets.boot import BootstrapConfig
+from ranksets.boot import BootstrapConfig, difference_cs
 from ranksets.core import KINDS, SCOPES, MultinomialSample
 
 PATHS = [(m, k, s) for m in METHOD_NAMES for k in KINDS for s in SCOPES]
@@ -105,3 +110,86 @@ def _digests() -> dict[str, str]:
 @pytest.mark.parametrize("path", ["/".join(path) for path in PATHS])
 def test_outputs_match_pinned_digest(path):
     assert _digests()[path] == DIGESTS[path]
+
+
+# ---------------------------------------------------------------------------
+# Wide joint bootstrap: every unordered pair of p = 17 to 150 categories
+
+
+def _zipf(p: int, s: float) -> np.ndarray:
+    weights = 1.0 / np.arange(1, p + 1) ** s
+    return weights / weights.sum()
+
+
+def _wide_tables(seed=20261019):
+    """Seeded wide tables ``(sample, config)``.
+
+    Dense Zipf shares, sparse tables with many zero cells, uniform ties,
+    single-cell tables, ``n`` from 1 to 1e7 and ``B`` from 1 to 1000.
+    """
+    rng = np.random.default_rng(seed)
+    drawn = [  # (shares, n, B)
+        (_zipf(17, 1.0), 1_000, 200),
+        (_zipf(40, 0.5), 5_000, 1),
+        (_zipf(100, 0.5), 5_000, 1_000),
+        (_zipf(150, 0.8), 20_000, 150),
+        (_zipf(100, 0.5), 10**7, 100),
+        (rng.dirichlet(np.full(60, 0.3)), 40, 300),
+        (rng.dirichlet(np.full(150, 0.5)), 300, 120),
+        (rng.dirichlet(np.ones(33)), 2, 50),
+    ]
+    for shares, n, B in drawn:
+        counts = rng.multinomial(n, shares)
+        yield MultinomialSample(tuple(int(c) for c in counts)), B
+    single_30 = [0] * 30
+    single_30[11] = 7
+    fixed = [  # (counts, B)
+        ((20,) * 50, 400),  # uniform ties
+        ((1,) * 120, 60),  # uniform ties, every resample sparse
+        (tuple(single_30), 40),  # single-cell table
+        ((1,) + (0,) * 24, 1),  # single-cell table, n = 1, B = 1
+    ]
+    for counts, B in fixed:
+        yield MultinomialSample(counts), B
+
+
+@functools.lru_cache(maxsize=1)
+def _wide_digests() -> dict[str, str]:
+    hashes = {key: hashlib.sha256() for key in WIDE_DIGESTS}
+    mask_rng = np.random.default_rng(7)
+    for i, (sample, B) in enumerate(_wide_tables()):
+        config = BootstrapConfig(B=B, seed=1000 + i)
+        for method in ("boot", "bootStud"):
+            rs = rank_cs(method, sample, None, "two_sided", 0.05, config,
+                         "simultaneous")
+            intervals = tuple((int(rs.lo[j]), int(rs.hi[j])) for j in rs.J0)
+            hashes[f"wide/{method}"].update(repr(intervals).encode())
+        p = sample.p
+        # Every unordered pair in one random orientation, and a partial mask.
+        upper = np.triu(np.ones((p, p), dtype=bool), 1)
+        flip = mask_rng.random((p, p)) < 0.5
+        oriented = (upper & flip) | (upper & ~flip).T
+        partial = (mask_rng.random((p, p)) < 0.3) & ~np.eye(p, dtype=bool)
+        partial[0, 1] = True
+        for studentize in (False, True):
+            h = hashes[f"wide/difference_cs/{'stud' if studentize else 'raw'}"]
+            for mask in (None, oriented, partial):
+                dcs = difference_cs(sample, config, 0.1, mask, shape="symm",
+                                    studentize=studentize)
+                h.update(repr(dcs.crit).encode())
+                h.update(dcs.lo.tobytes())
+                h.update(dcs.hi.tobytes())
+    return {key: h.hexdigest()[:16] for key, h in hashes.items()}
+
+
+WIDE_DIGESTS = {
+    "wide/boot": "d88cd034c6f9a916",
+    "wide/bootStud": "8c9035ed429476c1",
+    "wide/difference_cs/raw": "cbe2336165677d44",
+    "wide/difference_cs/stud": "4d5e1232ece4ad2d",
+}
+
+
+@pytest.mark.parametrize("key", list(WIDE_DIGESTS))
+def test_wide_joint_bootstrap_matches_pinned_digest(key):
+    assert _wide_digests()[key] == WIDE_DIGESTS[key]
