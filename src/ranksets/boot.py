@@ -19,6 +19,18 @@ with a running maximum per resample.  Calibration thus holds the
 cache-sized block, never a ``B x m`` array.  The critical values are
 the same bit for bit as from the whole ``B x m`` array at once.
 
+The symmetric statistic over every unordered pair (the joint two-sided
+readout, and ``symm`` difference sets whose mask covers every pair one
+way round) needs far fewer than its ``p(p-1)/2`` pairs per resample.
+Each category gets a deviation score that bounds every pair it is in;
+the pairs of a resample's highest-scoring categories are evaluated
+exactly, one category per level, until its running maximum reaches a
+proven bound on all remaining pairs.  Blocks of resamples are read as
+they lie in the ``B x p`` matrix, most resamples stop after one or two
+levels, and the few that do not stop within ``_TOP_K`` levels are
+walked over every pair as above.  The maxima are the same bit for
+bit; see :func:`_all_pairs_symm_stats`.
+
 Zero counts need conventions: a bootstrap ratio evaluates ``0/0`` as 0
 and ``c/0`` as ``sign(c) * inf``.  Infinities are kept and propagate
 — an infinite critical value legitimately produces full-width
@@ -200,7 +212,9 @@ def _pair_stats(
     exact maximum, the result is that formula's bit for bit, whatever
     the block size.  Numerator and denominator are finite, so the
     quotient's only NaNs are its ``0/0`` cells, which count as 0, and
-    ``c/0`` is ``sign(c) * inf``.
+    ``c/0`` is ``sign(c) * inf``.  Over every unordered pair with
+    variant ``symm``, :func:`_symm_stats` gives the same result from
+    far fewer pairs.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -246,6 +260,199 @@ def _pair_stats(
                 best = top
             else:
                 np.maximum(best, top, out=best)
+    return best
+
+
+#: Most levels (categories per resample whose pairs are evaluated
+#: exactly) of :func:`_all_pairs_symm_stats` before a resample falls back
+#: to :func:`_pair_stats`; eight left up to 25 of 1000 resamples to the
+#: fallback at p = 1000, sixteen none (``BENCH_14.json``).
+_TOP_K = 16
+
+#: Smallest ``p`` at which a symmetric calibration over every unordered
+#: pair goes through :func:`_all_pairs_symm_stats`; below it the pair
+#: walk is about as fast, and faster on sparse unstudentized tables
+#: (``BENCH_14.json``).
+_ALL_PAIRS_MIN_P = 30
+
+#: Unit roundoff of float64.
+_U = 2.0**-53
+
+
+def _symm_stats(
+    theta_star: np.ndarray,
+    studentize: bool,
+    theta_hat: np.ndarray,
+    n: int,
+    jj: np.ndarray,
+    kk: np.ndarray,
+) -> np.ndarray:
+    """(B,) ``symm`` max statistics over distinct pairs with ``jj < kk``.
+
+    Equal, bit for bit, to :func:`_pair_stats` on the category-major
+    ``theta_star``; :func:`_all_pairs_symm_stats` computes them when the
+    pairs are every unordered pair of ``p >= _ALL_PAIRS_MIN_P``
+    categories.
+    """
+    p = theta_star.shape[1]
+    if p >= _ALL_PAIRS_MIN_P and len(jj) == p * (p - 1) // 2:
+        return _all_pairs_symm_stats(theta_star, studentize, theta_hat, n, jj, kk)
+    rows, var = _category_major(theta_star, studentize)
+    return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
+
+
+def _all_pairs_symm_stats(
+    theta_star: np.ndarray,
+    studentize: bool,
+    theta_hat: np.ndarray,
+    n: int,
+    jj: np.ndarray,
+    kk: np.ndarray,
+) -> np.ndarray:
+    """:func:`_pair_stats` ``symm`` over every unordered pair, bit for bit.
+
+    ``theta_star`` is the ``(B, p)`` resample matrix, ``theta_hat`` the
+    estimates, and ``jj``, ``kk`` hold every unordered pair once.  The
+    resamples are walked in blocks of ``_BLOCK_BYTES`` per ``block x
+    p`` buffer, rows as they lie in ``theta_star``.  Each category of a
+    resample gets a score ``z``, and the larger score of a pair bounds
+    its statistic (below).  Level by level, a resample's highest-scoring category not yet taken
+    has every pair it is in evaluated, with :func:`_pair_stats`'s
+    per-element operations in their order (a pair and its mirror give
+    the same statistic bit for bit), into a running maximum.  Every pair
+    of two categories not yet taken is at most ``bound = c * z_max``,
+    their largest score times ``c = sqrt(2) (1 + 2^-40)`` studentized or
+    ``2 (1 + 2^-40)`` not, so a resample whose running maximum reaches
+    its bound (an infinite one always does) is done; the others go on
+    to the next level, and after ``_TOP_K`` levels are recomputed by
+    :func:`_pair_stats` over all pairs.  A level costs O(p) per
+    resample, so the kernel is O(B p) times the mean level count, plus
+    the resamples that fall back; memory is one block, and the inputs
+    are never written.
+
+    The score.  With ``a = t - th`` a category's computed deviation
+    (``t`` its resampled, ``th`` its estimated frequency), ``v = (1 -
+    t) t`` its variance term and ``u = 2^-53`` the unit roundoff, ``w =
+    |a| + u (t + th)``; ``z = w`` unstudentized and ``z = w / sqrt(v)``
+    studentized (kept squared, ``w^2 / v``, with ``0/0 = 0``, so ``w =
+    0`` scores 0 and ``v = 0 < w`` scores ``inf``).  ``u (t + th)``
+    covers the rounding of a pair's two differences.
+
+    Proof of the bound.  Frequencies lie in ``[0, 1]`` and are 0 or at
+    least ``2^-53`` (``c/n`` with ``n < 2^53``), so nothing below
+    underflows and each operation returns the exact result times ``1 +
+    e``, ``|e| <= u``.  Take a pair ``(j, k)``, ``x = tj - tk``, ``y =
+    thj - thk``; ``|x - y| <= (|aj| + |ak|) / (1 - u)`` as each ``a``
+    rounds ``t - th``, and ``|x| + |y| <= tj + tk + thj + thk``.  The
+    computed numerator ``|fl(x) - fl(y)|``, rounded, is then at most
+    ``(1 + u)(|x - y| + u |x| + u |y|) <= (1 + u) / (1 - u) (wj +
+    wk)``.  Unstudentized, the statistic is that times ``sqrt(n)``:
+    at most ``(1 + u)^2 / (1 - u) 2 max(wj, wk) sqrt(n)``.  Studentized,
+    the squared scale ``fl(fl(vj + vk) + fl(2 tj tk))`` is at least
+    ``(1 - u)(vj + vk)`` (adding a non-negative term never rounds below
+    the other), and its square root, ``/ sqrt(n)`` and the quotient
+    round once each, so the statistic is at most ``(1 + u)^2 / (1 -
+    u)^3.5 (wj + wk) sqrt(n) / sqrt(vj + vk)``.  By Cauchy-Schwarz,
+    ``wj + wk = zj sqrt(vj) + zk sqrt(vk) <= sqrt(2) max(zj, zk)
+    sqrt(vj + vk)`` for exact scores ``z = w / sqrt(v)`` (finite scores
+    with ``vj + vk = 0`` mean ``wj = wk = 0``: a zero numerator and a
+    zero statistic).  The computed score is at least the exact one
+    times ``(1 - u)^2`` unstudentized and ``(1 - u)^3`` studentized (its
+    square ``(1 - u)^6``), so a pair of two categories not yet taken is
+    at most ``(1 + u)^2 (1 - u)^-3 2 sqrt(n) z_max``, or ``(1 + u)^2 (1 -
+    u)^-6.5 sqrt(2) sqrt(n) z_max``, in the computed ``z_max``.  The
+    computed ``bound`` is at least ``(1 - u)^5 c sqrt(n) z_max``, which
+    is larger, as ``(1 + u)^2 (1 - u)^-11.5 < 1 + 2^-40``.  With the
+    pairs already evaluated, whose ``0/0`` counts as 0 as in
+    :func:`_pair_stats`, the running maximum is then the maximum over
+    all pairs.
+    """
+    B, p = theta_star.shape
+    levels = min(_TOP_K, p - 1)
+    width = min(B, max(1, _BLOCK_BYTES // (8 * p)))
+    root_n = math.sqrt(n)
+    factor = (math.sqrt(2.0) if studentize else 2.0) * (1.0 + 2.0**-40)
+    z_buf, num_buf, sd_buf = (np.empty((width, p)) for _ in range(3))
+    if studentize:
+        v_buf, prod_buf = np.empty((width, p)), np.empty((width, p))
+    out = np.zeros(B)
+    left = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, B, width):
+            t = theta_star[start:start + width]
+            z, num, sd = z_buf[:len(t)], num_buf[:len(t)], sd_buf[:len(t)]
+            v = None
+            if studentize:
+                v = v_buf[:len(t)]
+                np.subtract(1.0, t, out=v)
+                v *= t
+            np.add(t, theta_hat, out=z)
+            z *= _U
+            np.subtract(t, theta_hat, out=num)
+            np.abs(num, out=num)
+            z += num
+            if studentize:
+                z *= z
+                z /= v
+                np.copyto(z, 0.0, where=np.isnan(z))
+            active = np.arange(start, start + len(t))
+            for _ in range(levels):
+                r = np.arange(len(active))
+                c = z.argmax(axis=1)
+                z[r, c] = -1.0
+                bound = z.max(axis=1)
+                if studentize:
+                    np.sqrt(bound, out=bound)
+                bound *= root_n
+                bound *= factor
+                m = len(active)
+                best = _pairs_with(
+                    t, v, theta_hat, root_n, r, c, num[:m], sd[:m],
+                    prod_buf[:m] if studentize else None,
+                )
+                np.maximum(best, out[active], out=best)
+                out[active] = best
+                still = best < bound
+                if not still.any():
+                    break
+                active, t, z = active[still], t[still], z[still]
+                if studentize:
+                    v = v[still]
+            else:
+                left.append(active)
+    if left:
+        redo = np.concatenate(left)
+        rows, var = _category_major(theta_star[redo], studentize)
+        out[redo] = _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
+    return out
+
+
+def _pairs_with(t, v, theta_hat, root_n, r, c, num, sd, prod):
+    """Max ``symm`` statistic of each resample ``t[r]`` over pairs ``(c[r], j)``.
+
+    ``t`` holds resamples as rows and ``v`` their variance terms
+    (``None`` unstudentized); ``num``, ``sd`` and ``prod`` are
+    ``t``-shaped buffers.  The operations and their order are those of
+    :func:`_pair_stats` on the pair ``(c[r], j)``.  The pair ``(c, c)``
+    gives 0 or ``0/0``, which counts as 0, as does every other ``0/0``.
+    """
+    tc = t[r, c][:, None]
+    np.subtract(tc, t, out=num)
+    np.subtract(theta_hat[c][:, None], theta_hat, out=sd)
+    num -= sd
+    np.abs(num, out=num)
+    if v is None:
+        num *= root_n
+        return num.max(axis=1)
+    tc *= 2.0
+    np.multiply(tc, t, out=prod)
+    np.add(v[r, c][:, None], v, out=sd)
+    sd += prod
+    np.sqrt(sd, out=sd)
+    sd /= root_n
+    num /= sd
+    best = np.fmax.reduce(num, axis=1)
+    np.copyto(best, 0.0, where=np.isnan(best))
     return best
 
 
@@ -405,16 +612,24 @@ def difference_cs(
     d_hat = theta_hat[jj] - theta_hat[kk]
     sigma = _sigma_hat(theta_hat, jj, kk) if studentize else np.ones(len(jj))
     scale = sigma / math.sqrt(n)
-    rows, var = _category_major(_theta_star_matrix(sample, config), studentize)
-
-    def crit(variant: str, level: float) -> float:
-        stats = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
-        return bootstrap_quantile(stats, level)
-
-    if shape == "equi":  # both one-sided shapes at half level
-        crits = (crit("lower", 1.0 - alpha / 2), crit("upper", 1.0 - alpha / 2))
+    star = _theta_star_matrix(sample, config)
+    if shape == "symm":
+        # A pair and its mirror give the same statistic bit for bit, so
+        # each unordered pair of the mask enters the max once.
+        once_j, once_k = np.nonzero(np.triu(mask | mask.T, 1))
+        stats = _symm_stats(star, studentize, theta_hat, n, once_j, once_k)
+        crits = (bootstrap_quantile(stats, 1.0 - alpha),)
     else:
-        crits = (crit(shape, 1.0 - alpha),)
+        rows, var = _category_major(star, studentize)
+
+        def crit(variant: str, level: float) -> float:
+            stats = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
+            return bootstrap_quantile(stats, level)
+
+        if shape == "equi":  # both one-sided shapes at half level
+            crits = (crit("lower", 1.0 - alpha / 2), crit("upper", 1.0 - alpha / 2))
+        else:
+            crits = (crit(shape, 1.0 - alpha),)
     lo = -np.inf if shape == "upper" else d_hat - _scaled(crits[0], scale)
     hi = np.inf if shape == "lower" else d_hat + _scaled(crits[-1], scale)
     return DifferenceCS(
@@ -476,7 +691,11 @@ def boot_rank_cs(
     times the largest per-pair scale in the row (over ``sqrt(n)``), so
     every pair of the row faces the same threshold.  Without
     studentization all scales equal 1 and the band reduces to the
-    per-pair intervals of :func:`difference_cs`.
+    per-pair intervals of :func:`difference_cs`.  A two-sided row
+    holding every unordered pair (joint, or a ``J0`` that leaves no pair
+    out) takes its maxima from :func:`_symm_stats`, which evaluates
+    O(p) pairs per resample rather than all of them, with the same
+    result bit for bit.
 
     Parameters
     ----------
@@ -516,10 +735,14 @@ def boot_rank_cs(
         once = jj < kk
         jj, kk = jj[once].reshape(len(jj), -1), kk[once].reshape(len(kk), -1)
     theta_hat = sample.theta_hat
-    rows, var = _category_major(_theta_star_matrix(sample, config), studentize)
-    stats = np.column_stack([
-        _pair_stats(rows, var, theta_hat, n, j, k, variant) for j, k in zip(jj, kk)
-    ])
+    star = _theta_star_matrix(sample, config)
+    if variant == "symm" and len(jj) == 1:
+        stats = _symm_stats(star, studentize, theta_hat, n, jj[0], kk[0])[:, None]
+    else:
+        rows, var = _category_major(star, studentize)
+        stats = np.column_stack([
+            _pair_stats(rows, var, theta_hat, n, j, k, variant) for j, k in zip(jj, kk)
+        ])
     if studentize:
         sigma_max = _sigma_hat(theta_hat, jj, kk).max(axis=1)
     else:

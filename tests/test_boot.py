@@ -22,6 +22,8 @@ from ranksets.boot import (
     resample,
 )
 from ranksets.boot import (
+    _ALL_PAIRS_MIN_P,
+    _all_pairs_symm_stats,
     _band_half_width,
     _best_ranks,
     _category_major,
@@ -235,6 +237,173 @@ def test_pair_stats_never_writes_its_inputs(case, variant, studentize, one_pair_
     assert not np.isnan(first).any()
     for got, saved in zip(inputs, before):
         assert np.array_equal(got, saved)
+
+
+# ---------------------------------------------------------------------------
+# _all_pairs_symm_stats (every unordered pair, exact pairs around the most
+# deviant categories and a proven bound on the rest)
+
+
+@st.composite
+def _all_pairs_case(draw):
+    p = draw(st.integers(2, 40))
+    shape = draw(st.sampled_from(("drawn", "uniform", "single")))
+    if shape == "drawn":
+        counts = draw(st.lists(st.integers(0, 60), min_size=p, max_size=p))
+        if sum(counts) == 0:
+            counts[draw(st.integers(0, p - 1))] = 1
+    elif shape == "uniform":
+        counts = [draw(st.integers(1, 30))] * p
+    else:
+        counts = [0] * p
+        counts[draw(st.integers(0, p - 1))] = draw(st.integers(1, 50))
+    scale = draw(st.sampled_from((1, 1, 1, 1000, 10**5)))
+    counts = [c * scale for c in counts]
+    star = _theta_star_cached.__wrapped__(
+        tuple(counts), sum(counts), draw(st.integers(1, 60)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+    theta_hat = np.asarray(counts, dtype=float) / sum(counts)
+    jj, kk = np.triu_indices(p, 1)
+    return star, theta_hat, sum(counts), jj, kk
+
+
+def _symm_oracle(star, studentize, theta_hat, n, jj, kk):
+    rows, var = _category_major(star, studentize)
+    return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
+
+
+def _counting_pair_stats(monkeypatch):
+    """Patch ``_pair_stats`` to count the resamples it is given."""
+    seen = []
+
+    def counted(rows, *args):
+        seen.append(rows.shape[1])
+        return _pair_stats(rows, *args)
+
+    monkeypatch.setattr("ranksets.boot._pair_stats", counted)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(_all_pairs_case(), st.booleans(), st.integers(1, 20))
+def test_all_pairs_kernel_equals_pair_stats(case, studentize, top_k):
+    # Zero cells (0/0 and c/0 pairs), ties, single-cell tables and
+    # n up to 6e6, with as few as one level before the fallback.
+    star, theta_hat, n, jj, kk = case
+    expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ranksets.boot._TOP_K", top_k)
+        got = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_all_pairs_case(), st.booleans())
+def test_all_pairs_kernel_is_block_size_invariant(case, studentize):
+    # Blocks of 1, 2 and 3 resamples, with a ragged last block, and one
+    # block of all of them give the same statistics bit for bit.
+    star, theta_hat, n, jj, kk = case
+    B, p = star.shape
+    expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
+    for width in (1, 2, 3, B):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p * width)
+            got = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
+        assert np.array_equal(got, expected), width
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@pytest.mark.parametrize("one_resample_blocks", [False, True])
+def test_all_pairs_kernel_never_writes_its_inputs(studentize, one_resample_blocks):
+    # Zero cells give 0/0 and c/0 pairs; K = 1 sends resamples down
+    # the fallback too.  Every write lands in the kernel's own buffers.
+    counts = (9, 0, 4, 4, 1, 0, 7, 2, 0, 3, 1, 1, 5, 0, 2, 6, 1, 1, 0, 3)
+    n, p = sum(counts), len(counts)
+    star = _theta_star_cached.__wrapped__(counts, n, 40, 5).copy()
+    theta_hat = np.asarray(counts, dtype=float) / n
+    jj, kk = np.triu_indices(p, 1)
+    inputs = [star, theta_hat, jj, kk]
+    before = [x.copy() for x in inputs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ranksets.boot._TOP_K", 1)
+        if one_resample_blocks:
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p)
+        first = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
+        second = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
+    assert np.array_equal(first, second)
+    assert np.array_equal(first, _symm_oracle(star, studentize, theta_hat, n, jj, kk))
+    for got, saved in zip(inputs, before):
+        assert np.array_equal(got, saved)
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+def test_all_pairs_kernel_fallback_resamples_stay_exact(studentize, monkeypatch):
+    # With one level, the resamples whose most deviant category's pairs
+    # do not reach the bound on the rest go to _pair_stats over all
+    # pairs; the result is the same either way.
+    weights = 1.0 / np.arange(1, 61) ** 0.5
+    counts = np.random.default_rng(3).multinomial(5_000, weights / weights.sum())
+    counts = tuple(int(c) for c in counts)
+    star = _theta_star_cached.__wrapped__(counts, 5_000, 300, 11)
+    theta_hat = np.asarray(counts, dtype=float) / 5_000
+    jj, kk = np.triu_indices(60, 1)
+    expected = _symm_oracle(star, studentize, theta_hat, 5_000, jj, kk)
+    seen = _counting_pair_stats(monkeypatch)
+    monkeypatch.setattr("ranksets.boot._TOP_K", 1)
+    got = _all_pairs_symm_stats(star, studentize, theta_hat, 5_000, jj, kk)
+    assert 0 < sum(seen) < 300
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+def test_joint_symm_calibrations_use_the_all_pairs_kernel(studentize, monkeypatch):
+    # The joint two-sided readout and a symm difference set over a mask
+    # whose pairs, either way round, are every pair go through the
+    # kernel; a J0 that leaves out a pair, marginal rows, one-sided
+    # shapes and p below the crossover do not.
+    calls = []
+    kernel = _all_pairs_symm_stats
+
+    def recorded(theta_star, *args):
+        calls.append(theta_star.shape[1])
+        return kernel(theta_star, *args)
+
+    monkeypatch.setattr("ranksets.boot._all_pairs_symm_stats", recorded)
+    p = _ALL_PAIRS_MIN_P
+    sample = MultinomialSample(tuple(range(3, 3 + p)))
+    cfg = BootstrapConfig(B=50, seed=0)
+    boot_rank_cs(sample, config=cfg, studentize=studentize)
+    difference_cs(sample, cfg, mask=np.triu(np.ones((p, p), dtype=bool), 1),
+                  studentize=studentize)
+    assert calls == [p, p]
+    boot_rank_cs(sample, range(p - 2), config=cfg, studentize=studentize)
+    boot_rank_cs(sample, config=cfg, scope="marginal", studentize=studentize)
+    boot_rank_cs(MultinomialSample(tuple(range(3, 2 + p))), config=cfg,
+                 studentize=studentize)
+    difference_cs(sample, cfg, shape="equi", studentize=studentize)
+    assert calls == [p, p]
+
+
+def test_all_pairs_kernel_memory_is_one_block_at_p_100():
+    # One joint calibration at p = 100, B = 1000 holds blocks of
+    # resamples, never the p x B category-major copies that the pair
+    # walk needs: its traced peak stays within 1 MiB of the walk's.
+    weights = 1.0 / np.arange(1, 101) ** 0.5
+    counts = np.random.default_rng(0).multinomial(5_000, weights / weights.sum())
+    counts = tuple(int(c) for c in counts)
+    star = _theta_star_cached.__wrapped__(counts, 5_000, 1_000, 0)
+    theta_hat = np.asarray(counts, dtype=float) / 5_000
+    jj, kk = np.triu_indices(100, 1)
+    peaks = []
+    for calibrate in (_symm_oracle, _all_pairs_symm_stats):
+        tracemalloc.start()
+        try:
+            calibrate(star, True, theta_hat, 5_000, jj, kk)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ def test_every_method_gives_valid_bounds_at_the_extremes(case):
     )
 )
 def test_counts_near_two_to_the_31_give_valid_bounds(case):
-    # The exact tests are left out: their tails still cost O(s^2) bit
-    # work per pair, so a pair of counts near 2**31 would not finish
-    # until the exact p-values get a path for large n.
+    # The exact tests are left out: their tails walk the shorter side
+    # of the binomial sum, O(s) terms per pair, so a pair of counts
+    # near 2**31 would walk about 2**31 terms and not finish.
     sample, J0 = case
     _check(sample, J0, ("cp", "boot", "bootStud", "naive"))
