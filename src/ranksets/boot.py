@@ -397,7 +397,8 @@ def _all_pairs_symm_stats(
                 np.copyto(z, 0.0, where=np.isnan(z))
             active = np.arange(start, start + len(t))
             for _ in range(levels):
-                r = np.arange(len(active))
+                m = len(active)
+                r = np.arange(m)
                 c = z.argmax(axis=1)
                 z[r, c] = -1.0
                 bound = z.max(axis=1)
@@ -405,7 +406,6 @@ def _all_pairs_symm_stats(
                     np.sqrt(bound, out=bound)
                 bound *= root_n
                 bound *= factor
-                m = len(active)
                 best = _pairs_with(
                     t, v, theta_hat, root_n, r, c, num[:m], sd[:m],
                     prod_buf[:m] if studentize else None,

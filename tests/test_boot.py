@@ -273,23 +273,11 @@ def _symm_oracle(star, studentize, theta_hat, n, jj, kk):
     return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
 
 
-def _counting_pair_stats(monkeypatch):
-    """Patch ``_pair_stats`` to count the resamples it is given."""
-    seen = []
-
-    def counted(rows, *args):
-        seen.append(rows.shape[1])
-        return _pair_stats(rows, *args)
-
-    monkeypatch.setattr("ranksets.boot._pair_stats", counted)
-    return seen
-
-
 @settings(max_examples=200, deadline=None)
 @given(_all_pairs_case(), st.booleans(), st.integers(1, 20))
 def test_all_pairs_kernel_equals_pair_stats(case, studentize, top_k):
-    # Zero cells (0/0 and c/0 pairs), ties, single-cell tables and
-    # n up to 6e6, with as few as one level before the fallback.
+    # Zero cells (0/0 and c/0 pairs), ties, single-cell tables and n
+    # from 1 to over 1e8, with as few as one level before the fallback.
     star, theta_hat, n, jj, kk = case
     expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
     with pytest.MonkeyPatch.context() as mp:
@@ -349,7 +337,13 @@ def test_all_pairs_kernel_fallback_resamples_stay_exact(studentize, monkeypatch)
     theta_hat = np.asarray(counts, dtype=float) / 5_000
     jj, kk = np.triu_indices(60, 1)
     expected = _symm_oracle(star, studentize, theta_hat, 5_000, jj, kk)
-    seen = _counting_pair_stats(monkeypatch)
+    seen = []
+
+    def counted(rows, *args):
+        seen.append(rows.shape[1])
+        return _pair_stats(rows, *args)
+
+    monkeypatch.setattr("ranksets.boot._pair_stats", counted)
     monkeypatch.setattr("ranksets.boot._TOP_K", 1)
     got = _all_pairs_symm_stats(star, studentize, theta_hat, 5_000, jj, kk)
     assert 0 < sum(seen) < 300
