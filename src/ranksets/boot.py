@@ -163,6 +163,7 @@ def _theta_star_matrix(sample: MultinomialSample, config: BootstrapConfig) -> np
 
 #: Bytes of one ``block x B`` float buffer in :func:`_pair_stats`;
 #: small enough that a block's four buffers stay in cache.
+#: :func:`_all_pairs_symm_stats` gives each of its five half as much.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -313,8 +314,8 @@ def _all_pairs_symm_stats(
 
     ``theta_star`` is the ``(B, p)`` resample matrix, ``theta_hat`` the
     estimates, and ``jj``, ``kk`` hold every unordered pair once.  The
-    resamples are walked in blocks of ``_BLOCK_BYTES`` per ``block x
-    p`` buffer, rows as they lie in ``theta_star``.  Each category of a
+    resamples are walked in blocks of half ``_BLOCK_BYTES`` per ``block
+    x p`` buffer, rows as they lie in ``theta_star``.  Each category of a
     resample gets a score ``z``, and the larger score of a pair bounds
     its statistic (below).  Level by level, a resample's highest-scoring category not yet taken
     has every pair it is in evaluated, with :func:`_pair_stats`'s
@@ -341,7 +342,8 @@ def _all_pairs_symm_stats(
     Proof of the bound.  Frequencies lie in ``[0, 1]`` and are 0 or at
     least ``2^-53`` (``c/n`` with ``n < 2^53``), so nothing below
     underflows and each operation returns the exact result times ``1 +
-    e``, ``|e| <= u``.  Take a pair ``(j, k)``, ``x = tj - tk``, ``y =
+    e``, ``|e| <= u``; ``sqrt(n)`` is the computed root that the
+    statistic and the bound share.  Take a pair ``(j, k)``, ``x = tj - tk``, ``y =
     thj - thk``; ``|x - y| <= (|aj| + |ak|) / (1 - u)`` as each ``a``
     rounds ``t - th``, and ``|x| + |y| <= tj + tk + thj + thk``.  The
     computed numerator ``|fl(x) - fl(y)|``, rounded, is then at most
@@ -369,7 +371,9 @@ def _all_pairs_symm_stats(
     """
     B, p = theta_star.shape
     levels = min(_TOP_K, p - 1)
-    width = min(B, max(1, _BLOCK_BYTES // (8 * p)))
+    # Five buffers of half a _pair_stats buffer each, plus the level
+    # subsets, keep to the pair walk's working set of four.
+    width = min(B, max(1, _BLOCK_BYTES // (16 * p)))
     root_n = math.sqrt(n)
     factor = (math.sqrt(2.0) if studentize else 2.0) * (1.0 + 2.0**-40)
     z_buf, num_buf, sd_buf = (np.empty((width, p)) for _ in range(3))

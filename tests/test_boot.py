@@ -296,7 +296,7 @@ def test_all_pairs_kernel_is_block_size_invariant(case, studentize):
     expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
     for width in (1, 2, 3, B):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p * width)
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 16 * p * width)
             got = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
         assert np.array_equal(got, expected), width
 
@@ -316,7 +316,7 @@ def test_all_pairs_kernel_never_writes_its_inputs(studentize, one_resample_block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("ranksets.boot._TOP_K", 1)
         if one_resample_blocks:
-            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p)
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 16 * p)
         first = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
         second = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
     assert np.array_equal(first, second)
