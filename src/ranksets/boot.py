@@ -16,8 +16,10 @@ The maximum over a family of ``m`` pairs (up to ``p(p-1)``) is then
 taken block by block over the pairs, gathering whole contiguous rows,
 with a running maximum per resample.  Calibration thus holds the
 ``B x p`` matrix, its ``p x B`` copy and variance terms, and one
-cache-sized block, never a ``B x m`` array.  The critical values are
-the same bit for bit as from the whole ``B x m`` array at once.
+block, never a ``B x m`` array; each of a block's buffers stays under
+the 128 KiB at which the allocator would map it afresh on every call.
+The critical values are the same bit for bit as from the whole ``B x
+m`` array at once.
 
 The symmetric statistic over every unordered pair (the joint two-sided
 readout, and ``symm`` difference sets whose mask covers every pair one
@@ -43,11 +45,15 @@ per-pair scale — so a claim is made only when a difference clears the
 band that covers all pairs simultaneously.  The band contains each
 per-pair interval, so its simultaneous coverage is at least as high.
 
-Marginal scope gives each target its own family ``J0 = {j}``, whose
-pairs :mod:`ranksets.core` forms, so each target gets its own
-calibration and its own band.  The targets share the estimates and
-the category-major resamples, and all critical values are read from
-one sort of the ``B x |J0|`` max statistics.
+Marginal scope gives each target its own family ``J0 = {j}``, so each
+target gets its own calibration and its own band.  One-sided kinds
+walk each target's pairs as :mod:`ranksets.core` forms them.  Two
+targets' two-sided families share the pair of the two, so the
+two-sided kind evaluates each unordered pair once and folds it into
+the running maxima of both its ends (:func:`_marginal_symm_stats`).
+The targets share the estimates and the category-major resamples, and
+all critical values are read from one sort of the ``B x |J0|`` max
+statistics.
 
 The naive alternative resamples the ranks themselves and reads off
 their empirical quantiles; it is included as a comparison baseline and
@@ -70,6 +76,7 @@ from .core import (
     RankSet,
     _categories_of_interest,
     _check_alpha,
+    _is_marginal,
     _target_pairs,
     _theta_array,
     build_index_family,
@@ -161,10 +168,14 @@ def _theta_star_matrix(sample: MultinomialSample, config: BootstrapConfig) -> np
     return _theta_star_cached(sample.counts, sample.n, config.B, int(config.seed))
 
 
-#: Bytes of one ``block x B`` float buffer in :func:`_pair_stats`;
-#: small enough that a block's four buffers stay in cache.
-#: :func:`_all_pairs_symm_stats` gives each of its five half as much.
-_BLOCK_BYTES = 256 * 1024
+#: Most bytes of one scratch buffer in the calibration kernels.  glibc
+#: serves a request of 128 KiB or more (its default mmap threshold,
+#: chunk header included) with a fresh mapping that it unmaps on free,
+#: so every call faults such buffers in again: one studentized
+#: :func:`_pair_stats` call at B = 2000 over 28 pairs took 218 minor
+#: faults and 0.9-1.1 ms with 256 KiB buffers, none and 0.5 ms with
+#: these (one 2-vCPU Xeon core).
+_BLOCK_BYTES = 127 * 1024
 
 
 def _category_major(
@@ -264,6 +275,74 @@ def _pair_stats(
     return best
 
 
+def _marginal_symm_stats(
+    rows: np.ndarray,
+    var: np.ndarray | None,
+    theta_hat: np.ndarray,
+    n: int,
+    targets: np.ndarray,
+) -> np.ndarray:
+    """(B, T) ``symm`` max statistics of each target's own family.
+
+    Column ``t`` is :func:`_pair_stats` ``symm`` over the pairs of
+    ``targets[t]`` with every other category, bit for bit; ``rows`` and
+    ``var`` come from :func:`_category_major` and ``targets`` are
+    distinct.  Each unordered pair is evaluated once.  Target ``c``
+    takes the pairs ``(c, k)`` for every ``k`` that is not an earlier
+    target, later targets first, so that a block's rows of later
+    targets fold into a contiguous slice of the running maxima and the
+    whole block into ``c``'s own.  A pair and its mirror give the same
+    statistic bit for bit (see :func:`_all_pairs_symm_stats`), and each
+    element takes :func:`_pair_stats`'s operations in their order.
+    Every statistic is ``+0`` or more, or a ``0/0`` NaN that counts as
+    0, so the running maxima start at 0 and fold with ``fmax``.  Blocks
+    are ``_BLOCK_BYTES`` per buffer, and the inputs are never written.
+    """
+    p, B = rows.shape
+    T = len(targets)
+    other = np.ones(p, dtype=bool)
+    other[targets] = False
+    order = np.concatenate((targets, np.flatnonzero(other)))
+    width = min(p - 1, max(1, _BLOCK_BYTES // (8 * B)))
+    buf_k, buf_num = np.empty((width, B)), np.empty((width, B))
+    if var is not None:
+        buf_sd, buf_prod = np.empty((width, B)), np.empty((width, B))
+    root_n = math.sqrt(n)
+    out = np.zeros((T, B))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, c in enumerate(targets):
+            ks = order[t + 1:]
+            d_hat = theta_hat[c] - theta_hat[ks]
+            tc = rows[c]
+            if var is not None:
+                two_tc = tc * 2.0
+            for start in range(0, len(ks), width):
+                k = ks[start:start + width]
+                w = len(k)
+                tk, num = buf_k[:w], buf_num[:w]
+                rows.take(k, axis=0, out=tk, mode="clip")
+                np.subtract(tc, tk, out=num)
+                num -= d_hat[start:start + w, None]
+                np.abs(num, out=num)
+                if var is None:
+                    num *= root_n
+                else:
+                    sd, prod = buf_sd[:w], buf_prod[:w]
+                    np.multiply(two_tc, tk, out=prod)
+                    var.take(k, axis=0, out=sd, mode="clip")
+                    sd += var[c]
+                    sd += prod
+                    np.sqrt(sd, out=sd)
+                    sd /= root_n
+                    num /= sd
+                np.fmax(out[t], np.fmax.reduce(num, axis=0), out=out[t])
+                stop = min(w, T - 1 - t - start)
+                if stop > 0:
+                    seg = out[t + 1 + start:t + 1 + start + stop]
+                    np.fmax(seg, num[:stop], out=seg)
+    return out.T
+
+
 #: Most levels (categories per resample whose pairs are evaluated
 #: exactly) of :func:`_all_pairs_symm_stats` before a resample falls back
 #: to :func:`_pair_stats`; eight left up to 25 of 1000 resamples to the
@@ -285,19 +364,21 @@ def _symm_stats(
     studentize: bool,
     theta_hat: np.ndarray,
     n: int,
-    jj: np.ndarray,
-    kk: np.ndarray,
+    upper: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(B,) ``symm`` max statistics over distinct pairs with ``jj < kk``.
+    """(B,) ``symm`` max statistics over the unordered pairs of ``upper``.
 
-    Equal, bit for bit, to :func:`_pair_stats` on the category-major
-    ``theta_star``; :func:`_all_pairs_symm_stats` computes them when the
-    pairs are every unordered pair of ``p >= _ALL_PAIRS_MIN_P``
-    categories.
+    ``upper`` is a ``p x p`` mask with no pair below the diagonal, or
+    ``None`` for every unordered pair.  Equal, bit for bit, to
+    :func:`_pair_stats` on the category-major ``theta_star``;
+    :func:`_all_pairs_symm_stats` computes them when the pairs are every
+    unordered pair of ``p >= _ALL_PAIRS_MIN_P`` categories.
     """
     p = theta_star.shape[1]
-    if p >= _ALL_PAIRS_MIN_P and len(jj) == p * (p - 1) // 2:
-        return _all_pairs_symm_stats(theta_star, studentize, theta_hat, n, jj, kk)
+    every = upper is None or np.count_nonzero(upper) == p * (p - 1) // 2
+    if every and p >= _ALL_PAIRS_MIN_P:
+        return _all_pairs_symm_stats(theta_star, studentize, theta_hat, n)
+    jj, kk = np.triu_indices(p, 1) if upper is None else np.nonzero(upper)
     rows, var = _category_major(theta_star, studentize)
     return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
 
@@ -307,17 +388,14 @@ def _all_pairs_symm_stats(
     studentize: bool,
     theta_hat: np.ndarray,
     n: int,
-    jj: np.ndarray,
-    kk: np.ndarray,
 ) -> np.ndarray:
     """:func:`_pair_stats` ``symm`` over every unordered pair, bit for bit.
 
-    ``theta_star`` is the ``(B, p)`` resample matrix, ``theta_hat`` the
-    estimates, and ``jj``, ``kk`` hold every unordered pair once.  The
-    resamples are walked in blocks of half ``_BLOCK_BYTES`` per ``block
-    x p`` buffer, rows as they lie in ``theta_star``.  Each category of a
-    resample gets a score ``z``, and the larger score of a pair bounds
-    its statistic (below).  Level by level, a resample's highest-scoring category not yet taken
+    ``theta_star`` is the ``(B, p)`` resample matrix and ``theta_hat``
+    the estimates.  The resamples are walked in blocks of
+    ``_BLOCK_BYTES`` per ``block x p`` buffer, rows as they lie in
+    ``theta_star``.  Each category of a resample gets a score ``z``, and
+    the larger score of a pair bounds its statistic (below).  Level by level, a resample's highest-scoring category not yet taken
     has every pair it is in evaluated, with :func:`_pair_stats`'s
     per-element operations in their order (a pair and its mirror give
     the same statistic bit for bit), into a running maximum.  Every pair
@@ -328,7 +406,8 @@ def _all_pairs_symm_stats(
     to the next level, and after ``_TOP_K`` levels are recomputed by
     :func:`_pair_stats` over all pairs.  A level costs O(p) per
     resample, so the kernel is O(B p) times the mean level count, plus
-    the resamples that fall back; memory is one block, and the inputs
+    the resamples that fall back; memory is one block, the pair index
+    arrays are built only for resamples that fall back, and the inputs
     are never written.
 
     The score.  With ``a = t - th`` a category's computed deviation
@@ -371,9 +450,7 @@ def _all_pairs_symm_stats(
     """
     B, p = theta_star.shape
     levels = min(_TOP_K, p - 1)
-    # Five buffers of half a _pair_stats buffer each, plus the level
-    # subsets, keep to the pair walk's working set of four.
-    width = min(B, max(1, _BLOCK_BYTES // (16 * p)))
+    width = min(B, max(1, _BLOCK_BYTES // (8 * p)))
     root_n = math.sqrt(n)
     factor = (math.sqrt(2.0) if studentize else 2.0) * (1.0 + 2.0**-40)
     z_buf, num_buf, sd_buf = (np.empty((width, p)) for _ in range(3))
@@ -427,6 +504,7 @@ def _all_pairs_symm_stats(
     if left:
         redo = np.concatenate(left)
         rows, var = _category_major(theta_star[redo], studentize)
+        jj, kk = np.triu_indices(p, 1)
         out[redo] = _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
     return out
 
@@ -554,6 +632,27 @@ def _sigma_hat(theta_hat: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndar
     return np.sqrt(tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk)
 
 
+def _sigma_max(theta_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Largest :func:`_sigma_hat` of each target's pairs with the other categories.
+
+    ``_sigma_hat`` of ``(j, k)`` equals that of ``(k, j)`` bit for bit,
+    so this is the largest scale of every family whose pairs with each
+    target ``j`` run one or both ways round.  Targets are taken in
+    blocks of ``_BLOCK_BYTES`` per ``block x p`` array, with no pair
+    index arrays.
+    """
+    p = len(theta_hat)
+    others = np.arange(p)
+    out = np.empty(len(targets))
+    step = max(1, _BLOCK_BYTES // (8 * p))
+    for start in range(0, len(targets), step):
+        j = targets[start:start + step, None]
+        sigma = _sigma_hat(theta_hat, j, others)
+        sigma[j == others] = 0.0  # (j, j) is no pair; every scale is >= +0
+        sigma.max(axis=1, out=out[start:start + step])
+    return out
+
+
 def _on_mask(mask: np.ndarray, values) -> np.ndarray:
     """Read-only ``values`` on the cells of ``mask`` (row-major), NaN elsewhere."""
     out = np.full(mask.shape, np.nan)
@@ -620,8 +719,7 @@ def difference_cs(
     if shape == "symm":
         # A pair and its mirror give the same statistic bit for bit, so
         # each unordered pair of the mask enters the max once.
-        once_j, once_k = np.nonzero(np.triu(mask | mask.T, 1))
-        stats = _symm_stats(star, studentize, theta_hat, n, once_j, once_k)
+        stats = _symm_stats(star, studentize, theta_hat, n, np.triu(mask | mask.T, 1))
         crits = (bootstrap_quantile(stats, 1.0 - alpha),)
     else:
         rows, var = _category_major(star, studentize)
@@ -698,8 +796,12 @@ def boot_rank_cs(
     per-pair intervals of :func:`difference_cs`.  A two-sided row
     holding every unordered pair (joint, or a ``J0`` that leaves no pair
     out) takes its maxima from :func:`_symm_stats`, which evaluates
-    O(p) pairs per resample rather than all of them, with the same
-    result bit for bit.
+    O(p) pairs per resample rather than all of them, and builds no pair
+    index arrays unless resamples fall back to the full walk.  Marginal
+    two-sided rows take theirs from :func:`_marginal_symm_stats`, which
+    evaluates each unordered pair once for both of its ends.  Both give
+    the same result bit for bit, and the largest scale of each row comes
+    from :func:`_sigma_max`, which needs no pair index arrays either.
 
     Parameters
     ----------
@@ -729,28 +831,32 @@ def boot_rank_cs(
     if config is None:
         config = BootstrapConfig()
     _check_alpha(alpha)
-    n = sample.n
-    family = build_index_family(kind, J0, sample.p)
-    jj, kk = _target_pairs(family, scope)
-    variant = "symm" if kind == "two_sided" else "lower"
-    if variant == "symm":
-        # |d| and sigma of (a, b) equal those of (b, a) bit for bit, so
-        # each row calibrates every unordered pair once.
-        once = jj < kk
-        jj, kk = jj[once].reshape(len(jj), -1), kk[once].reshape(len(kk), -1)
+    n, p = sample.n, sample.p
+    family = build_index_family(kind, J0, p)
+    marginal = _is_marginal(scope)
+    targets = np.asarray(family.J0)
     theta_hat = sample.theta_hat
     star = _theta_star_matrix(sample, config)
-    if variant == "symm" and len(jj) == 1:
-        stats = _symm_stats(star, studentize, theta_hat, n, jj[0], kk[0])[:, None]
-    else:
+    if kind != "two_sided":
+        jj, kk = _target_pairs(family, scope)
         rows, var = _category_major(star, studentize)
         stats = np.column_stack([
-            _pair_stats(rows, var, theta_hat, n, j, k, variant) for j, k in zip(jj, kk)
+            _pair_stats(rows, var, theta_hat, n, j, k, "lower") for j, k in zip(jj, kk)
         ])
-    if studentize:
-        sigma_max = _sigma_hat(theta_hat, jj, kk).max(axis=1)
+    elif marginal:
+        rows, var = _category_major(star, studentize)
+        stats = _marginal_symm_stats(rows, var, theta_hat, n, targets)
     else:
-        sigma_max = np.ones(len(jj))
+        # Every unordered pair has an end in a J0 that leaves out at
+        # most one category.
+        upper = None if len(targets) >= p - 1 else np.triu(family.mask, 1)
+        stats = _symm_stats(star, studentize, theta_hat, n, upper)[:, None]
+    if studentize:
+        sigma_max = _sigma_max(theta_hat, targets)
+        if not marginal:
+            sigma_max = sigma_max.max(keepdims=True)
+    else:
+        sigma_max = np.ones(stats.shape[1])
     half = _band_half_width(_quantiles(stats, 1.0 - alpha), sigma_max, n)
     diff = theta_hat[:, None] - theta_hat[None, :]
     rej = PairwiseRejections.at_threshold(family, lambda t: diff > t, half)
@@ -793,12 +899,13 @@ def naive_rank_cs(
     _check_alpha(alpha)
     j0 = _categories_of_interest(J0, sample.p)
     star = _theta_star_matrix(sample, config)
-    targets = list(j0)
-    if len(j0) < math.log2(sample.p):
-        # A few targets: count who beats each, with no B x p argsort.
-        ranks = 1 + (star[:, :, None] > star[:, None, targets]).sum(axis=1)
+    if len(j0) <= 4 * math.log2(sample.p):
+        # Count who beats each target: O(|J0| p B) against the argsort's
+        # O(p log p B), over contiguous rows of each category's draws.
+        cols = np.ascontiguousarray(star.T)
+        ranks = 1 + np.stack([(cols > cols[j]).sum(axis=0) for j in j0], axis=1)
     else:
-        ranks = _best_ranks(star)[:, targets]
+        ranks = _best_ranks(star)[:, list(j0)]
     ranks = np.sort(ranks, axis=0)
     B = config.B
     lo_idx = min(math.floor(round(alpha / 2 * B, 9)) + 1, B)

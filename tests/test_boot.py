@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ranksets._dispatch as dispatch
@@ -27,6 +27,7 @@ from ranksets.boot import (
     _band_half_width,
     _best_ranks,
     _category_major,
+    _marginal_symm_stats,
     _pair_stats,
     _theta_star_cached,
 )
@@ -239,6 +240,73 @@ def test_pair_stats_never_writes_its_inputs(case, variant, studentize, one_pair_
         assert np.array_equal(got, saved)
 
 
+@pytest.mark.parametrize("studentize", [False, True])
+def test_pair_stats_buffers_stay_below_the_mapping_threshold(studentize):
+    # Scratch buffers of 128 KiB or more are mapped on every call and
+    # faulted in again; four below that, plus the (B,) running and block
+    # maxima and the differences of the estimates, are the whole peak.
+    B, p = 2048, 20
+    counts = tuple(range(1, p + 1))
+    star = _theta_star_cached.__wrapped__(counts, sum(counts), B, 0)
+    theta_hat = np.asarray(counts, dtype=float) / sum(counts)
+    rows, var = _category_major(star, studentize)
+    jj, kk = np.triu_indices(p, 1)
+    tracemalloc.start()
+    try:
+        _pair_stats(rows, var, theta_hat, sum(counts), jj, kk, "symm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 128 * 1024 + 3 * 8 * B + 8 * len(jj)
+
+
+def _per_target_oracle(star, studentize, theta_hat, n, targets):
+    """Each target's own two-sided family, one :func:`_pair_stats` call each."""
+    rows, var = _category_major(star, studentize)
+    p = star.shape[1]
+    columns = []
+    for j in targets:
+        others = np.asarray([k for k in range(p) if k != j])
+        lo, hi = np.minimum(j, others), np.maximum(j, others)
+        columns.append(_pair_stats(rows, var, theta_hat, n, lo, hi, "symm"))
+    return np.column_stack(columns)
+
+
+@st.composite
+def _marginal_case(draw):
+    p = draw(st.integers(2, 15))
+    counts = draw(st.lists(st.integers(0, 30), min_size=p, max_size=p))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, p - 1))] = 1
+    star = _theta_star_cached.__wrapped__(
+        tuple(counts), sum(counts), draw(st.sampled_from((1, 7, 100, 1000, 2000))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+    theta_hat = np.asarray(counts, dtype=float) / sum(counts)
+    every = draw(st.booleans())
+    targets = range(p) if every else draw(st.sets(st.integers(0, p - 1), min_size=1))
+    return star, theta_hat, sum(counts), np.asarray(sorted(targets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_marginal_case(), st.booleans())
+@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2)), True)
+@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.arange(5)), True)
+@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.array([1, 3, 4])), False)
+def test_marginal_symm_kernel_equals_per_target_pair_stats(case, studentize):
+    # Zero cells (0/0 and c/0 pairs), all-zero columns, partial and full
+    # target sets, one resample or many blocks of them: evaluating each
+    # unordered pair once and folding it into both ends' maxima gives
+    # every target's own calibration, bit for bit and sign for sign.
+    star, theta_hat, n, targets = case
+    expected = _per_target_oracle(star, studentize, theta_hat, n, targets)
+    rows, var = _category_major(star, studentize)
+    got = _marginal_symm_stats(rows, var, theta_hat, n, targets)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 # ---------------------------------------------------------------------------
 # _all_pairs_symm_stats (every unordered pair, exact pairs around the most
 # deviant categories and a proven bound on the rest)
@@ -282,7 +350,7 @@ def test_all_pairs_kernel_equals_pair_stats(case, studentize, top_k):
     expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("ranksets.boot._TOP_K", top_k)
-        got = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
+        got = _all_pairs_symm_stats(star, studentize, theta_hat, n)
     assert np.array_equal(got, expected)
 
 
@@ -296,8 +364,8 @@ def test_all_pairs_kernel_is_block_size_invariant(case, studentize):
     expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
     for width in (1, 2, 3, B):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ranksets.boot._BLOCK_BYTES", 16 * p * width)
-            got = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p * width)
+            got = _all_pairs_symm_stats(star, studentize, theta_hat, n)
         assert np.array_equal(got, expected), width
 
 
@@ -316,9 +384,9 @@ def test_all_pairs_kernel_never_writes_its_inputs(studentize, one_resample_block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("ranksets.boot._TOP_K", 1)
         if one_resample_blocks:
-            mp.setattr("ranksets.boot._BLOCK_BYTES", 16 * p)
-        first = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
-        second = _all_pairs_symm_stats(star, studentize, theta_hat, n, jj, kk)
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p)
+        first = _all_pairs_symm_stats(star, studentize, theta_hat, n)
+        second = _all_pairs_symm_stats(star, studentize, theta_hat, n)
     assert np.array_equal(first, second)
     assert np.array_equal(first, _symm_oracle(star, studentize, theta_hat, n, jj, kk))
     for got, saved in zip(inputs, before):
@@ -345,7 +413,7 @@ def test_all_pairs_kernel_fallback_resamples_stay_exact(studentize, monkeypatch)
 
     monkeypatch.setattr("ranksets.boot._pair_stats", counted)
     monkeypatch.setattr("ranksets.boot._TOP_K", 1)
-    got = _all_pairs_symm_stats(star, studentize, theta_hat, 5_000, jj, kk)
+    got = _all_pairs_symm_stats(star, studentize, theta_hat, 5_000)
     assert 0 < sum(seen) < 300
     assert np.array_equal(got, expected)
 
@@ -390,10 +458,11 @@ def test_all_pairs_kernel_memory_is_one_block_at_p_100():
     theta_hat = np.asarray(counts, dtype=float) / 5_000
     jj, kk = np.triu_indices(100, 1)
     peaks = []
-    for calibrate in (_symm_oracle, _all_pairs_symm_stats):
+    for calibrate in (lambda: _symm_oracle(star, True, theta_hat, 5_000, jj, kk),
+                      lambda: _all_pairs_symm_stats(star, True, theta_hat, 5_000)):
         tracemalloc.start()
         try:
-            calibrate(star, True, theta_hat, 5_000, jj, kk)
+            calibrate()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -895,6 +964,14 @@ def test_naive_restricts_to_requested_categories():
     full = naive_rank_cs(MELBOURNE, config=BootstrapConfig(B=200, seed=0))
     for j in (1, 4):
         assert rs.interval(j) == full.interval(j)
+    # At p = 40, 21 targets count who beats each and all 40 sort each
+    # resample; small counts give ties and zero cells.
+    counts = np.random.default_rng(5).multinomial(120, np.ones(40) / 40)
+    wide = MultinomialSample(tuple(int(c) for c in counts))
+    cfg = BootstrapConfig(B=300, seed=0)
+    few = naive_rank_cs(wide, J0=range(21), config=cfg)
+    full = naive_rank_cs(wide, config=cfg)
+    assert [few.interval(j) for j in range(21)] == [full.interval(j) for j in range(21)]
 
 
 @pytest.mark.parametrize("p, n", [(7, 234), (20, 50), (100, 5000), (3, 5), (2, 1)])
