@@ -397,8 +397,9 @@ def _all_pairs_symm_stats(
     the estimates.  The resamples are walked in blocks of
     ``_BLOCK_BYTES`` per ``block x p`` buffer, rows as they lie in
     ``theta_star``.  Each category of a resample gets a score ``z``, and
-    the larger score of a pair bounds its statistic (below).  Level by level, a resample's highest-scoring category not yet taken
-    has every pair it is in evaluated, with :func:`_pair_stats`'s
+    the larger score of a pair bounds its statistic (below).  Level by
+    level, a resample's highest-scoring category not yet taken has
+    every pair it is in evaluated, with :func:`_pair_stats`'s
     per-element operations in their order (a pair and its mirror give
     the same statistic bit for bit), into a running maximum.  Every pair
     of two categories not yet taken is at most ``bound = c * z_max``,
