@@ -568,7 +568,7 @@ def bootstrap_quantile(values, level: float) -> float:
 def _quantiles(stats: np.ndarray, level: float) -> np.ndarray:
     """:func:`bootstrap_quantile` of each column of a ``(B, k)`` array.
 
-    All columns are read from one sort along the resamples.
+    All columns are read from one partition along the resamples.
     """
     if np.isnan(stats).any():
         raise ValueError("values must not contain NaN")
@@ -576,8 +576,8 @@ def _quantiles(stats: np.ndarray, level: float) -> np.ndarray:
         raise ValueError("level must lie in (0, 1]")
     # Round before ceil so that an exactly-integer level * B is not
     # bumped up by floating-point fuzz.
-    k = math.ceil(round(level * stats.shape[0], 9))
-    return np.sort(stats, axis=0)[max(k, 1) - 1]
+    k = max(math.ceil(round(level * stats.shape[0], 9)), 1) - 1
+    return np.partition(stats, k, axis=0)[k]
 
 
 # eq=False: == on numpy fields would be elementwise.
@@ -869,16 +869,27 @@ def boot_rank_cs(
 
 
 def _best_ranks(theta_star: np.ndarray) -> np.ndarray:
-    """(B, p) best ranks ``1 + #{k : theta*_k > theta*_j}`` of each row."""
-    order = np.argsort(-theta_star, axis=1)
-    desc = np.take_along_axis(theta_star, order, axis=1)
-    # In descending order a tie group shares the position of its first member.
-    starts = np.ones(desc.shape, dtype=bool)
-    starts[:, 1:] = desc[:, 1:] != desc[:, :-1]
-    position = np.arange(1, desc.shape[1] + 1)
-    sorted_ranks = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
-    ranks = np.empty_like(sorted_ranks)
-    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    """(B, p) best ranks ``1 + #{k : theta*_k > theta*_j}`` of each row.
+
+    Rows are ranked in blocks of ``_BLOCK_BYTES`` per ``block x p``
+    temporary.
+    """
+    B, p = theta_star.shape
+    ranks = np.empty((B, p), dtype=np.int64)
+    position = np.arange(1, p + 1)
+    step = max(1, _BLOCK_BYTES // (8 * p))
+    for lo in range(0, B, step):
+        block = theta_star[lo:lo + step]
+        order = np.argsort(-block, axis=1)
+        desc = np.take_along_axis(block, order, axis=1)
+        # In descending order a tie group shares the position of its first
+        # member.
+        starts = np.ones(desc.shape, dtype=bool)
+        starts[:, 1:] = desc[:, 1:] != desc[:, :-1]
+        sorted_ranks = np.maximum.accumulate(
+            np.where(starts, position, 0), axis=1
+        )
+        np.put_along_axis(ranks[lo:lo + step], order, sorted_ranks, axis=1)
     return ranks
 
 

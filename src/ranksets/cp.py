@@ -59,9 +59,19 @@ def clopper_pearson(x: int, n: int, level: float = 0.95) -> tuple[float, float]:
         raise ValueError(f"x={x} outside [0, {n}]")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
+    lo, hi = _cp_bounds(np.asarray(x), n, level)
+    return float(lo), float(hi)
+
+
+def _cp_bounds(
+    x: np.ndarray, n: int, level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`clopper_pearson` of every count in ``x``, one call per bound."""
     alpha = 1.0 - level
-    lo = 0.0 if x == 0 else float(special.betaincinv(x, n - x + 1, alpha / 2))
-    hi = 1.0 if x == n else float(special.betaincinv(x + 1, n - x, 1 - alpha / 2))
+    # x = 0 and x = n put a zero beta shape in the quantile; its NaN is
+    # replaced by the closed end.
+    lo = np.where(x == 0, 0.0, special.betaincinv(x, n - x + 1, alpha / 2))
+    hi = np.where(x == n, 1.0, special.betaincinv(x + 1, n - x, 1 - alpha / 2))
     return lo, hi
 
 
@@ -87,10 +97,8 @@ class IntervalBox:
 def _cp_box_cached(
     counts: tuple[int, ...], n: int, alpha: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    p = len(counts)
-    level = 1.0 - alpha / p
-    intervals = [clopper_pearson(x, n, level) for x in counts]
-    return tuple(lo for lo, _ in intervals), tuple(hi for _, hi in intervals)
+    lo, hi = _cp_bounds(np.array(counts), n, 1.0 - alpha / len(counts))
+    return tuple(lo.tolist()), tuple(hi.tolist())
 
 
 def cp_box(sample: MultinomialSample, alpha: float = 0.05) -> IntervalBox:

@@ -9,11 +9,15 @@ such tests yields rank confidence sets with finite-sample coverage via
 the rejection-counting construction in :mod:`ranksets.core`.
 
 Every p-value is the correctly rounded double of the exact tail.  Up
-to ``s = 512`` the tail is summed in exact integers.  Above that, its
-shorter side is summed with a fixed-precision term of about 128 bits
-and a proven error bound; the p-value is returned when both ends of
-the bound round to the same double, and otherwise (rare at 128
-bits) the exact integer sum decides.
+to ``s = 512`` it is read from a triangle of exact tails over ``2**s``,
+built lazily from Pascal rows up to the largest ``s`` asked for (about
+1 MB when full), so a p-value table gathers those cells in one index.
+Above that, the shorter side of the tail is summed with a
+fixed-precision term of about 128 bits and a proven error bound, once
+per unordered count pair: the walk to ``min(x_j, x_k) + 1`` bounds the
+p-values of both directions.  Each is returned when both ends of its
+bound round to the same double, and otherwise (rare at 128 bits) the
+exact integer sum decides.
 
 Inference always uses the non-randomized rule "reject iff p-value <=
 threshold".
@@ -21,6 +25,8 @@ threshold".
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -49,7 +55,7 @@ __all__ = [
 
 CORRECTIONS = ("bonferroni", "holm")
 
-# Up to this total, exact integers cost no more than fixed-precision ones.
+# Up to this total, p-values are read from a table of exact tails.
 _EXACT_MAX_S = 512
 # Bits kept in the running term of the fixed-precision tail sum.
 _PRECISION_BITS = 128
@@ -78,39 +84,106 @@ def _tail_numerator(x: int, s: int) -> int:
     return (1 << s) - total
 
 
-def _short_sum_bounds(t: int, s: int) -> tuple[int, int, int]:
-    """``(a, e, g)`` with ``a * 2**g <= S <= (a + e) * 2**g``, ``S = sum_{i<t} C(s, i)``.
+def _short_sum_bounds(t: int, s: int) -> tuple[int, int, int, int]:
+    """``(c, a, e, g)`` bounding the partial sums ``S(u) = sum_{i<u} C(s, i)``.
 
-    Proven for ``2t <= s + 1``, where the terms only rise, and for ``t <=
-    2**(K - 2)`` with ``K = _PRECISION_BITS``.  The terms follow the
-    recurrence ``C(s, i + 1) = C(s, i) * (s - i) / (i + 1)`` exactly
-    until one passes ``K + 32`` bits; from then on the term and the
-    running total are shifted right together to keep ``K`` bits in the
-    term, and ``2**g`` is the scale shifted out.  The returned ``e`` is
-    0 when nothing was shifted.
+    ``c * 2**g <= S(t - 1) <= (c + e) * 2**g`` and ``a * 2**g <= S(t) <=
+    (a + e) * 2**g``: one walk bounds the sum and the partial sum before
+    its last term.  Proven for ``1 <= t``, ``2t <= s + 3``, where the
+    terms only rise, and ``t <= 2**(K - 2)`` with ``K = _PRECISION_BITS``.
+    The terms follow the recurrence ``C(s, i) = C(s, i - 1) * (s - i + 1)
+    / i`` exactly until one passes ``K + 32`` bits; from then on the term
+    and the running total are shifted right together to keep ``K`` bits
+    in the term, and ``2**g`` is the scale shifted out.  The returned
+    ``e`` is 0 when nothing was shifted.
 
-    Why the bound holds: after the first shift the term never drops
-    below ``2**(K - 1)``, so each of the at most ``2t`` floors (one per
-    step, one per shift) loses under one unit, a relative
-    ``eps = 2**(1 - K)`` of the term.  By induction the true term is at
-    most ``w`` times the one held, ``w = (1 + eps)**(2t) <= 1 + 4t*eps
-    <= 3``, and the true total at most ``w * (a + shifts)``, with
-    ``shifts <= t``: an excess of at most ``4t*eps*a + 3t``.
+    Why the bound holds: a term ``C(s, i)`` is computed for ``i <= t - 1``
+    only, and ``2(t - 1) <= s + 1`` makes each step's ratio at least 1,
+    so after the first shift the term never drops below ``2**(K - 1)``.
+    Each of the at most ``2t`` floors (one per step, one per shift) then
+    loses under one unit, a relative ``eps = 2**(1 - K)`` of the term.
+    Every floor rounds down, so no held value exceeds its true one.  By
+    induction the true term is at most ``w`` times the one held, ``w =
+    (1 + eps)**(2t) <= 1 + 4t*eps <= 3``, and the true running total,
+    after any number of terms, at most ``w * (held + shifts)``, with
+    ``shifts <= t``: an excess of at most ``4t*eps*held + 3t``.  The last
+    term is added after the last shift, so ``c = a - term`` is exactly
+    the running total held before it, at the same scale, and ``c <= a``
+    makes the excess for ``a`` cover it too.
     """
     K = _PRECISION_BITS
     cap = 1 << (K + 32)
-    term, total, g = 1, 0, 0
-    for num, den in zip(range(s, s - t, -1), range(1, t + 1)):
-        total += term
+    term, total, g = 1, 1, 0
+    for num, den in zip(range(s, s - t + 1, -1), range(1, t)):
         term = term * num // den
         if term >= cap:
             k = term.bit_length() - K
             term >>= k
             total >>= k
             g += k
+        total += term
     if not g:
-        return total, 0, 0
-    return total, ((4 * t * total) >> (K - 1)) + 3 * t + 1, g
+        return total - term, total, 0, 0
+    return total - term, total, ((4 * t * total) >> (K - 1)) + 3 * t + 1, g
+
+
+def _pair_pvalues(a: int, b: int) -> tuple[float, float]:
+    """``(P{X >= a}, P{X >= b})`` for ``X ~ Bin(a + b, 1/2)`` and ``a <= b``.
+
+    The two one-sided p-values of the count pair ``{a, b}``.  With ``s =
+    a + b`` they are ``1 - S(a) / 2**s`` and, when ``a < b``, ``S(a + 1) /
+    2**s`` (the upper tail from ``b`` mirrors the lower tail to ``a``), so
+    one :func:`_short_sum_bounds` walk to ``t = a + 1`` gives both.  Each
+    is returned when both ends of its bound round to the same double, and
+    otherwise divided out of the exact integer tail.
+    """
+    s = a + b
+    t = a + 1
+    lower = upper = None
+    if t <= 1 << (_PRECISION_BITS - 2):
+        c, total, e, g = _short_sum_bounds(t, s)
+        scale = 1 << (s - g)
+        lo, hi = (scale - c - e) / scale, (scale - c) / scale
+        if lo == hi:
+            lower = lo
+        lo, hi = total / scale, (total + e) / scale
+        if lo == hi:
+            upper = lo
+    if lower is None:
+        lower = _tail_numerator(a, s) / (1 << s)
+    if a == b:
+        return lower, lower
+    if upper is None:
+        upper = _tail_numerator(b, s) / (1 << s)
+    return lower, upper
+
+
+# (largest s built, Pascal row of that s as ints, flat float64 triangle
+# whose entry s * (s + 1) // 2 + x is P{Bin(s, 1/2) >= x}), rebound whole
+# so that a reader never sees a row without its table.
+_tails: tuple[int, list[int], np.ndarray] = (-1, [], np.empty(0))
+
+
+def _tail_table(s: int) -> np.ndarray:
+    """The correctly rounded tail triangle, grown to hold row ``s``.
+
+    Rows are added from the last Pascal row, and each entry is the exact
+    integer tail over ``2**s``, an int/int true division, which Python
+    rounds correctly.  At ``s = _EXACT_MAX_S`` the table is about 1 MB.
+    """
+    global _tails
+    top, row, table = _tails
+    if s <= top:
+        return table
+    rows = [table]
+    for r in range(top + 1, s + 1):
+        row = [1, *map(operator.add, row, row[1:]), 1] if r else [1]
+        scale = 1 << r
+        tails = list(itertools.accumulate(reversed(row)))
+        rows.append(np.array([tail / scale for tail in reversed(tails)]))
+    table = np.concatenate(rows)
+    _tails = (s, row, table)
+    return table
 
 
 # Each entry is one float; the paper's tables (n <= 238) have < 57k pairs.
@@ -129,30 +202,21 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
         ``2**-s * sum_{i=x_j}^{s} C(s, i)`` with ``s = x_j + x_k``,
         correctly rounded to a double (it underflows to 0 only beyond
         ``s = 1074``); a pair with ``s = 0`` carries no evidence and
-        returns 1.  Up to ``s = 512`` the sum is an exact integer.
-        Above, the shorter side of the tail is summed in fixed
-        precision between proven bounds, and the value is returned when
-        both bounds round to it; otherwise the exact integer sum is
+        returns 1.  Up to ``s = 512`` the value is read from a table of
+        exact tails.  Above, the shorter side of the tail is summed in
+        fixed precision between proven bounds, and the value is returned
+        when both bounds round to it; otherwise the exact integer sum is
         divided out instead.
     """
     x_j, x_k = int(x_j), int(x_k)
     if x_j < 0 or x_k < 0:
         raise ValueError("counts must be non-negative")
     s = x_j + x_k
-    # The short side: the upper tail is sum_{i<=x_k} C(s, i) when
-    # 2 x_j > s, else the lower tail sum_{i<x_j} C(s, i) is taken from 1.
-    upper = 2 * x_j > s
-    t = x_k + 1 if upper else x_j
-    if s > _EXACT_MAX_S and t <= 1 << (_PRECISION_BITS - 2):
-        a, e, g = _short_sum_bounds(t, s)
-        scale = 1 << (s - g)
-        if upper:
-            lo, hi = a / scale, (a + e) / scale
-        else:
-            lo, hi = (scale - a - e) / scale, (scale - a) / scale
-        if lo == hi:
-            return lo
-    return _tail_numerator(x_j, s) / (1 << s)
+    if s <= _EXACT_MAX_S:
+        return float(_tail_table(s)[s * (s + 1) // 2 + x_j])
+    if x_j <= x_k:
+        return _pair_pvalues(x_j, x_k)[0]
+    return _pair_pvalues(x_k, x_j)[1]
 
 
 # eq=False: == on numpy fields would be elementwise.
@@ -202,10 +266,24 @@ def _pvalue_table(
     used[cell] = True
     rows, cols = np.nonzero(used.reshape(d, d))
     x = np.array(values)
+    x_j, x_k = x[rows], x[cols]
+    values_used = np.empty(len(rows))
+    small = x_j <= _EXACT_MAX_S - x_k
+    if small.any():
+        s = x_j[small] + x_k[small]
+        table = _tail_table(int(s.max()))
+        values_used[small] = table[s * (s + 1) // 2 + x_j[small]]
+    # Above the table, one walk per unordered pair {a <= b} gives both
+    # directions' p-values.
+    large = np.flatnonzero(~small).tolist()
+    walks = {}
+    for i, x_ji, x_ki in zip(large, x_j[large].tolist(), x_k[large].tolist()):
+        pair = (x_ji, x_ki) if x_ji <= x_ki else (x_ki, x_ji)
+        if pair not in walks:
+            walks[pair] = _pair_pvalues(*pair)
+        values_used[i] = walks[pair][x_ji != pair[0]]
     distinct = np.empty(d * d)
-    distinct[used] = list(
-        map(conditional_pvalue, x[rows].tolist(), x[cols].tolist())
-    )
+    distinct[used] = values_used
     pvalues = np.full(family.mask.shape, np.nan)
     pvalues[family.mask] = distinct[cell]
     return PairwisePValueTable(family=family, pvalues=pvalues)

@@ -974,11 +974,14 @@ def test_naive_restricts_to_requested_categories():
     assert [few.interval(j) for j in range(21)] == [full.interval(j) for j in range(21)]
 
 
-@pytest.mark.parametrize("p, n", [(7, 234), (20, 50), (100, 5000), (3, 5), (2, 1)])
-def test_best_ranks_match_pairwise_count(p, n):
+@pytest.mark.parametrize("p, n, B", [
+    (7, 234, 300), (20, 50, 300), (100, 5000, 300), (3, 5, 300), (2, 1, 300),
+    (100, 5000, 1000),  # seven row blocks, the last one partial
+])
+def test_best_ranks_match_pairwise_count(p, n, B):
     # Small n gives many ties and zero cells in every resample.
     rng = np.random.default_rng(p * 1000 + n)
-    star = rng.multinomial(n, rng.dirichlet(np.ones(p)), size=300) / n
+    star = rng.multinomial(n, rng.dirichlet(np.ones(p)), size=B) / n
     greater = star[:, None, :] > star[:, :, None]
     assert np.array_equal(_best_ranks(star), 1 + greater.sum(axis=2))
 

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from ranksets.core import MultinomialSample
-from ranksets.cp import IntervalBox, clopper_pearson, cp_box, cp_rank_cs
+from ranksets.cp import (
+    IntervalBox,
+    _cp_box_cached,
+    clopper_pearson,
+    cp_box,
+    cp_rank_cs,
+)
 from ranksets.exact import exact_rank_cs
 
 # ---------------------------------------------------------------------------
@@ -143,6 +150,23 @@ def test_box_runs_each_margin_at_split_level():
     for j, x in enumerate(sample.counts):
         lo, hi = clopper_pearson(x, sample.n, level=1.0 - alpha / sample.p)
         assert box.lo[j] == lo and box.hi[j] == hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 81, 234, 238, 5000])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.3])
+def test_box_matches_scalar_beta_quantiles_for_every_count(n, alpha):
+    # The box takes one array quantile call per bound; each entry must be
+    # the scalar call's double, and x = 0 and x = n the closed ends.
+    counts = tuple(range(n + 1))
+    lo, hi = _cp_box_cached(counts, n, alpha)
+    a = 1.0 - (1.0 - alpha / len(counts))
+    assert lo[0] == 0.0 and hi[n] == 1.0
+    assert list(lo[1:]) == [
+        float(special.betaincinv(x, n - x + 1, a / 2)) for x in counts[1:]
+    ]
+    assert list(hi[:n]) == [
+        float(special.betaincinv(x + 1, n - x, 1 - a / 2)) for x in counts[:n]
+    ]
 
 
 def test_box_rejects_bad_alpha():

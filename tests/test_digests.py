@@ -7,6 +7,11 @@ outputs hash to the pinned 16-hex sha256 prefix below.  An output is
 ``(p, J0, kind, method, alpha, intervals)``, or the ``ValueError`` text
 for the one-sided ``naive`` paths, which do not exist.
 
+The p-value digest pins the bits of every exact p-value in the
+two-sided p-value tables of :func:`pairwise_pvalues` on seeded tables
+with pair totals ``s`` from 0 to about 2e4, on both sides of the exact
+table's end at ``s = 512``.
+
 The wide digests pin the joint two-sided ``boot`` and ``bootStud``
 intervals (``J0`` all) and the ``symm`` intervals of
 :func:`difference_cs` on twelve tables with ``p`` from 17 to 150,
@@ -28,7 +33,8 @@ import pytest
 
 from ranksets import METHOD_NAMES, rank_cs
 from ranksets.boot import BootstrapConfig, difference_cs
-from ranksets.core import KINDS, SCOPES, MultinomialSample
+from ranksets.core import KINDS, SCOPES, MultinomialSample, build_index_family
+from ranksets.exact import pairwise_pvalues
 
 PATHS = [(m, k, s) for m in METHOD_NAMES for k in KINDS for s in SCOPES]
 
@@ -193,3 +199,46 @@ WIDE_DIGESTS = {
 @pytest.mark.parametrize("key", list(WIDE_DIGESTS))
 def test_wide_joint_bootstrap_matches_pinned_digest(key):
     assert _wide_digests()[key] == WIDE_DIGESTS[key]
+
+
+# ---------------------------------------------------------------------------
+# Exact p-value bits: pair totals s from 0 to about 2e4
+
+
+def _pvalue_tables(seed=20261020):
+    """Seeded count tables for the p-value digest.
+
+    The survey's seven shares at n = 600, 5000 and 20000, Zipf(0.5) at
+    p = 100 and n = 5000, tables with zero cells, and pairs that sit on
+    either side of s = 512 or reach s = 19990.
+    """
+    rng = np.random.default_rng(seed)
+    deep = np.asarray((87, 75, 42, 21, 6, 2, 1), dtype=float) / 234
+    for n in (600, 5_000, 20_000):
+        for _ in range(3):
+            yield tuple(int(c) for c in rng.multinomial(n, deep))
+    for _ in range(2):
+        yield tuple(int(c) for c in rng.multinomial(5_000, _zipf(100, 0.5)))
+    sparse = rng.multinomial(900, rng.dirichlet(np.full(40, 0.3)))
+    yield tuple(int(c) for c in sparse)
+    yield (0, 0, 1)
+    yield (0, 7, 0, 0)
+    yield (256, 256, 257, 0, 1, 513, 511, 1200)
+    yield (10_000, 9_990, 0, 5, 2_000, 10_001)
+
+
+@functools.lru_cache(maxsize=1)
+def _pvalue_digest() -> str:
+    h = hashlib.sha256()
+    for counts in _pvalue_tables():
+        family = build_index_family("two_sided", None, len(counts))
+        table = pairwise_pvalues(MultinomialSample(counts), family)
+        h.update(table.pvalues.tobytes())
+    return h.hexdigest()[:16]
+
+
+PVALUE_DIGEST = "55ff25517ccc19c1"
+
+
+def test_exact_pvalues_match_pinned_digest():
+    assert _pvalue_digest() == PVALUE_DIGEST

@@ -1,7 +1,12 @@
 """Exact conditional tests, multiplicity corrections, and their rank sets."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import comb, isqrt
+from itertools import accumulate
+from math import comb, isqrt, ldexp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,12 @@ from ranksets.exact import (
     holm_reject,
     pairwise_pvalues,
 )
-from ranksets.exact import _short_sum_bounds, _tail_numerator
+from ranksets.exact import (
+    _pair_pvalues,
+    _short_sum_bounds,
+    _tail_numerator,
+    _tail_table,
+)
 
 # ---------------------------------------------------------------------------
 # conditional p-value
@@ -139,10 +149,41 @@ def test_fixed_precision_pvalue_is_the_rounded_exact_tail(point):
     assert _uncached_pvalue(x, s) == _tail_numerator(x, s) / (1 << s)
 
 
+def test_tail_table_is_the_rounded_comb_suffix_sum_up_to_the_exact_end():
+    # Every entry against math.comb suffix sums rounded another way: a
+    # tail below 2**1024 converts to the nearest double, and scaling by
+    # 2**-s stays exact above the subnormals.
+    table = _tail_table(exact._EXACT_MAX_S)
+    assert len(table) >= (exact._EXACT_MAX_S + 1) * (exact._EXACT_MAX_S + 2) // 2
+    for s in range(exact._EXACT_MAX_S + 1):
+        tails = list(accumulate(comb(s, i) for i in range(s, -1, -1)))[::-1]
+        row = table[s * (s + 1) // 2:][:s + 1]
+        assert row.tolist() == [ldexp(float(tail), -s) for tail in tails]
+
+
+def test_import_builds_no_tail_table_row():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import ranksets, ranksets.exact as e; print(e._tails[0], e._tails[2].size)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["-1", "0"]
+
+
+def _exact_pair(a, b):
+    s = a + b
+    return _tail_numerator(a, s) / (1 << s), _tail_numerator(b, s) / (1 << s)
+
+
 @pytest.mark.parametrize("bits", [8, 16])
 def test_low_precision_falls_back_to_the_exact_tail(bits, monkeypatch):
     # Few bits leave the two ends of the bound on different doubles, so
-    # the exact sum has to decide; the value must still be the same.
+    # the exact sum has to decide; the value must still be the same, in
+    # both directions of the pair walk.
     fallbacks = []
 
     def counted(x, s):
@@ -157,6 +198,8 @@ def test_low_precision_falls_back_to_the_exact_tail(bits, monkeypatch):
     def check(point):
         x, s = point
         assert _uncached_pvalue(x, s) == _tail_numerator(x, s) / (1 << s)
+        pair = min(x, s - x), max(x, s - x)
+        assert _pair_pvalues(*pair) == _exact_pair(*pair)
 
     check()
     assert fallbacks
@@ -166,14 +209,27 @@ def test_low_precision_falls_back_to_the_exact_tail(bits, monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_short_sum_bounds_contain_the_exact_sum(bits, data):
-    # The bound is proven for 2t <= s + 1 and t <= 2**(bits - 2).
+    # The bounds are proven for 1 <= t, 2t <= s + 3 and t <= 2**(bits - 2);
+    # t = a + 1 for a pair {a <= b} reaches 2t = s + 2 when a = b.
     s = data.draw(st.integers(exact._EXACT_MAX_S + 1, 4000))
-    t = data.draw(st.integers(0, min((s + 1) // 2, 1 << (bits - 2))))
+    t = data.draw(st.integers(1, min(s // 2 + 1, 1 << (bits - 2))))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_PRECISION_BITS", bits)
-        a, e, g = _short_sum_bounds(t, s)
+        c, a, e, g = _short_sum_bounds(t, s)
     assert e >= 0
-    assert a << g <= sum(comb(s, i) for i in range(t)) <= (a + e) << g
+    before = sum(comb(s, i) for i in range(t - 1))
+    assert c << g <= before <= (c + e) << g
+    assert a << g <= before + comb(s, t - 1) <= (a + e) << g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_large_s_point())
+@example((exact._EXACT_MAX_S + 1, exact._EXACT_MAX_S + 1))
+@example((1075, 2150))  # a = b: both directions are one tail
+def test_pair_walk_gives_both_directions_rounded_exactly(point):
+    x, s = point
+    pair = min(x, s - x), max(x, s - x)
+    assert _pair_pvalues(*pair) == _exact_pair(*pair)
 
 
 def test_pvalue_caches_are_bounded():
@@ -183,10 +239,12 @@ def test_pvalue_caches_are_bounded():
     for x_j in range(side):
         for x_k in range(side):
             conditional_pvalue(x_j, x_k)
-    for cached in (conditional_pvalue, _tail_numerator):
-        info = cached.cache_info()
-        assert info.maxsize is not None
-        assert 0 < info.currsize <= info.maxsize
+    info = conditional_pvalue.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+    # The exact tail is only read when a walk's bounds straddle two doubles.
+    info = _tail_numerator.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 @given(st.integers(0, 80), st.integers(0, 80))
