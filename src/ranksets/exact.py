@@ -255,6 +255,16 @@ def pairwise_pvalues(
 def _pvalue_table(
     counts: tuple[int, ...], family: IndexFamily
 ) -> PairwisePValueTable:
+    top = sum(sorted(counts)[-2:])
+    if top <= _EXACT_MAX_S:
+        # Every pair of categories is in the tail table: one gather.  The
+        # diagonal is never a family pair, and 2 x_j may pass the table.
+        x = np.array(counts)
+        s = x[:, None] + x
+        np.fill_diagonal(s, 0)
+        pvalues = _tail_table(top)[s * (s + 1) // 2 + x[:, None]]
+        pvalues[~family.mask] = np.nan
+        return PairwisePValueTable(family=family, pvalues=pvalues)
     # A p-value depends only on the two counts: evaluate each distinct
     # (count, count) cell that a family pair falls in once, then gather.
     values = sorted(set(counts))

@@ -420,6 +420,10 @@ def _table_with_repeats(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_table_with_repeats())
+# Every pair in the tail table, though 2 * 300 is past its end.
+@example(((300, 100, 0), build_index_family("two_sided", None, 3)))
+# One pair past the table's end, next to pairs in it.
+@example(((300, 213, 0), build_index_family("lower", (1,), 3)))
 def test_pvalue_table_equals_the_per_pair_map(args):
     counts, fam = args
     table = pairwise_pvalues(MultinomialSample(counts), fam)
