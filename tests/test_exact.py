@@ -139,14 +139,22 @@ def _uncached_pvalue(x, s):
     return conditional_pvalue.__wrapped__(x, s - x)
 
 
+def _exact_pair(a, b):
+    s = a + b
+    return _tail_numerator(a, s) / (1 << s), _tail_numerator(b, s) / (1 << s)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_large_s_point())
 @example((exact._EXACT_MAX_S + 1, exact._EXACT_MAX_S + 1))
 @example((1075, 1075))  # 2**-1075 rounds to 0
 @example((1074, 1074))  # the smallest subnormal
+@example((1075, 2150))  # a = b: both directions are one tail
 def test_fixed_precision_pvalue_is_the_rounded_exact_tail(point):
     x, s = point
     assert _uncached_pvalue(x, s) == _tail_numerator(x, s) / (1 << s)
+    pair = min(x, s - x), max(x, s - x)
+    assert _pair_pvalues(*pair) == _exact_pair(*pair)
 
 
 def test_tail_table_is_the_rounded_comb_suffix_sum_up_to_the_exact_end():
@@ -172,11 +180,6 @@ def test_import_builds_no_tail_table_row():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["-1", "0"]
-
-
-def _exact_pair(a, b):
-    s = a + b
-    return _tail_numerator(a, s) / (1 << s), _tail_numerator(b, s) / (1 << s)
 
 
 @pytest.mark.parametrize("bits", [8, 16])
@@ -220,16 +223,6 @@ def test_short_sum_bounds_contain_the_exact_sum(bits, data):
     before = sum(comb(s, i) for i in range(t - 1))
     assert c << g <= before <= (c + e) << g
     assert a << g <= before + comb(s, t - 1) <= (a + e) << g
-
-
-@settings(max_examples=60, deadline=None)
-@given(_large_s_point())
-@example((exact._EXACT_MAX_S + 1, exact._EXACT_MAX_S + 1))
-@example((1075, 2150))  # a = b: both directions are one tail
-def test_pair_walk_gives_both_directions_rounded_exactly(point):
-    x, s = point
-    pair = min(x, s - x), max(x, s - x)
-    assert _pair_pvalues(*pair) == _exact_pair(*pair)
 
 
 def test_pvalue_caches_are_bounded():
