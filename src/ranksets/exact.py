@@ -186,6 +186,15 @@ def _tail_table(s: int) -> np.ndarray:
     return table
 
 
+def _table_pvalues(x, s):
+    """``P{Bin(s, 1/2) >= x}`` gathered from the tail triangle.
+
+    ``x`` and ``s`` are ints or integer arrays of one shape with
+    ``0 <= x <= s <= _EXACT_MAX_S``; the triangle is grown to ``max(s)``.
+    """
+    return _tail_table(int(np.max(s)))[s * (s + 1) // 2 + x]
+
+
 # Each entry is one float; the paper's tables (n <= 238) have < 57k pairs.
 @lru_cache(maxsize=2**16)
 def conditional_pvalue(x_j: int, x_k: int) -> float:
@@ -213,7 +222,7 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
         raise ValueError("counts must be non-negative")
     s = x_j + x_k
     if s <= _EXACT_MAX_S:
-        return float(_tail_table(s)[s * (s + 1) // 2 + x_j])
+        return float(_table_pvalues(x_j, s))
     if x_j <= x_k:
         return _pair_pvalues(x_j, x_k)[0]
     return _pair_pvalues(x_k, x_j)[1]
@@ -258,11 +267,12 @@ def _pvalue_table(
     top = sum(sorted(counts)[-2:])
     if top <= _EXACT_MAX_S:
         # Every pair of categories is in the tail table: one gather.  The
-        # diagonal is never a family pair, and 2 x_j may pass the table.
+        # diagonal is never a family pair, and 2 x_j may pass the table, so
+        # it reads row top instead (x_j <= top).
         x = np.array(counts)
         s = x[:, None] + x
-        np.fill_diagonal(s, 0)
-        pvalues = _tail_table(top)[s * (s + 1) // 2 + x[:, None]]
+        np.fill_diagonal(s, top)
+        pvalues = _table_pvalues(x[:, None], s)
         pvalues[~family.mask] = np.nan
         return PairwisePValueTable(family=family, pvalues=pvalues)
     # A p-value depends only on the two counts: evaluate each distinct
@@ -281,8 +291,7 @@ def _pvalue_table(
     small = x_j <= _EXACT_MAX_S - x_k
     if small.any():
         s = x_j[small] + x_k[small]
-        table = _tail_table(int(s.max()))
-        values_used[small] = table[s * (s + 1) // 2 + x_j[small]]
+        values_used[small] = _table_pvalues(x_j[small], s)
     # Above the table, one walk per unordered pair {a <= b} gives both
     # directions' p-values.
     large = np.flatnonzero(~small).tolist()

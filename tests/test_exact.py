@@ -232,12 +232,15 @@ def test_pvalue_caches_are_bounded():
     for x_j in range(side):
         for x_k in range(side):
             conditional_pvalue(x_j, x_k)
-    info = conditional_pvalue.cache_info()
-    assert 0 < info.currsize <= info.maxsize
-    # The exact tail is only read when a walk's bounds straddle two doubles.
-    info = _tail_numerator.cache_info()
-    assert info.maxsize is not None
-    assert info.currsize <= info.maxsize
+    # The p-values above come from the tail table, so the exact-tail cache
+    # is filled directly, again with more distinct (x, s) than it holds.
+    assert side > _tail_numerator.cache_info().maxsize
+    for x in range(side):
+        _tail_numerator(x, side)
+    for cached in (conditional_pvalue, _tail_numerator):
+        info = cached.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= info.maxsize
 
 
 @given(st.integers(0, 80), st.integers(0, 80))
