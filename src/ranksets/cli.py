@@ -657,7 +657,7 @@ def _method_list(text: str) -> list[str]:
     return [normalize_method(m) for m in text.split(",") if m.strip()]
 
 
-def _parse_design(text: str) -> dict:
+def _parse_design(text: str) -> tuple[str, dict[str, str]]:
     name, _, arg_text = text.partition(":")
     kwargs = {}
     if arg_text:
@@ -666,7 +666,7 @@ def _parse_design(text: str) -> dict:
             if not eq:
                 raise DataError(f"design argument {part!r} is not key=value")
             kwargs[key.strip()] = value.strip()
-    return {"name": name.strip(), "kwargs": kwargs}
+    return name.strip(), kwargs
 
 
 def _build_parser() -> _Parser:
@@ -707,26 +707,32 @@ def _build_parser() -> _Parser:
     data_common.add_argument(
         "--out", default=None, help="also write machine-readable CSV here"
     )
+    # Rank-set flags of the subcommands that run analyze; compare reads
+    # every category, so it takes no --j0.
+    analysis_common = argparse.ArgumentParser(add_help=False)
+    analysis_common.add_argument(
+        "--kind", choices=KINDS, default="two_sided",
+        help="sidedness of the rank bounds",
+    )
+    analysis_common.add_argument(
+        "--scope", choices=SCOPES, default="marginal",
+        help="marginal: one set per category; simultaneous: one joint set",
+    )
+    targets_common = argparse.ArgumentParser(
+        add_help=False, parents=[analysis_common]
+    )
+    targets_common.add_argument(
+        "--j0", default="all", metavar="SPEC",
+        help="'all' or 'single:<category>' (default all)",
+    )
 
     p_analyze = sub.add_parser(
-        "analyze", parents=[data_common],
+        "analyze", parents=[data_common, targets_common],
         help="rank confidence sets per group and category",
     )
     p_analyze.add_argument(
         "--method", type=_method_list, default=["exactHolm"], metavar="M[,M...]",
         help=f"methods, comma-separated from {', '.join(METHOD_NAMES)}",
-    )
-    p_analyze.add_argument(
-        "--kind", choices=KINDS, default="two_sided",
-        help="sidedness of the rank bounds",
-    )
-    p_analyze.add_argument(
-        "--scope", choices=SCOPES, default="marginal",
-        help="marginal: one set per category; simultaneous: one joint set",
-    )
-    p_analyze.add_argument(
-        "--j0", default="all", metavar="SPEC",
-        help="'all' or 'single:<category>' (default all)",
     )
 
     p_tau = sub.add_parser(
@@ -744,30 +750,21 @@ def _build_parser() -> _Parser:
     )
 
     p_compare = sub.add_parser(
-        "compare", parents=[data_common],
+        "compare", parents=[data_common, analysis_common],
         help="percentage of cells where one method's interval is wider",
     )
     p_compare.add_argument(
         "--method", type=_method_list, default=["exactHolm", "bootStud"],
         metavar="M,M[,M...]", help="two or more methods, comma-separated",
     )
-    p_compare.add_argument(
-        "--kind", choices=KINDS, default="two_sided",
-    )
-    p_compare.add_argument(
-        "--scope", choices=SCOPES, default="marginal",
-    )
 
     p_plot = sub.add_parser(
-        "plotdata", parents=[data_common],
+        "plotdata", parents=[data_common, targets_common],
         help="plot-ready CSV (group, category, theta_hat, se, method, lo, hi)",
     )
     p_plot.add_argument(
         "--method", type=_method_list, default=["exactHolm"], metavar="M[,M...]",
     )
-    p_plot.add_argument("--kind", choices=KINDS, default="two_sided")
-    p_plot.add_argument("--scope", choices=SCOPES, default="marginal")
-    p_plot.add_argument("--j0", default="all", metavar="SPEC")
 
     p_sim = sub.add_parser(
         "simulate", help="Monte Carlo coverage/length study for one design"
@@ -908,8 +905,7 @@ def _run_plotdata(args, out) -> int:
 
 
 def _run_simulate(args, out) -> int:
-    parsed = _parse_design(args.design)
-    name, kw = parsed["name"], parsed["kwargs"]
+    name, kw = _parse_design(args.design)
     common = dict(
         alpha=args.alpha, reps=args.reps, B=args.boot_samples,
         master_seed=_resolve_seed(args.seed), scope=args.scope,

@@ -40,6 +40,8 @@ Category indices are 0-based throughout the API; rank values are
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -80,6 +82,21 @@ class InvalidTestFamilyError(ValueError):
     """
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int, or a ``ValueError`` unless it is a whole number.
+
+    Integers (numpy's too) and finite real numbers with no fractional part
+    pass; ``2.7``, ``nan`` and ``'3'`` are refused rather than truncated.
+    """
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and value == int(value)
+    ):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _as_labels(labels: Sequence[str] | None, p: int) -> tuple[str, ...]:
     if labels is None:
         return tuple(f"cat{i + 1}" for i in range(p))
@@ -93,7 +110,8 @@ class MultinomialSample:
     Parameters
     ----------
     counts : sequence of int
-        Non-negative category counts ``X_1, ..., X_p``.
+        Non-negative category counts ``X_1, ..., X_p``; a count (or ``n``)
+        that is not a whole number raises ``ValueError``.
     labels : sequence of str, optional
         Unique category names; default ``cat1, ..., catp``.
     n : int, optional
@@ -106,7 +124,7 @@ class MultinomialSample:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(_whole_number(c, "a count") for c in self.counts)
         if any(c < 0 for c in counts):
             raise ValueError(f"counts must be non-negative, got {counts}")
         if len(counts) < 2:
@@ -119,7 +137,7 @@ class MultinomialSample:
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels must be unique, got {labels}")
         total = sum(counts)
-        n = total if self.n is None else int(self.n)
+        n = total if self.n is None else _whole_number(self.n, "n")
         if n != total:
             raise ValueError(f"n={n} does not match sum of counts {total}")
         if n <= 0:

@@ -10,14 +10,15 @@ the rejection-counting construction in :mod:`ranksets.core`.
 
 Every p-value is the correctly rounded double of the exact tail.  Up
 to ``s = 512`` it is read from a triangle of exact tails over ``2**s``,
-built lazily from Pascal rows up to the largest ``s`` asked for (about
-1 MB when full), so a p-value table gathers those cells in one index.
-Above that, the shorter side of the tail is summed with a
-fixed-precision term of about 128 bits and a proven error bound, once
-per unordered count pair: the walk to ``min(x_j, x_k) + 1`` bounds the
-p-values of both directions.  Each is returned when both ends of its
-bound round to the same double, and otherwise (rare at 128 bits) the
-exact integer sum decides.
+built lazily from Pascal rows up to the largest ``s`` asked for and
+never past row 512 (about 1 MB when full).  A p-value table gathers
+every cell from it in one index, with ``s`` clipped at 512, and then
+overwrites its pairs past 512.  There the shorter side of the tail is
+summed with a fixed-precision term of about 128 bits and a proven error
+bound, once per distinct unordered count pair: the walk to ``min(x_j,
+x_k) + 1`` bounds the p-values of both directions.  Each is returned
+when both ends of its bound round to the same double, and otherwise
+(rare at 128 bits) the exact integer sum decides.
 
 Inference always uses the non-randomized rule "reject iff p-value <=
 threshold".
@@ -40,6 +41,7 @@ from .core import (
     RankSet,
     _check_alpha,
     _target_pairs,
+    _whole_number,
     build_index_family,
     rankset_from_rejections,
 )
@@ -189,8 +191,8 @@ def _tail_table(s: int) -> np.ndarray:
 def _table_pvalues(x, s):
     """``P{Bin(s, 1/2) >= x}`` gathered from the tail triangle.
 
-    ``x`` and ``s`` are ints or integer arrays of one shape with
-    ``0 <= x <= s <= _EXACT_MAX_S``; the triangle is grown to ``max(s)``.
+    ``x`` and ``s`` are ints or integer arrays that broadcast together,
+    with ``0 <= x <= s <= _EXACT_MAX_S``; the triangle is grown to ``max(s)``.
     """
     return _tail_table(int(np.max(s)))[s * (s + 1) // 2 + x]
 
@@ -203,7 +205,7 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
     Parameters
     ----------
     x_j, x_k : int
-        Non-negative counts of the two categories.
+        Non-negative whole-number counts of the two categories.
 
     Returns
     -------
@@ -217,7 +219,7 @@ def conditional_pvalue(x_j: int, x_k: int) -> float:
         when both bounds round to it; otherwise the exact integer sum is
         divided out instead.
     """
-    x_j, x_k = int(x_j), int(x_k)
+    x_j, x_k = _whole_number(x_j, "x_j"), _whole_number(x_k, "x_k")
     if x_j < 0 or x_k < 0:
         raise ValueError("counts must be non-negative")
     s = x_j + x_k
@@ -264,47 +266,28 @@ def pairwise_pvalues(
 def _pvalue_table(
     counts: tuple[int, ...], family: IndexFamily
 ) -> PairwisePValueTable:
-    top = sum(sorted(counts)[-2:])
-    if top <= _EXACT_MAX_S:
-        # Every pair of categories is in the tail table: one gather.  The
-        # diagonal is never a family pair, and 2 x_j may pass the table, so
-        # it reads row top instead (x_j <= top).
-        x = np.array(counts)
-        s = x[:, None] + x
-        np.fill_diagonal(s, top)
-        pvalues = _table_pvalues(x[:, None], s)
-        pvalues[~family.mask] = np.nan
-        return PairwisePValueTable(family=family, pvalues=pvalues)
-    # A p-value depends only on the two counts: evaluate each distinct
-    # (count, count) cell that a family pair falls in once, then gather.
-    values = sorted(set(counts))
-    d = len(values)
-    index = {x: i for i, x in enumerate(values)}
-    inverse = np.array([index[x] for x in counts])
-    cell = (inverse[:, None] * d + inverse)[family.mask]
-    used = np.zeros(d * d, dtype=bool)
-    used[cell] = True
-    rows, cols = np.nonzero(used.reshape(d, d))
-    x = np.array(values)
-    x_j, x_k = x[rows], x[cols]
-    values_used = np.empty(len(rows))
-    small = x_j <= _EXACT_MAX_S - x_k
-    if small.any():
-        s = x_j[small] + x_k[small]
-        values_used[small] = _table_pvalues(x_j[small], s)
-    # Above the table, one walk per unordered pair {a <= b} gives both
-    # directions' p-values.
-    large = np.flatnonzero(~small).tolist()
-    walks = {}
-    for i, x_ji, x_ki in zip(large, x_j[large].tolist(), x_k[large].tolist()):
-        pair = (x_ji, x_ki) if x_ji <= x_ki else (x_ki, x_ji)
-        if pair not in walks:
-            walks[pair] = _pair_pvalues(*pair)
-        values_used[i] = walks[pair][x_ji != pair[0]]
-    distinct = np.empty(d * d)
-    distinct[used] = values_used
-    pvalues = np.full(family.mask.shape, np.nan)
-    pvalues[family.mask] = distinct[cell]
+    # One gather with s clipped at the triangle's end (x_j <= s, so x_j
+    # clipped there is within the clipped s); cells past it are replaced.
+    x = np.array(counts)
+    s = x[:, None] + x
+    past = np.flatnonzero(family.mask & (s > _EXACT_MAX_S))
+    pvalues = _table_pvalues(
+        np.minimum(x, _EXACT_MAX_S)[:, None], np.minimum(s, _EXACT_MAX_S)
+    )
+    # One walk per distinct unordered count pair {a <= b} past the end;
+    # the larger count of a pair reads the walk's second p-value.
+    if past.size:
+        values, rank = np.unique(x, return_inverse=True)
+        d = len(values)
+        r_j, r_k = (rank[i] for i in np.divmod(past, len(x)))
+        pair = np.minimum(r_j, r_k) * d + np.maximum(r_j, r_k)
+        seen = np.bincount(pair, minlength=d * d) > 0
+        pairs = np.flatnonzero(seen)
+        a, b = values[pairs // d].tolist(), values[pairs % d].tolist()
+        walks = np.array([_pair_pvalues(*ab) for ab in zip(a, b)])
+        which = np.cumsum(seen)[pair] - 1
+        pvalues.flat[past] = walks.ravel()[2 * which + (r_j > r_k)]
+    pvalues[~family.mask] = np.nan
     return PairwisePValueTable(family=family, pvalues=pvalues)
 
 

@@ -615,6 +615,32 @@ def test_main_plotdata_subcommand(melbourne_csv, capsys):
     assert len(stdout.strip().splitlines()) == 1 + 14
 
 
+def test_compare_and_plotdata_hand_the_analysis_flags_to_analyze(
+    territories_csv, capsys
+):
+    ds = ingest(territories_csv)
+    cfg = BootstrapConfig(B=200, seed=0)
+    methods = ("exactHolm", "bootStud")
+    argv = [str(territories_csv), "--method", ",".join(methods),
+            "--boot-samples", "200", "--seed", "0"]
+
+    def reports(**flags):
+        return [analyze(ds, m, config=cfg, **flags) for m in methods]
+
+    assert main(["compare", *argv, "--kind", "lower",
+                 "--scope", "simultaneous"]) == 0
+    stdout = capsys.readouterr().out
+    text = compare_methods(reports(kind="lower", scope="simultaneous")).to_text()
+    assert text in stdout and "scope=simultaneous" in stdout
+    assert text != compare_methods(reports()).to_text()
+
+    assert main(["plotdata", *argv, "--j0", "single:Greens",
+                 "--scope", "simultaneous"]) == 0
+    text = emit_plotdata(reports(scope="simultaneous", j0="single:Greens"))
+    assert capsys.readouterr().out == text
+    assert text != emit_plotdata(reports(scope="simultaneous"))
+
+
 def test_main_simulate_subcommand(capsys, tmp_path):
     argv = ["simulate", "uniform:p=3,n=40", "--method", "exactHolm",
             "--reps", "20", "--boot-samples", "100"]

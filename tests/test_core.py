@@ -27,6 +27,7 @@ from ranksets.core import (
 )
 from ranksets.exact import (
     bonferroni_reject,
+    conditional_pvalue,
     exact_rank_cs,
     holm_reject,
     pairwise_pvalues,
@@ -522,6 +523,38 @@ def test_sample_rejects_duplicate_labels():
 def test_sample_rejects_inconsistent_n():
     with pytest.raises(ValueError):
         MultinomialSample(counts=(1, 2), n=5)
+
+
+_NOT_WHOLE = {
+    "counts-2.7-3-0.9": lambda: MultinomialSample(counts=(2.7, 3, 0.9)),
+    "counts-2.7-3-n-5.9": lambda: MultinomialSample(counts=(2.7, 3), n=5.9),
+    "n-5.9": lambda: MultinomialSample(counts=(2, 3), n=5.9),
+    "count-nan": lambda: MultinomialSample(counts=(float("nan"), 3)),
+    "n-nan": lambda: MultinomialSample(counts=(2, 3), n=float("nan")),
+    "count-inf": lambda: MultinomialSample(counts=(float("inf"), 3)),
+    "count-str": lambda: MultinomialSample(counts=("3", 2)),
+    "n-str": lambda: MultinomialSample(counts=(3, 2), n="5"),
+    "pvalue-2.9-1.2": lambda: conditional_pvalue(2.9, 1.2),
+    "pvalue-2-1.2": lambda: conditional_pvalue(2, 1.2),
+    "pvalue-nan": lambda: conditional_pvalue(float("nan"), 1),
+    "pvalue-str": lambda: conditional_pvalue("3", 1),
+}
+
+
+@pytest.mark.parametrize("make", _NOT_WHOLE.values(), ids=_NOT_WHOLE.keys())
+def test_counts_that_are_not_whole_numbers_are_refused(make):
+    # int() used to truncate these, e.g. (2.7, 3, 0.9) into (2, 3, 0).
+    with pytest.raises(ValueError, match="whole number"):
+        make()
+
+
+def test_whole_number_counts_of_any_numeric_type_are_accepted():
+    arr = MultinomialSample(counts=np.array([2, 3, 0], dtype=np.int64))
+    assert arr.counts == (2, 3, 0) and arr.n == 5
+    s = MultinomialSample(counts=(2.0, np.int32(3), np.float64(0.0)), n=5.0)
+    assert s.counts == (2, 3, 0) and s.n == 5
+    assert all(type(c) is int for c in (*s.counts, s.n))
+    assert conditional_pvalue(2.0, np.int64(1)) == conditional_pvalue(2, 1)
 
 
 def test_probability_vector_must_sum_to_one():

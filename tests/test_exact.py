@@ -420,15 +420,36 @@ def _table_with_repeats(draw):
 @example(((300, 100, 0), build_index_family("two_sided", None, 3)))
 # One pair past the table's end, next to pairs in it.
 @example(((300, 213, 0), build_index_family("lower", (1,), 3)))
+# Tied counts past the end: one a = b walk serves both directions.
+@example(((600, 600, 7, 0), build_index_family("two_sided", None, 4)))
+# The larger count on the row side picks the walk's second p-value; the
+# family also holds a tie past the end and a pair inside the table.
+@example(((900, 450, 450, 2), build_index_family("lower", (1,), 4)))
 def test_pvalue_table_equals_the_per_pair_map(args):
     counts, fam = args
     table = pairwise_pvalues(MultinomialSample(counts), fam)
+    assert np.array_equal(table.pvalues, _per_pair_map(counts, fam), equal_nan=True)
+
+
+def _per_pair_map(counts, fam):
     rows, cols = np.nonzero(fam.mask)
     expected = np.full(fam.mask.shape, np.nan)
     expected[rows, cols] = [
         conditional_pvalue(counts[a], counts[b]) for a, b in zip(rows, cols)
     ]
-    assert np.array_equal(table.pvalues, expected, equal_nan=True)
+    return expected
+
+
+def test_pvalue_table_never_grows_the_tail_triangle_past_its_end(monkeypatch):
+    # The diagonal and several pairs are past 512; gathered unclipped, they
+    # would grow the triangle to row 2 * 700 (about 8 MB of floats).
+    monkeypatch.setattr(exact, "_tails", (-1, [], np.empty(0)))
+    exact._pvalue_table.cache_clear()
+    counts = (700, 600, 3, 0)
+    fam = build_index_family("two_sided", None, 4)
+    table = pairwise_pvalues(MultinomialSample(counts), fam)
+    assert 0 <= exact._tails[0] <= exact._EXACT_MAX_S
+    assert np.array_equal(table.pvalues, _per_pair_map(counts, fam), equal_nan=True)
 
 
 def test_zero_zero_pairs_never_reject():
