@@ -23,15 +23,15 @@ m`` array at once.
 
 The symmetric statistic over every unordered pair (the joint two-sided
 readout, and ``symm`` difference sets whose mask covers every pair one
-way round) needs far fewer than its ``p(p-1)/2`` pairs per resample.
-Each category gets a deviation score that bounds every pair it is in;
-the pairs of a resample's highest-scoring categories are evaluated
-exactly, one category per level, until its running maximum reaches a
-proven bound on all remaining pairs.  Blocks of resamples are read as
-they lie in the ``B x p`` matrix, most resamples stop after one or two
-levels, and the few that do not stop within ``_TOP_K`` levels are
-walked over every pair as above.  The maxima are the same bit for
-bit; see :func:`_all_pairs_symm_stats`.
+way round) mostly needs far fewer than its ``p(p-1)/2`` pairs per
+resample.  Each category gets a deviation score that bounds every pair
+it is in; the pairs of a resample's highest-scoring categories are
+evaluated exactly, one category per level, until its running maximum
+reaches a proven bound on all remaining pairs.  Blocks of resamples are
+read as they lie in the ``B x p`` matrix, most resamples stop after one
+or two levels, and none runs more than ``p - 1``, after which every
+pair has been evaluated.  The maxima are the same bit for bit; see
+:func:`_all_pairs_symm_stats`.
 
 Zero counts need conventions: a bootstrap ratio evaluates ``0/0`` as 0
 and ``c/0`` as ``sign(c) * inf``.  Infinities are kept and propagate
@@ -343,12 +343,6 @@ def _marginal_symm_stats(
     return out.T
 
 
-#: Most levels (categories per resample whose pairs are evaluated
-#: exactly) of :func:`_all_pairs_symm_stats` before a resample falls back
-#: to :func:`_pair_stats`; eight left up to 25 of 1000 resamples to the
-#: fallback at p = 1000, sixteen none (``BENCH_14.json``).
-_TOP_K = 16
-
 #: Smallest ``p`` at which a symmetric calibration over every unordered
 #: pair goes through :func:`_all_pairs_symm_stats`; below it the pair
 #: walk is about as fast, and faster on sparse unstudentized tables
@@ -406,12 +400,10 @@ def _all_pairs_symm_stats(
     their largest score times ``c = sqrt(2) (1 + 2^-40)`` studentized or
     ``2 (1 + 2^-40)`` not, so a resample whose running maximum reaches
     its bound (an infinite one always does) is done; the others go on
-    to the next level, and after ``_TOP_K`` levels are recomputed by
-    :func:`_pair_stats` over all pairs.  A level costs O(p) per
-    resample, so the kernel is O(B p) times the mean level count, plus
-    the resamples that fall back; memory is one block, the pair index
-    arrays are built only for resamples that fall back, and the inputs
-    are never written.
+    to the next level, for at most ``p - 1`` levels.  A level costs O(p)
+    per resample, so the kernel is O(B p) times the mean level count,
+    O(B p^2) in the worst case; memory is one block, no pair index
+    arrays are built, and the inputs are never written.
 
     The score.  With ``a = t - th`` a category's computed deviation
     (``t`` its resampled, ``th`` its estimated frequency), ``v = (1 -
@@ -450,9 +442,13 @@ def _all_pairs_symm_stats(
     pairs already evaluated, whose ``0/0`` counts as 0 as in
     :func:`_pair_stats`, the running maximum is then the maximum over
     all pairs.
+
+    Termination.  Each level takes one category not yet taken, so after
+    ``p - 1`` levels at most one category of a resample is left, every
+    pair has an end taken and has been evaluated, and the running
+    maximum is the maximum over all pairs whatever the bound reads.
     """
     B, p = theta_star.shape
-    levels = min(_TOP_K, p - 1)
     width = min(B, max(1, _BLOCK_BYTES // (8 * p)))
     root_n = math.sqrt(n)
     factor = (math.sqrt(2.0) if studentize else 2.0) * (1.0 + 2.0**-40)
@@ -460,7 +456,6 @@ def _all_pairs_symm_stats(
     if studentize:
         v_buf, prod_buf = np.empty((width, p)), np.empty((width, p))
     out = np.zeros(B)
-    left = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, B, width):
             t = theta_star[start:start + width]
@@ -480,7 +475,7 @@ def _all_pairs_symm_stats(
                 z /= v
                 np.copyto(z, 0.0, where=np.isnan(z))
             active = np.arange(start, start + len(t))
-            for _ in range(levels):
+            for _ in range(p - 1):
                 m = len(active)
                 r = np.arange(m)
                 c = z.argmax(axis=1)
@@ -502,13 +497,6 @@ def _all_pairs_symm_stats(
                 active, t, z = active[still], t[still], z[still]
                 if studentize:
                     v = v[still]
-            else:
-                left.append(active)
-    if left:
-        redo = np.concatenate(left)
-        rows, var = _category_major(theta_star[redo], studentize)
-        jj, kk = np.triu_indices(p, 1)
-        out[redo] = _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
     return out
 
 
@@ -799,12 +787,12 @@ def boot_rank_cs(
     per-pair intervals of :func:`difference_cs`.  A two-sided row
     holding every unordered pair (joint, or a ``J0`` that leaves no pair
     out) takes its maxima from :func:`_symm_stats`, which evaluates
-    O(p) pairs per resample rather than all of them, and builds no pair
-    index arrays unless resamples fall back to the full walk.  Marginal
-    two-sided rows take theirs from :func:`_marginal_symm_stats`, which
-    evaluates each unordered pair once for both of its ends.  Both give
-    the same result bit for bit, and the largest scale of each row comes
-    from :func:`_sigma_max`, which needs no pair index arrays either.
+    O(p) pairs per resample on most tables rather than all of them, and
+    builds no pair index arrays.  Marginal two-sided rows take theirs
+    from :func:`_marginal_symm_stats`, which evaluates each unordered
+    pair once for both of its ends.  Both give the same result bit for
+    bit, and the largest scale of each row comes from
+    :func:`_sigma_max`, which needs no pair index arrays either.
 
     Parameters
     ----------

@@ -309,7 +309,7 @@ def _categories_of_interest(J0: Iterable[int] | None, p: int) -> tuple[int, ...]
     """
     if J0 is None:
         return tuple(range(p))
-    j0 = tuple(sorted({int(j) for j in J0}))
+    j0 = tuple(sorted({_whole_number(j, "a J0 entry") for j in J0}))
     if not j0:
         raise ValueError("J0 must be non-empty")
     if j0[0] < 0 or j0[-1] >= p:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ._dispatch import normalize_method, rank_cs
 from .boot import BootstrapConfig
-from .core import MultinomialSample, RankSet
+from .core import MultinomialSample, RankSet, _whole_number
 
 __all__ = ["TauBestSet", "tau_best", "tau_worst"]
 
@@ -57,18 +57,23 @@ def _project(
     alpha: float,
     method: str,
     config: BootstrapConfig | None,
-    kind: str,
-    rank: int,
     direction: str,
 ) -> TauBestSet:
-    """``{j : rank in j's interval}`` of the simultaneous ``kind`` rank set."""
+    """``{j : rank in j's interval}`` of the simultaneous one-sided rank set.
+
+    ``direction`` ``'best'`` reads the lower bounds at rank ``tau``,
+    ``'worst'`` the upper bounds at rank ``p - tau + 1``.
+    """
     canonical = normalize_method(method)
     if canonical not in _PROJECTION_METHODS:
         raise ValueError(
             f"method must be one of {_PROJECTION_METHODS}, got {method!r}"
         )
+    tau = _whole_number(tau, "tau")
     if not (1 <= tau <= sample.p):
         raise ValueError(f"tau={tau} outside [1, {sample.p}]")
+    best = direction == "best"
+    kind, rank = ("lower", tau) if best else ("upper", sample.p - tau + 1)
     rs = rank_cs(canonical, sample, J0=None, kind=kind, alpha=alpha, config=config)
     members = frozenset(j for j in rs.J0 if rs.contains(j, rank))
     return TauBestSet(
@@ -108,7 +113,7 @@ def tau_best(
         ``1 - alpha`` it contains every category whose true rank is
         ``<= tau``.
     """
-    return _project(sample, tau, alpha, method, config, "lower", tau, "best")
+    return _project(sample, tau, alpha, method, config, "best")
 
 
 def tau_worst(
@@ -125,6 +130,4 @@ def tau_worst(
     ``p - tau + 1``, so the result covers every category whose true
     rank is ``>= p - tau + 1`` with probability at least ``1 - alpha``.
     """
-    return _project(
-        sample, tau, alpha, method, config, "upper", sample.p - tau + 1, "worst"
-    )
+    return _project(sample, tau, alpha, method, config, "worst")

@@ -29,6 +29,7 @@ from ranksets.boot import (
     _category_major,
     _marginal_symm_stats,
     _pair_stats,
+    _pairs_with,
     _theta_star_cached,
 )
 from ranksets.core import MultinomialSample, build_index_family
@@ -341,16 +342,25 @@ def _symm_oracle(star, studentize, theta_hat, n, jj, kk):
     return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
 
 
+def _fixed_all_pairs_case(counts, B, seed):
+    n, p = sum(counts), len(counts)
+    star = _theta_star_cached.__wrapped__(counts, n, B, seed)
+    return (star, np.asarray(counts, dtype=float) / n, n, *np.triu_indices(p, 1))
+
+
 @settings(max_examples=200, deadline=None)
-@given(_all_pairs_case(), st.booleans(), st.integers(1, 20))
-def test_all_pairs_kernel_equals_pair_stats(case, studentize, top_k):
+@given(_all_pairs_case(), st.booleans())
+# Tied tables on which some resample of seed 0 runs all p - 1 levels.
+@example(_fixed_all_pairs_case((30,) * 5, 200, 0), False)
+@example(_fixed_all_pairs_case((30,) * 5, 200, 0), True)
+@example(_fixed_all_pairs_case((2, 1, 1), 200, 0), False)
+@example(_fixed_all_pairs_case((2, 1, 1), 200, 0), True)
+def test_all_pairs_kernel_equals_pair_stats(case, studentize):
     # Zero cells (0/0 and c/0 pairs), ties, single-cell tables and n
-    # from 1 to over 1e8, with as few as one level before the fallback.
+    # from 1 to over 1e8.
     star, theta_hat, n, jj, kk = case
     expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("ranksets.boot._TOP_K", top_k)
-        got = _all_pairs_symm_stats(star, studentize, theta_hat, n)
+    got = _all_pairs_symm_stats(star, studentize, theta_hat, n)
     assert np.array_equal(got, expected)
 
 
@@ -372,8 +382,8 @@ def test_all_pairs_kernel_is_block_size_invariant(case, studentize):
 @pytest.mark.parametrize("studentize", [False, True])
 @pytest.mark.parametrize("one_resample_blocks", [False, True])
 def test_all_pairs_kernel_never_writes_its_inputs(studentize, one_resample_blocks):
-    # Zero cells give 0/0 and c/0 pairs; K = 1 sends resamples down
-    # the fallback too.  Every write lands in the kernel's own buffers.
+    # Zero cells give 0/0 and c/0 pairs.  Every write lands in the
+    # kernel's own buffers.
     counts = (9, 0, 4, 4, 1, 0, 7, 2, 0, 3, 1, 1, 5, 0, 2, 6, 1, 1, 0, 3)
     n, p = sum(counts), len(counts)
     star = _theta_star_cached.__wrapped__(counts, n, 40, 5).copy()
@@ -382,7 +392,6 @@ def test_all_pairs_kernel_never_writes_its_inputs(studentize, one_resample_block
     inputs = [star, theta_hat, jj, kk]
     before = [x.copy() for x in inputs]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("ranksets.boot._TOP_K", 1)
         if one_resample_blocks:
             mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p)
         first = _all_pairs_symm_stats(star, studentize, theta_hat, n)
@@ -393,28 +402,28 @@ def test_all_pairs_kernel_never_writes_its_inputs(studentize, one_resample_block
         assert np.array_equal(got, saved)
 
 
+@pytest.mark.parametrize("counts", [(30,) * 5, (2, 1, 1)], ids=["p5", "p3"])
 @pytest.mark.parametrize("studentize", [False, True])
-def test_all_pairs_kernel_fallback_resamples_stay_exact(studentize, monkeypatch):
-    # With one level, the resamples whose most deviant category's pairs
-    # do not reach the bound on the rest go to _pair_stats over all
-    # pairs; the result is the same either way.
-    weights = 1.0 / np.arange(1, 61) ** 0.5
-    counts = np.random.default_rng(3).multinomial(5_000, weights / weights.sum())
-    counts = tuple(int(c) for c in counts)
-    star = _theta_star_cached.__wrapped__(counts, 5_000, 300, 11)
-    theta_hat = np.asarray(counts, dtype=float) / 5_000
-    jj, kk = np.triu_indices(60, 1)
-    expected = _symm_oracle(star, studentize, theta_hat, 5_000, jj, kk)
-    seen = []
+def test_all_pairs_kernel_never_calls_the_pair_walk(studentize, counts, monkeypatch):
+    # On these tied tables the block of 200 resamples stays open until
+    # level p - 1, when every pair has an end taken: the running maxima
+    # are then exact with no walk over all pairs.
+    star, theta_hat, n, jj, kk = _fixed_all_pairs_case(counts, 200, 0)
+    expected = _symm_oracle(star, studentize, theta_hat, n, jj, kk)
+    levels = []
 
-    def counted(rows, *args):
-        seen.append(rows.shape[1])
-        return _pair_stats(rows, *args)
+    def counted(*args):
+        levels.append(len(args[4]))
+        return _pairs_with(*args)
 
-    monkeypatch.setattr("ranksets.boot._pair_stats", counted)
-    monkeypatch.setattr("ranksets.boot._TOP_K", 1)
-    got = _all_pairs_symm_stats(star, studentize, theta_hat, 5_000)
-    assert 0 < sum(seen) < 300
+    def refused(*args):
+        raise AssertionError("the kernel walked every pair")
+
+    monkeypatch.setattr("ranksets.boot._pairs_with", counted)
+    monkeypatch.setattr("ranksets.boot._pair_stats", refused)
+    monkeypatch.setattr("ranksets.boot._category_major", refused)
+    got = _all_pairs_symm_stats(star, studentize, theta_hat, n)
+    assert len(levels) == len(counts) - 1  # one block, every level
     assert np.array_equal(got, expected)
 
 

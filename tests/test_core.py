@@ -154,6 +154,27 @@ def test_every_method_rejects_bad_j0(method):
                 rank_cs(method, sample, J0=J0, config=cfg, scope=scope)
 
 
+@pytest.mark.parametrize("J0", [(1.7,), "03", (0, float("nan")), ("1",)],
+                         ids=["fraction", "string", "nan", "str-entry"])
+def test_j0_entries_that_are_not_whole_numbers_are_refused(J0):
+    # int() used to truncate these: (1.7,) ran on (1,), "03" on (0, 3).
+    sample = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
+    with pytest.raises(ValueError, match="whole number"):
+        rank_cs("exactHolm", sample, J0=J0)
+    with pytest.raises(ValueError, match="whole number"):
+        sim.SimDesign(name="bad", theta=(0.5, 0.5), n=10, methods=("cp",),
+                      categories=J0)
+
+
+def test_j0_of_any_integer_type_is_accepted():
+    for J0 in (np.array([3, 0], dtype=np.int64), range(0, 4, 3), (3.0, np.int32(0))):
+        assert build_index_family("lower", J0, 4).J0 == (0, 3)
+    design = sim.SimDesign(name="ok", theta=(0.25,) * 4, n=10, methods=("cp",),
+                           categories=np.array([3, 0]))
+    assert design.categories == (0, 3)
+    assert all(type(j) is int for j in design.categories)
+
+
 def test_unknown_scope_is_rejected_everywhere():
     sample = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
     for method in METHOD_NAMES:

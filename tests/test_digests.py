@@ -15,7 +15,10 @@ table's end at ``s = 512``.
 The wide digests pin the joint two-sided ``boot`` and ``bootStud``
 intervals (``J0`` all) and the ``symm`` intervals of
 :func:`difference_cs` on twelve tables with ``p`` from 17 to 150,
-where the calibration maximum runs over thousands of pairs.
+where the calibration maximum runs over thousands of pairs.  The tied
+wide digest pins the same readouts, and each resample's calibration
+maximum, on three p = 1000 tables of tied or small counts, where
+resamples of the joint calibration stay open for hundreds of levels.
 
 A refactor that claims bit-identical outputs keeps these digests; a
 change that means to alter outputs says why and re-pins them from
@@ -31,6 +34,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import ranksets.boot as boot
 from ranksets import METHOD_NAMES, rank_cs
 from ranksets.boot import BootstrapConfig, difference_cs
 from ranksets.core import KINDS, SCOPES, MultinomialSample, build_index_family
@@ -199,6 +203,41 @@ WIDE_DIGESTS = {
 @pytest.mark.parametrize("key", list(WIDE_DIGESTS))
 def test_wide_joint_bootstrap_matches_pinned_digest(key):
     assert _wide_digests()[key] == WIDE_DIGESTS[key]
+
+
+def _tied_wide_digest() -> str:
+    """Joint two-sided ``boot`` and ``bootStud`` on p = 1000 tied tables.
+
+    Every count 5, every count 1, and one count of 5000 beside 999
+    ones.  Tied intervals barely depend on the critical value, so the
+    calibration's maximum statistic of every resample is pinned too.
+    """
+    h = hashlib.sha256()
+    maxima, kernel = [], boot._symm_stats
+
+    def recorded(*args):
+        maxima.append(kernel(*args))
+        return maxima[-1]
+
+    tables = ((5,) * 1000, (1,) * 1000, (5_000,) + (1,) * 999)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boot, "_symm_stats", recorded)
+        for i, counts in enumerate(tables):
+            config = BootstrapConfig(B=25, seed=2000 + i)
+            for method in ("boot", "bootStud"):
+                rs = rank_cs(method, MultinomialSample(counts), None, "two_sided",
+                             0.05, config, "simultaneous")
+                intervals = tuple((int(rs.lo[j]), int(rs.hi[j])) for j in rs.J0)
+                h.update(repr(intervals).encode())
+                h.update(maxima.pop().tobytes())
+    return h.hexdigest()[:16]
+
+
+TIED_WIDE_DIGEST = "d945764430aab94f"
+
+
+def test_tied_wide_joint_bootstrap_matches_pinned_digest():
+    assert _tied_wide_digest() == TIED_WIDE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,16 @@ def test_tau_out_of_range_is_rejected():
         tau_worst(MELBOURNE, tau=-1)
 
 
+@pytest.mark.parametrize("project", [tau_best, tau_worst])
+def test_tau_that_is_not_a_whole_number_is_rejected(project):
+    # tau_best(s, 2.5) used to read members at "rank 2.5".
+    for tau in (2.5, float("nan"), "2"):
+        with pytest.raises(ValueError, match="whole number"):
+            project(MELBOURNE, tau=tau)
+    whole = project(MELBOURNE, tau=2.0)
+    assert type(whole.tau) is int and whole == project(MELBOURNE, tau=np.int64(2))
+
+
 def test_direction_field_is_validated():
     with pytest.raises(ValueError):
         TauBestSet(
