@@ -20,6 +20,10 @@ wide digest pins the same readouts, and each resample's calibration
 maximum, on three p = 1000 tables of tied or small counts, where
 resamples of the joint calibration stay open for hundreds of levels.
 
+The Monte Carlo digest pins the ``SimReport.to_csv`` bytes of
+:func:`run_design` on reduced-replication versions of the acceptance
+criteria 2-5 designs, and the rows of :func:`erratic_coverage_curves`.
+
 A refactor that claims bit-identical outputs keeps these digests; a
 change that means to alter outputs says why and re-pins them from
 ``_digests()``.  They pin the resampling stream of this numpy and the
@@ -281,3 +285,51 @@ PVALUE_DIGEST = "55ff25517ccc19c1"
 
 def test_exact_pvalues_match_pinned_digest():
     assert _pvalue_digest() == PVALUE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo reports: the criteria 2-5 designs at reduced replications
+
+
+def _monte_carlo_reports():
+    """Seeded designs of the acceptance criteria 2-5, at few replications.
+
+    The election design with all six methods in marginal scope, a
+    skewed five-category truth with all six methods in simultaneous
+    scope (joint cells), the uniform design at p = 20 and 50, and an
+    erratic design with its coverage curves.
+    """
+    from ranksets.sim import (
+        SimDesign, aes_design, erratic_coverage_curves, erratic_design,
+        run_design, uniform_design,
+    )
+    six = METHOD_NAMES
+    designs = (
+        aes_design(0.5, 1.0, methods=six, reps=60, B=200, master_seed=3),
+        SimDesign(name="skewed-p5", theta=(0.55, 0.25, 0.12, 0.07, 0.01),
+                  n=117, methods=six, categories=tuple(range(5)),
+                  scope="simultaneous", reps=60, B=100, master_seed=0),
+        uniform_design(20, 50, reps=30, B=200, master_seed=5),
+        uniform_design(50, 30, reps=20, B=200, master_seed=6),
+        erratic_design(0.05, 60, reps=60, B=150, master_seed=11),
+    )
+    for design in designs:
+        yield run_design(design).to_csv()
+    rows = erratic_coverage_curves(pi_grid=(0.01, 0.05), n_grid=(10, 20),
+                                   reps=60, B=150, master_seed=4)
+    yield repr(rows)
+
+
+@functools.lru_cache(maxsize=1)
+def _monte_carlo_digest() -> str:
+    h = hashlib.sha256()
+    for text in _monte_carlo_reports():
+        h.update(text.encode())
+    return h.hexdigest()[:16]
+
+
+MONTE_CARLO_DIGEST = "f51917cb61094e01"
+
+
+def test_monte_carlo_reports_match_pinned_digest():
+    assert _monte_carlo_digest() == MONTE_CARLO_DIGEST
