@@ -71,12 +71,14 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    IndexFamily,
     MultinomialSample,
     PairwiseRejections,
     RankSet,
     _categories_of_interest,
     _check_alpha,
     _is_marginal,
+    _rank_set,
     _target_pairs,
     _theta_array,
     build_index_family,
@@ -619,7 +621,7 @@ class DifferenceCS:
 
 
 def _sigma_hat(theta_hat: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    tj, tk = theta_hat[jj], theta_hat[kk]
+    tj, tk = theta_hat[..., jj], theta_hat[..., kk]
     return np.sqrt(tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk)
 
 
@@ -628,19 +630,20 @@ def _sigma_max(theta_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
     ``_sigma_hat`` of ``(j, k)`` equals that of ``(k, j)`` bit for bit,
     so this is the largest scale of every family whose pairs with each
-    target ``j`` run one or both ways round.  Targets are taken in
-    blocks of ``_BLOCK_BYTES`` per ``block x p`` array, with no pair
-    index arrays.
+    target ``j`` run one or both ways round.  ``theta_hat`` is ``(...,
+    p)`` and the result ``(..., T)``.  Targets are taken in blocks of
+    ``_BLOCK_BYTES`` per ``(..., block, p)`` array, with no pair index
+    arrays.
     """
-    p = len(theta_hat)
+    p = theta_hat.shape[-1]
     others = np.arange(p)
-    out = np.empty(len(targets))
-    step = max(1, _BLOCK_BYTES // (8 * p))
+    out = np.empty(theta_hat.shape[:-1] + (len(targets),))
+    step = max(1, _BLOCK_BYTES // (8 * theta_hat.size))
     for start in range(0, len(targets), step):
         j = targets[start:start + step, None]
-        sigma = _sigma_hat(theta_hat, j, others)
-        sigma[j == others] = 0.0  # (j, j) is no pair; every scale is >= +0
-        sigma.max(axis=1, out=out[start:start + step])
+        sigma = _sigma_hat(theta_hat, j, others[None, :])
+        sigma[..., j == others] = 0.0  # (j, j) is no pair; every scale is >= +0
+        sigma.max(axis=-1, out=out[..., start:start + step])
     return out
 
 
@@ -703,9 +706,6 @@ def difference_cs(
     mask.flags.writeable = False
     theta_hat = sample.theta_hat
     jj, kk = np.nonzero(mask)
-    d_hat = theta_hat[jj] - theta_hat[kk]
-    sigma = _sigma_hat(theta_hat, jj, kk) if studentize else np.ones(len(jj))
-    scale = sigma / math.sqrt(n)
     star = _theta_star_matrix(sample, config)
     if shape == "symm":
         # A pair and its mirror give the same statistic bit for bit, so
@@ -723,13 +723,27 @@ def difference_cs(
             crits = (crit("lower", 1.0 - alpha / 2), crit("upper", 1.0 - alpha / 2))
         else:
             crits = (crit(shape, 1.0 - alpha),)
-    lo = -np.inf if shape == "upper" else d_hat - _scaled(crits[0], scale)
-    hi = np.inf if shape == "lower" else d_hat + _scaled(crits[-1], scale)
+    lo, hi, sigma = _difference_bounds(theta_hat, jj, kk, n, crits, shape, studentize)
     return DifferenceCS(
         mask=mask, shape=shape, studentize=studentize,
         alpha=alpha, crit=crits, lo=_on_mask(mask, lo),
         hi=_on_mask(mask, hi), sigma=_on_mask(mask, sigma),
     )
+
+
+def _difference_bounds(theta_hat, jj, kk, n, crits, shape, studentize):
+    """``(lo, hi, sigma)`` of the :func:`difference_cs` intervals of pairs ``(jj, kk)``.
+
+    ``crits`` holds the critical values of ``shape``; for stacked
+    tables, ``theta_hat`` is ``(..., p)`` and each critical value
+    ``(..., 1)``, and the ends are ``(..., m)``.
+    """
+    d_hat = theta_hat[..., jj] - theta_hat[..., kk]
+    sigma = _sigma_hat(theta_hat, jj, kk) if studentize else np.ones(d_hat.shape)
+    scale = sigma / math.sqrt(n)
+    lo = -np.inf if shape == "upper" else d_hat - _scaled(crits[0], scale)
+    hi = np.inf if shape == "lower" else d_hat + _scaled(crits[-1], scale)
+    return lo, hi, sigma
 
 
 def _scaled(c: float, scale: np.ndarray) -> np.ndarray:
@@ -822,19 +836,43 @@ def boot_rank_cs(
     if config is None:
         config = BootstrapConfig()
     _check_alpha(alpha)
-    n, p = sample.n, sample.p
-    family = build_index_family(kind, J0, p)
-    marginal = _is_marginal(scope)
-    targets = np.asarray(family.J0)
+    family = build_index_family(kind, J0, sample.p)
     theta_hat = sample.theta_hat
-    star = _theta_star_matrix(sample, config)
-    if kind != "two_sided":
+    crit = _band_critical_values(
+        _theta_star_matrix(sample, config), theta_hat, sample.n, family, scope,
+        studentize, alpha,
+    )
+    rej = _band_rejections(family, theta_hat, crit, sample.n, scope, studentize)
+    return rankset_from_rejections(
+        rej, method="bootStud" if studentize else "boot", alpha=alpha
+    )
+
+
+def _band_critical_values(
+    star: np.ndarray,
+    theta_hat: np.ndarray,
+    n: int,
+    family: IndexFamily,
+    scope: str,
+    studentize: bool,
+    alpha: float,
+) -> np.ndarray:
+    """``(T,)`` critical value of each row of :func:`~ranksets.core._target_pairs`.
+
+    ``star`` is one table's ``(B, p)`` resample matrix and ``theta_hat``
+    its estimates; the calibration kernel is chosen as
+    :func:`boot_rank_cs` describes, and all rows are read from one
+    :func:`_quantiles` of the ``(B, T)`` statistics.
+    """
+    p = len(theta_hat)
+    targets = np.asarray(family.J0)
+    if family.kind != "two_sided":
         jj, kk = _target_pairs(family, scope)
         rows, var = _category_major(star, studentize)
         stats = np.column_stack([
             _pair_stats(rows, var, theta_hat, n, j, k, "lower") for j, k in zip(jj, kk)
         ])
-    elif marginal:
+    elif _is_marginal(scope):
         rows, var = _category_major(star, studentize)
         stats = _marginal_symm_stats(rows, var, theta_hat, n, targets)
     else:
@@ -842,18 +880,52 @@ def boot_rank_cs(
         # most one category.
         upper = None if len(targets) >= p - 1 else np.triu(family.mask, 1)
         stats = _symm_stats(star, studentize, theta_hat, n, upper)[:, None]
+    return _quantiles(stats, 1.0 - alpha)
+
+
+def _band_rejections(
+    family: IndexFamily,
+    theta_hat: np.ndarray,
+    crit: np.ndarray,
+    n: int,
+    scope: str,
+    studentize: bool,
+) -> PairwiseRejections:
+    """Claims of the band readout: ``theta_a - theta_b`` above its row's half-width.
+
+    ``crit`` holds the critical value of each row of
+    :func:`~ranksets.core._target_pairs`.  For stacked tables
+    ``theta_hat`` is ``(..., p)`` and ``crit`` ``(..., T)``, and one
+    pass gives every table's claims.
+    """
     if studentize:
-        sigma_max = _sigma_max(theta_hat, targets)
-        if not marginal:
-            sigma_max = sigma_max.max(keepdims=True)
+        sigma_max = _sigma_max(theta_hat, np.asarray(family.J0))
+        if not _is_marginal(scope):
+            sigma_max = sigma_max.max(axis=-1, keepdims=True)
     else:
-        sigma_max = np.ones(stats.shape[1])
-    half = _band_half_width(_quantiles(stats, 1.0 - alpha), sigma_max, n)
-    diff = theta_hat[:, None] - theta_hat[None, :]
-    rej = PairwiseRejections.at_threshold(family, lambda t: diff > t, half)
-    return rankset_from_rejections(
-        rej, method="bootStud" if studentize else "boot", alpha=alpha
-    )
+        sigma_max = np.ones(crit.shape)
+    half = _band_half_width(crit, sigma_max, n)
+    diff = theta_hat[..., :, None] - theta_hat[..., None, :]
+    return PairwiseRejections.at_threshold(family, lambda t: diff > t, half)
+
+
+def _resampled(x, n: int, B: int, seeds, statistics) -> list[np.ndarray]:
+    """Each of ``statistics`` on the resamples of every stacked table.
+
+    ``x`` holds ``R`` count tables of total ``n`` as ``(R, p)`` and
+    ``seeds`` their ``R`` resampling seeds.  Table ``r``'s ``(B, p)``
+    resample matrix comes once from the resample cache, from its own
+    seed, and goes with the table's estimates to each
+    ``statistic(star, theta_hat)`` in turn, so that the methods of one
+    table share one draw however many tables are stacked.  Returns, per
+    statistic, its ``R`` values stacked along a new first axis.
+    """
+    values = [[] for _ in statistics]
+    for counts, theta_hat, seed in zip(x.tolist(), x / n, seeds):
+        star = _theta_star_cached(tuple(counts), n, B, seed)
+        for out, statistic in zip(values, statistics):
+            out.append(statistic(star, theta_hat))
+    return [np.stack(out) for out in values]
 
 
 def _best_ranks(theta_star: np.ndarray) -> np.ndarray:
@@ -901,20 +973,26 @@ def naive_rank_cs(
     _check_alpha(alpha)
     j0 = _categories_of_interest(J0, sample.p)
     star = _theta_star_matrix(sample, config)
-    if len(j0) <= 4 * math.log2(sample.p):
+    lo, hi = _naive_bounds(star, None, j0, alpha)
+    return _rank_set(sample.p, j0, lo, hi, "naive", alpha, "two_sided")
+
+
+def _naive_bounds(star, theta_hat, j0, alpha: float) -> np.ndarray:
+    """``(2, |J0|)`` naive interval ends of each target from one table's resamples.
+
+    ``star`` is the ``(B, p)`` resample matrix; ``theta_hat`` is not
+    read, so that the signature is a statistic of :func:`_resampled`.
+    """
+    B, p = star.shape
+    if len(j0) <= 4 * math.log2(p):
         # Count who beats each target: O(|J0| p B) against the argsort's
         # O(p log p B), over contiguous rows of each category's draws.
+        # An int32 count sums about twice as fast as the default int64.
         cols = np.ascontiguousarray(star.T)
-        ranks = 1 + np.stack([(cols > cols[j]).sum(axis=0) for j in j0])
+        ranks = 1 + np.stack([(cols > cols[j]).sum(axis=0, dtype=np.int32) for j in j0])
     else:
         ranks = _best_ranks(star)[:, list(j0)].T
     ranks = np.sort(ranks, axis=1)
-    B = config.B
     lo_idx = min(math.floor(round(alpha / 2 * B, 9)) + 1, B)
     hi_idx = max(math.ceil(round((1.0 - alpha / 2) * B, 9)), 1)
-    lo = dict(zip(j0, ranks[:, lo_idx - 1].tolist()))
-    hi = dict(zip(j0, ranks[:, hi_idx - 1].tolist()))
-    return RankSet(
-        p=sample.p, J0=j0, lo=lo, hi=hi,
-        method="naive", alpha=alpha, kind="two_sided",
-    )
+    return ranks[:, [lo_idx - 1, hi_idx - 1]].T

@@ -21,6 +21,13 @@ with familywise error control at level ``alpha`` yields a confidence
 set with simultaneous coverage ``1 - alpha`` over the categories of
 interest.
 
+Claims, thresholds and bounds may carry leading axes: ``R`` tables
+stacked as ``(R, p, p)`` claims give ``(R, |J0|)`` bounds in one pass
+(:func:`_claim_bounds`), with every check run over all of them, and a
+single table is the same code with no leading axis.  Stacked tables
+come in chunks of :func:`_chunk_rows`, so that their ``(R, p, p)``
+arrays stay within a fixed byte budget at any ``p``.
+
 Scope is decided here alone: :func:`_target_pairs` gives the pairs
 held to each threshold, one row of index arrays per threshold.
 Simultaneous scope holds the whole family to one threshold.  Marginal
@@ -72,6 +79,15 @@ SCOPES = ("marginal", "simultaneous")
 #: Tolerance on sum-to-one checks for probability vectors.
 _SIMPLEX_TOL = 1e-12
 
+#: Bytes of one ``(chunk, p, p)`` float64 array of stacked tables.
+_CHUNK_BYTES = 1 << 22
+
+
+def _chunk_rows(p: int) -> int:
+    """Tables stacked per chunk, so a ``(chunk, p, p)`` float64 array fits
+    ``_CHUNK_BYTES`` (one table when a single one does not)."""
+    return max(1, _CHUNK_BYTES // (8 * p * p))
+
 
 class InvalidTestFamilyError(ValueError):
     """Raised when pairwise rejections are mutually inconsistent.
@@ -86,12 +102,16 @@ def _whole_number(value, name: str) -> int:
     """``value`` as an int, or a ``ValueError`` unless it is a whole number.
 
     Integers (numpy's too) and finite real numbers with no fractional part
-    pass; ``2.7``, ``nan`` and ``'3'`` are refused rather than truncated.
+    pass; ``2.7``, ``nan`` and ``'3'`` are refused rather than truncated,
+    and ``True`` rather than read as 1.
     """
-    if isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real)
-        and math.isfinite(value)
-        and value == int(value)
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (
+            isinstance(value, numbers.Real)
+            and math.isfinite(value)
+            and value == int(value)
+        )
     ):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
@@ -381,7 +401,9 @@ def build_index_family(
         ``two_sided`` their union.  Families are immutable and shared:
         the same arguments return the same (cached) instance.
     """
-    return _index_family(kind, None if J0 is None else tuple(J0), p)
+    # J0 is checked before the cache, whose key would take (True,) for (1,).
+    j0 = None if J0 is None else _categories_of_interest(J0, p)
+    return _index_family(kind, j0, p)
 
 
 # A family holds its p x p mask (1 MB at p = 1000); the library never fills pairs.
@@ -410,6 +432,10 @@ class PairwiseRejections:
     threshold; lower bounds count ``column_claims``.  It defaults to
     ``claims``.
 
+    Both matrices may carry the same leading axes, ``(..., p, p)``, one
+    claim matrix per stacked table; each check below runs over all of
+    them at once.
+
     Raises ``ValueError`` for a matrix of the wrong shape or with a
     claim outside the family, and ``InvalidTestFamilyError`` when a
     two-sided family claims a target both above and below another
@@ -427,27 +453,29 @@ class PairwiseRejections:
             self.column_claims, dtype=bool
         )
         for matrix in (claims,) if columns is claims else (claims, columns):
-            if matrix.shape != mask.shape:
+            if matrix.shape[-2:] != mask.shape or matrix.shape != claims.shape:
                 raise ValueError(
-                    f"claims must have shape {mask.shape}, got {matrix.shape}"
+                    f"claims must have shape {claims.shape[:-2] + mask.shape}, "
+                    f"got {matrix.shape}"
                 )
             # np.count_nonzero is several times cheaper than .any() on
             # the small matrices of the paper's tables.
             outside = matrix & ~mask
             if np.count_nonzero(outside):
-                a, b = np.argwhere(outside)[0].tolist()
+                a, b = np.argwhere(outside)[0, -2:].tolist()
                 raise ValueError(f"pair ({a}, {b}) is not in the family")
         if self.family.kind == "two_sided":
             # Category j's own family crosses when j is claimed above k
             # at j's threshold and k above j at j's threshold.
-            crossed = claims & columns.T
-            if np.count_nonzero(crossed):
-                for j in self.family.J0:
-                    if crossed[j].any():
-                        raise InvalidTestFamilyError(
-                            f"category {j} claimed both smaller and larger "
-                            f"than {np.flatnonzero(crossed[j]).tolist()}"
-                        )
+            crossed = claims & columns.swapaxes(-1, -2)
+            J0 = list(self.family.J0)
+            if np.count_nonzero(crossed) and np.count_nonzero(crossed[..., J0, :]):
+                crossed = crossed[..., J0, :]
+                *table, t = np.argwhere(crossed.any(axis=-1))[0].tolist()
+                raise InvalidTestFamilyError(
+                    f"category {J0[t]} claimed both smaller and larger "
+                    f"than {np.flatnonzero(crossed[(*table, t)]).tolist()}"
+                )
         object.__setattr__(self, "claims", claims)
         object.__setattr__(self, "column_claims", columns)
 
@@ -471,26 +499,70 @@ class PairwiseRejections:
     ) -> "PairwiseRejections":
         """Claims of a statistic inside the family at its threshold(s).
 
-        ``claimed`` maps a threshold, broadcast against the ``p x p``
-        statistic, to the bool matrix of claims it makes.  ``threshold``
-        holds one entry per row of :func:`_target_pairs`: a threshold of
-        size 1 holds every pair to it (simultaneous scope, or marginal
-        scope with one target).  One threshold per category of
+        ``claimed`` maps a threshold, broadcast against the ``(..., p,
+        p)`` statistic, to the bool matrices of claims it makes.
+        ``threshold`` is a scalar shared by every pair, or ``(..., T)``
+        with one entry per row of :func:`_target_pairs` for each stacked
+        table.  ``T = 1`` holds every pair to it (simultaneous scope, or
+        marginal scope with one target).  One threshold per category of
         ``family.J0`` (marginal scope) claims row ``a`` at ``a``'s
         threshold and column ``b`` at ``b``'s.  The rows and columns of
         categories outside ``J0`` are never read; their threshold is
         NaN, which compares false, so they hold no claims.
         """
         t = np.asarray(threshold)
-        if t.size == 1:
-            return cls.from_claims(family, family.mask & claimed(t))
-        per_category = np.full(family.p, np.nan)
-        per_category[list(family.J0)] = t
+        if t.ndim == 0 or t.shape[-1] == 1:
+            return cls.from_claims(family, family.mask & claimed(t[..., None]))
+        per_category = np.full(t.shape[:-1] + (family.p,), np.nan)
+        per_category[..., list(family.J0)] = t
         return cls.from_claims(
             family,
-            family.mask & claimed(per_category[:, None]),
-            family.mask & claimed(per_category[None, :]),
+            family.mask & claimed(per_category[..., :, None]),
+            family.mask & claimed(per_category[..., None, :]),
         )
+
+
+def _claim_bounds(rej: PairwiseRejections) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, shape ``(..., |J0|)``: the two sums, checked.
+
+    ``lo_j = 1 + K[..., :, j].sum()`` (``1`` for an ``upper`` family)
+    and ``hi_j = p - C[..., j, :].sum()`` (``p`` for a ``lower``
+    family), where ``C`` is ``rej.claims`` and ``K`` is
+    ``rej.column_claims``, for each ``j`` in ``J0`` of each stacked
+    table.  Raises ``InvalidTestFamilyError`` if some ``lo_j > hi_j``,
+    which a sound level-alpha family cannot produce.
+    """
+    family = rej.family
+    p, J0 = family.p, family.J0
+    # J0 is sorted, so J0 of length p indexes every category in order.
+    targets = slice(None) if len(J0) == p else list(J0)
+    lo = np.ones(rej.claims.shape[:-2] + (len(J0),), dtype=np.int64)
+    hi = np.full(lo.shape, p)
+    if family.kind != "upper":
+        lo += rej.column_claims.sum(axis=-2)[..., targets]
+    if family.kind != "lower":
+        hi -= rej.claims.sum(axis=-1)[..., targets]
+    return _checked_bounds(lo, hi, p, J0)
+
+
+def _checked_bounds(
+    lo: np.ndarray, hi: np.ndarray, p: int, J0: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of stacked tables, once every ``1 <= lo <= hi <= p`` holds.
+
+    Column ``t`` belongs to category ``J0[t]``; the first interval that
+    is not a sub-interval of ``[1, p]`` raises the error
+    :class:`RankSet` raises for it.
+    """
+    bad = (lo < 1) | (lo > hi) | (hi > p)
+    if np.count_nonzero(bad):
+        *table, t = np.argwhere(bad)[0].tolist()
+        where = (*table, t)
+        raise InvalidTestFamilyError(
+            f"category {J0[t]}: interval [{lo[where]}, {hi[where]}] is not a "
+            f"valid sub-interval of [1, {p}]"
+        )
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -547,9 +619,9 @@ def rankset_from_rejections(
     Parameters
     ----------
     rej : PairwiseRejections
-        Claims of a multiple-testing procedure; its family gives the
-        number of categories ``p``, the categories of interest ``J0``
-        and the ``kind`` recorded on the returned set.
+        Claims of a multiple-testing procedure on one table; its family
+        gives the number of categories ``p``, the categories of
+        interest ``J0`` and the ``kind`` recorded on the returned set.
     method, alpha
         Metadata recorded on the returned set.
 
@@ -559,7 +631,8 @@ def rankset_from_rejections(
         ``lo_j = 1 + K[:, j].sum()`` (``1`` for an ``upper`` family) and
         ``hi_j = p - C[j, :].sum()`` (``p`` for a ``lower`` family) for
         each ``j`` in ``J0``, where ``C`` is ``rej.claims`` and ``K`` is
-        ``rej.column_claims``.
+        ``rej.column_claims``; see :func:`_claim_bounds`, which gives
+        the same sums for stacked tables.
 
     Raises
     ------
@@ -568,11 +641,13 @@ def rankset_from_rejections(
         cannot produce.
     """
     family = rej.family
-    p, kind = family.p, family.kind
-    beaten_by = rej.column_claims.sum(axis=0).tolist() if kind != "upper" else [0] * p
-    beats = rej.claims.sum(axis=1).tolist() if kind != "lower" else [0] * p
-    lo = {j: 1 + beaten_by[j] for j in family.J0}
-    hi = {j: p - beats[j] for j in family.J0}
+    lo, hi = _claim_bounds(rej)
+    return _rank_set(family.p, family.J0, lo, hi, method, alpha, family.kind)
+
+
+def _rank_set(p, J0, lo, hi, method, alpha, kind) -> RankSet:
+    """The :class:`RankSet` of one table's ``(|J0|,)`` bound arrays."""
     return RankSet(
-        p=p, J0=family.J0, lo=lo, hi=hi, method=method, alpha=alpha, kind=kind
+        p=p, J0=J0, lo=dict(zip(J0, lo.tolist())), hi=dict(zip(J0, hi.tolist())),
+        method=method, alpha=alpha, kind=kind,
     )

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import special
 
 from .core import (
+    IndexFamily,
     MultinomialSample,
     PairwiseRejections,
     RankSet,
@@ -93,11 +94,25 @@ class IntervalBox:
         return len(self.lo)
 
 
+def _box_bounds(
+    x: np.ndarray, n: int, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`cp_box` ends of the count tables ``x``, shape ``(..., p)``.
+
+    Each distinct count is inverted once: stacked tables of one total
+    share most of their counts.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    lo, hi = _cp_bounds(values, n, 1.0 - alpha / x.shape[-1])
+    inverse = inverse.reshape(x.shape)
+    return lo[inverse], hi[inverse]
+
+
 @lru_cache(maxsize=64)
 def _cp_box_cached(
     counts: tuple[int, ...], n: int, alpha: float
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    lo, hi = _cp_bounds(np.array(counts), n, 1.0 - alpha / len(counts))
+    lo, hi = _box_bounds(np.array(counts), n, alpha)
     return tuple(lo.tolist()), tuple(hi.tolist())
 
 
@@ -142,8 +157,17 @@ def cp_rank_cs(
     """
     family = build_index_family(kind, J0, sample.p)
     box = cp_box(sample, alpha)
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    claims = family.mask & (lo[:, None] > hi[None, :])
-    rej = PairwiseRejections.from_claims(family, claims)
+    rej = _box_rejections(family, np.asarray(box.lo), np.asarray(box.hi))
     return rankset_from_rejections(rej, method="cp", alpha=alpha)
+
+
+def _box_rejections(
+    family: IndexFamily, lo: np.ndarray, hi: np.ndarray
+) -> PairwiseRejections:
+    """Claims of strictly disjoint box intervals, ``lo_a > hi_b``.
+
+    ``lo`` and ``hi`` are the box ends, ``(..., p)`` for stacked tables.
+    """
+    return PairwiseRejections.from_claims(
+        family, family.mask & (lo[..., :, None] > hi[..., None, :])
+    )

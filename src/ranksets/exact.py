@@ -11,12 +11,13 @@ the rejection-counting construction in :mod:`ranksets.core`.
 Every p-value is the correctly rounded double of the exact tail.  Up
 to ``s = 512`` it is read from a triangle of exact tails over ``2**s``,
 built lazily from Pascal rows up to the largest ``s`` asked for and
-never past row 512 (about 1 MB when full).  A p-value table gathers
-every cell from it in one index, with ``s`` clipped at 512, and then
-overwrites its pairs past 512.  There the shorter side of the tail is
-summed with a fixed-precision term of about 128 bits and a proven error
-bound, once per distinct unordered count pair: the walk to ``min(x_j,
-x_k) + 1`` bounds the p-values of both directions.  Each is returned
+never past row 512 (about 1 MB when full).  A p-value table, or a
+stack of them, gathers every cell from it block by block, with ``s``
+clipped at 512, and then overwrites its pairs past 512.  There the
+shorter side of the tail is summed with a fixed-precision term of about
+128 bits and a proven error bound, once per distinct unordered count
+pair of all the tables: the walk to ``min(x_j, x_k) + 1`` bounds the
+p-values of both directions.  Each is returned
 when both ends of its bound round to the same double, and otherwise
 (rare at 128 bits) the exact integer sum decides.
 
@@ -198,7 +199,8 @@ def _table_pvalues(x, s):
 
 
 # Each entry is one float; the paper's tables (n <= 238) have < 57k pairs.
-@lru_cache(maxsize=2**16)
+# Typed, so that True, which hashes and compares as 1, misses and is refused.
+@lru_cache(maxsize=2**16, typed=True)
 def conditional_pvalue(x_j: int, x_k: int) -> float:
     """Exact one-sided p-value for ``theta_j <= theta_k`` given the counts.
 
@@ -237,7 +239,8 @@ class PairwisePValueTable:
 
     ``pvalues[a, b]`` (read-only) is the p-value of ``theta_a <=
     theta_b``, whose rejection claims ``theta_a > theta_b``; entries
-    outside ``family.mask`` are NaN.
+    outside ``family.mask`` are NaN.  Stacked tables hold ``(..., p,
+    p)`` p-values, one ``p x p`` array per table.
     """
 
     family: IndexFamily
@@ -266,29 +269,77 @@ def pairwise_pvalues(
 def _pvalue_table(
     counts: tuple[int, ...], family: IndexFamily
 ) -> PairwisePValueTable:
-    # One gather with s clipped at the triangle's end (x_j <= s, so x_j
-    # clipped there is within the clipped s); cells past it are replaced.
-    x = np.array(counts)
-    s = x[:, None] + x
-    past = np.flatnonzero(family.mask & (s > _EXACT_MAX_S))
-    pvalues = _table_pvalues(
-        np.minimum(x, _EXACT_MAX_S)[:, None], np.minimum(s, _EXACT_MAX_S)
-    )
-    # One walk per distinct unordered count pair {a <= b} past the end;
-    # the larger count of a pair reads the walk's second p-value.
-    if past.size:
-        values, rank = np.unique(x, return_inverse=True)
-        d = len(values)
-        r_j, r_k = (rank[i] for i in np.divmod(past, len(x)))
-        pair = np.minimum(r_j, r_k) * d + np.maximum(r_j, r_k)
-        seen = np.bincount(pair, minlength=d * d) > 0
-        pairs = np.flatnonzero(seen)
-        a, b = values[pairs // d].tolist(), values[pairs % d].tolist()
-        walks = np.array([_pair_pvalues(*ab) for ab in zip(a, b)])
-        which = np.cumsum(seen)[pair] - 1
-        pvalues.flat[past] = walks.ravel()[2 * which + (r_j > r_k)]
-    pvalues[~family.mask] = np.nan
-    return PairwisePValueTable(family=family, pvalues=pvalues)
+    return PairwisePValueTable(family, _pvalue_stack(np.array(counts), family))
+
+
+#: Cells of one block of :func:`_pvalue_stack`: each of its int64
+#: temporaries stays under glibc's 128 KiB mmap threshold.
+_BLOCK_CELLS = 127 * 1024 // 8
+
+
+def _cell_blocks(R: int, p: int):
+    """``(tables, rows)`` slices tiling ``R`` stacked ``p x p`` grids.
+
+    A block is whole tables when one table fits in ``_BLOCK_CELLS``
+    cells, and otherwise rows of one table, about ``_BLOCK_CELLS``
+    cells either way.
+    """
+    rows = max(1, min(p, _BLOCK_CELLS // p))
+    tables = max(1, _BLOCK_CELLS // (rows * p))
+    for t in range(0, R, tables):
+        for j in range(0, p, rows):
+            yield slice(t, t + tables), slice(j, j + rows)
+
+
+def _pvalue_stack(x: np.ndarray, family: IndexFamily) -> np.ndarray:
+    """``(..., p, p)`` p-values of the count tables ``x``, shape ``(..., p)``.
+
+    Entry ``[..., a, b]`` is ``conditional_pvalue(x[..., a], x[..., b])``
+    on the pairs of ``family.mask`` and NaN elsewhere.  One pass over
+    blocks of cells gathers every cell from the tail triangle, with
+    ``s`` clipped at its end (``x_a <= s``, so ``x_a`` clipped there is
+    within the clipped ``s``), and collects the distinct unordered count
+    pairs ``{a <= b}`` of the family past the end, across all tables.
+    Each is walked once by :func:`_pair_pvalues`, and a second pass
+    writes the walks over those cells: the larger count of a pair reads
+    the walk's second p-value.  Memory is the result plus one block of
+    cells and the distinct pairs.
+    """
+    lead, p = x.shape[:-1], family.p
+    x = x.reshape(-1, p)
+    mask = family.mask
+    out = np.empty((len(x), p, p))
+    for t, j in _cell_blocks(len(x), p):
+        xj = x[t, j, None]
+        s = xj + x[t, None, :]
+        pvalues = _table_pvalues(
+            np.minimum(xj, _EXACT_MAX_S), np.minimum(s, _EXACT_MAX_S)
+        )
+        out[t, j] = np.where(mask[j], pvalues, np.nan)
+    if 2 * int(x.max()) <= _EXACT_MAX_S:
+        return out.reshape(lead + (p, p))
+    values, rank = np.unique(x, return_inverse=True)
+    rank = rank.reshape(x.shape)
+    d = len(values)
+
+    def past_pairs(t, j):
+        """Cells of the block past the end, their pair keys and directions."""
+        past = ((x[t, j, None] + x[t, None, :]) > _EXACT_MAX_S) & mask[j]
+        r_j, r_k = np.broadcast_arrays(rank[t, j, None], rank[t, None, :])
+        r_j, r_k = r_j[past], r_k[past]
+        return past, np.minimum(r_j, r_k) * d + np.maximum(r_j, r_k), r_j > r_k
+
+    pairs = np.unique(np.concatenate(
+        [np.unique(past_pairs(t, j)[1]) for t, j in _cell_blocks(len(x), p)]
+    ))
+    a, b = values[pairs // d].tolist(), values[pairs % d].tolist()
+    walks = np.array([_pair_pvalues(*ab) for ab in zip(a, b)]).ravel()
+    for t, j in _cell_blocks(len(x), p):
+        past, key, larger = past_pairs(t, j)
+        if past.any():
+            block = out[t, j]
+            block[past] = walks[2 * np.searchsorted(pairs, key) + larger]
+    return out.reshape(lead + (p, p))
 
 
 def bonferroni_reject(
@@ -299,7 +350,8 @@ def bonferroni_reject(
     ``m`` is the number of pairs held to one threshold: the family size
     ``|I|``, or in marginal ``scope`` the size of one target's own family
     (``2(p - 1)`` two-sided, ``p - 1`` one-sided), which is the same for
-    every target and so gives one shared threshold.
+    every target and so gives one shared threshold.  A table of stacked
+    p-values, ``(..., p, p)``, gives stacked rejections in one comparison.
     """
     _check_alpha(alpha)
     family, pvalues = table.family, table.pvalues
@@ -321,18 +373,17 @@ def holm_reject(
     below that failure.  Each row of :func:`~ranksets.core._target_pairs`
     (the whole family, or in marginal ``scope`` each target's own family
     of ``m`` pairs) steps down on its own, and all rows' stops come from
-    one row-wise sort.
+    one sort along the last axis of the ``(..., T, m)`` p-values, over
+    every table of a stacked ``(..., p, p)`` table at once.
     """
     _check_alpha(alpha)
     family, pvalues = table.family, table.pvalues
     jj, kk = _target_pairs(family, scope)
-    ordered = np.sort(pvalues[jj, kk], axis=1)
-    m = ordered.shape[1]
+    ordered = np.sort(pvalues[..., jj, kk], axis=-1)
+    m = ordered.shape[-1]
     failed = ordered > alpha / np.arange(m, 0, -1)
-    first = failed.argmax(axis=1)
-    stop = np.where(
-        failed.any(axis=1), ordered[np.arange(len(ordered)), first], np.inf
-    )
+    # The first failure is the smallest failed p-value; none stops at inf.
+    stop = np.where(failed, ordered, np.inf).min(axis=-1)
     return PairwiseRejections.at_threshold(family, lambda t: pvalues < t, stop)
 
 

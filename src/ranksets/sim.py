@@ -13,25 +13,46 @@ replication draws one dataset shared by all methods (paired
 comparisons), and bootstrap methods within a replication share one
 resampling stream; replications get independent substreams spawned
 from the master seed, so a report is reproducible from its design.
+
+Replications are scored stacked.  Their counts are drawn in chunks of
+:func:`~ranksets.core._chunk_rows` replications, sized from ``p`` so
+that a chunk's ``(R, p, p)`` float arrays stay within a fixed byte
+budget, and each method turns a chunk's ``(R, p)`` counts into ``(R,
+|J0|)`` rank bounds in one pass through the claim rules that
+:func:`~ranksets.rank_cs` applies to one table: one stacked p-value
+table for the exact methods, one stacked box for ``cp``, and for the
+bootstrap methods each replication's own resamples and calibration
+kernel, with only the critical values stacked.  Coverage and length are
+counted from the bound arrays; no :class:`~ranksets.RankSet` is built
+per replication, and the report is the one that scoring a ``RankSet``
+per replication and method would give.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from ._dispatch import SCOPES, normalize_method, rank_cs
-from .boot import BootstrapConfig, difference_cs
+from ._dispatch import SCOPES, _rank_bounds, normalize_method
+from .boot import (
+    _band_critical_values,
+    _band_rejections,
+    _difference_bounds,
+    _resampled,
+)
 from .core import (
-    MultinomialSample,
     ProbabilityVector,
     _categories_of_interest,
+    _chunk_rows,
+    _claim_bounds,
     build_index_family,
     compute_ranks,
 )
@@ -293,8 +314,30 @@ def _rep_streams(master_seed: int, reps: int):
         yield np.random.default_rng(data_ss), boot_seed
 
 
+def _rep_chunks(master_seed: int, reps: int, n: int, theta: np.ndarray):
+    """The replications' data as ``(counts, seeds)`` chunks.
+
+    ``counts`` is ``(R, p)``, one multinomial draw per replication from
+    its own stream, and ``seeds`` its ``R`` bootstrap seeds; a chunk
+    holds :func:`~ranksets.core._chunk_rows` replications.
+    """
+    streams = _rep_streams(master_seed, reps)
+    step = _chunk_rows(theta.size)
+    for start in range(0, reps, step):
+        drawn = [
+            (rng.multinomial(n, theta), seed)
+            for rng, seed in itertools.islice(streams, step)
+        ]
+        yield np.array([c for c, _ in drawn]), [seed for _, seed in drawn]
+
+
 def run_design(design: SimDesign) -> SimReport:
     """Run one Monte Carlo design and aggregate coverage and length.
+
+    Replications are drawn and scored in chunks: every method turns a
+    chunk's ``(R, p)`` counts into ``(R, |J0|)`` rank bounds in one pass
+    (:func:`~ranksets._dispatch._rank_bounds`), and coverage and length
+    are counted from those arrays.
 
     Returns
     -------
@@ -310,37 +353,39 @@ def run_design(design: SimDesign) -> SimReport:
     cats = _categories_of_interest(design.categories, p)
     # A joint set covers every category, tracked or not.
     targets = cats if design.scope == "marginal" else None
+    J0 = _categories_of_interest(targets, p)
+    columns = [J0.index(j) for j in cats]
     triples = compute_ranks(theta)
-    cover = {(m, j): 0 for m in design.methods for j in cats}
-    length = {(m, j): 0 for m in design.methods for j in cats}
-    joint = {m: 0 for m in design.methods}
+    r_lo = np.array([triples[j].r_lo for j in cats])
+    r_hi = np.array([triples[j].r_hi for j in cats])
+    # Per (method, tracked category): replications covered, summed
+    # lengths; per method: replications covering every tracked category.
+    cover = np.zeros((len(design.methods), len(cats)), dtype=np.int64)
+    length = np.zeros_like(cover)
+    joint = np.zeros(len(design.methods), dtype=np.int64)
 
-    for rng, boot_seed in _rep_streams(design.master_seed, design.reps):
-        counts = tuple(int(c) for c in rng.multinomial(design.n, theta))
-        sample = MultinomialSample(counts=counts)
-        config = BootstrapConfig(B=design.B, seed=boot_seed)
-        for m in design.methods:
-            rs = rank_cs(m, sample, J0=targets, kind="two_sided",
-                         alpha=design.alpha, config=config, scope=design.scope)
-            all_covered = True
-            for j in cats:
-                covered = rs.covers(j, triples[j].r_lo, triples[j].r_hi)
-                cover[(m, j)] += covered
-                length[(m, j)] += rs.length(j)
-                all_covered &= covered
-            joint[m] += all_covered
+    for x, seeds in _rep_chunks(design.master_seed, design.reps, design.n, theta):
+        bounds = _rank_bounds(design.methods, x, design.n, targets, "two_sided",
+                              design.alpha, design.B, seeds, design.scope)
+        # (methods, R, tracked categories)
+        lo, hi = (np.stack([bounds[m][i] for m in design.methods])[..., columns]
+                  for i in (0, 1))
+        covered = (lo <= r_lo) & (r_hi <= hi)
+        cover += covered.sum(axis=1)
+        length += (hi - lo).sum(axis=1)
+        joint += covered.all(axis=2).sum(axis=1)
 
     cells = []
-    for m in design.methods:
-        for j in cats:
-            freq = cover[(m, j)] / design.reps
+    for i, m in enumerate(design.methods):
+        for t, j in enumerate(cats):
+            freq = int(cover[i, t]) / design.reps
             cells.append(SimCell(
                 method=m, category=j, coverage=freq,
                 coverage_se=_mc_se(freq, design.reps),
-                avg_length=length[(m, j)] / design.reps,
+                avg_length=int(length[i, t]) / design.reps,
             ))
         if design.scope == "simultaneous":
-            freq = joint[m] / design.reps
+            freq = int(joint[i]) / design.reps
             cells.append(SimCell(
                 method=m, category=-1, coverage=freq,
                 coverage_se=_mc_se(freq, design.reps),
@@ -368,7 +413,8 @@ def erratic_coverage_curves(
     differences, with and without studentization; alongside it, the
     marginal rank sets for the first category from both bootstrap
     variants and the Bonferroni-corrected exact procedure are scored
-    for coverage of the admissible-rank interval.
+    for coverage of the admissible-rank interval.  Replications are
+    scored in chunks, from stacked arrays, as in :func:`run_design`.
 
     Returns
     -------
@@ -382,24 +428,39 @@ def erratic_coverage_curves(
         theta = np.asarray(erratic_theta(pi))
         triples = compute_ranks(theta)
         family = build_index_family("two_sided", (0,), theta.size)
+        jj, kk = np.nonzero(family.mask)
+        delta = theta[jj] - theta[kk]
         for n in n_grid:
+            n = int(n)
             diff_cov = {True: 0, False: 0}
             rank_cov = {"bootStud": 0, "boot": 0, "exactBonf": 0}
-            for rng, boot_seed in _rep_streams(master_seed, reps):
-                counts = tuple(int(c) for c in rng.multinomial(int(n), theta))
-                sample = MultinomialSample(counts=counts)
-                config = BootstrapConfig(B=B, seed=boot_seed)
-                for studentize in (True, False):
-                    dcs = difference_cs(sample, config, alpha, family.mask,
-                                        shape="symm", studentize=studentize)
-                    diff_cov[studentize] += dcs.covers(theta)
-                for m in rank_cov:
-                    rs = rank_cs(m, sample, J0=(0,), kind="two_sided",
-                                 alpha=alpha, config=config)
-                    rank_cov[m] += rs.covers(0, triples[0].r_lo, triples[0].r_hi)
+            for x, seeds in _rep_chunks(master_seed, reps, n, theta):
+                theta_hat = x / n
+                # The symm difference set of the family's pairs and the
+                # joint rank band calibrate the same statistic, each
+                # unordered pair once, at the same level.
+                studentized = (True, False)
+                crits = _resampled(x, n, B, seeds, [
+                    partial(_band_critical_values, n=n, family=family,
+                            scope="simultaneous", studentize=s, alpha=alpha)
+                    for s in studentized
+                ])
+                for s, crit in zip(studentized, crits):
+                    lo, hi, _ = _difference_bounds(
+                        theta_hat, jj, kk, n, (crit,), "symm", s
+                    )
+                    diff_cov[s] += int(((lo <= delta) & (delta <= hi)).all(axis=1).sum())
+                    rej = _band_rejections(family, theta_hat, crit, n,
+                                           "simultaneous", s)
+                    rank_cov["bootStud" if s else "boot"] += _covered(
+                        _claim_bounds(rej), triples[0]
+                    )
+                exact = _rank_bounds(("exactBonf",), x, n, (0,), "two_sided",
+                                     alpha, B, seeds)
+                rank_cov["exactBonf"] += _covered(exact["exactBonf"], triples[0])
             rows.append({
                 "pi": float(pi),
-                "n": int(n),
+                "n": n,
                 "diff_cov_stud": diff_cov[True] / reps,
                 "diff_cov_nonstud": diff_cov[False] / reps,
                 "rank_cov_bootStud": rank_cov["bootStud"] / reps,
@@ -407,6 +468,12 @@ def erratic_coverage_curves(
                 "rank_cov_exactBonf": rank_cov["exactBonf"] / reps,
             })
     return rows
+
+
+def _covered(bounds, triple) -> int:
+    """Tables whose one-target ``(R, 1)`` bounds cover ``triple``'s ranks."""
+    lo, hi = bounds
+    return int(((lo[:, 0] <= triple.r_lo) & (triple.r_hi <= hi[:, 0])).sum())
 
 
 def large_p_study(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ranksets import cli, sim
 from ranksets._dispatch import METHOD_NAMES, SCOPES, rank_cs
+from ranksets.projections import tau_best
 from ranksets.boot import BootstrapConfig, boot_rank_cs
 from ranksets.core import (
     KINDS,
@@ -559,6 +560,12 @@ _NOT_WHOLE = {
     "pvalue-2-1.2": lambda: conditional_pvalue(2, 1.2),
     "pvalue-nan": lambda: conditional_pvalue(float("nan"), 1),
     "pvalue-str": lambda: conditional_pvalue("3", 1),
+    # bool is an Integral, but True is no count: it used to be read as 1.
+    "count-bool": lambda: MultinomialSample(counts=(True, 2)),
+    "n-bool": lambda: MultinomialSample(counts=(1, 0), n=True),
+    "pvalue-bool": lambda: conditional_pvalue(True, 1),
+    "j0-bool": lambda: rank_cs("exactHolm", MultinomialSample((3, 2, 1)), J0=(True,)),
+    "tau-bool": lambda: tau_best(MultinomialSample((3, 2, 1)), True),
 }
 
 
