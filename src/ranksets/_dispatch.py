@@ -3,6 +3,15 @@
 Public method names follow the reporting convention (``exactBonf``,
 ``exactHolm``, ``cp``, ``boot``, ``bootStud``, ``naive``); snake_case
 aliases are accepted for API ergonomics.
+
+This module alone says what each method is and which requests it
+accepts.  ``_CORRECTIONS`` gives the familywise correction of each
+exact method and ``_STUDENTIZE`` whether each band bootstrap
+studentizes.  :func:`_checked_request` is the one check of a request:
+it normalizes the names, validates the scope, kind and alpha, and
+refuses ``naive`` with a one-sided kind.  :func:`rank_cs` (one table),
+:func:`_rank_bounds` (a stack of tables), the tau projections,
+``sim.SimDesign`` and the command line all run it.
 """
 
 from __future__ import annotations
@@ -26,20 +35,14 @@ from .core import (
     MultinomialSample,
     RankSet,
     _check_alpha,
+    _check_kind,
     _checked_bounds,
-    _chunk_rows,
     _claim_bounds,
     _is_marginal,
     build_index_family,
 )
 from .cp import _box_bounds, _box_rejections, cp_rank_cs
-from .exact import (
-    PairwisePValueTable,
-    _pvalue_stack,
-    bonferroni_reject,
-    exact_rank_cs,
-    holm_reject,
-)
+from .exact import PairwisePValueTable, _corrected, _pvalue_stack, exact_rank_cs
 
 __all__ = ["METHOD_NAMES", "SCOPES", "normalize_method", "rank_cs"]
 
@@ -68,6 +71,31 @@ def normalize_method(name: str) -> str:
         ) from None
 
 
+#: Familywise correction of each exact method, one of ``exact.CORRECTIONS``.
+_CORRECTIONS = {"exactBonf": "bonferroni", "exactHolm": "holm"}
+
+#: Whether each band bootstrap method studentizes its max statistic.
+_STUDENTIZE = {"boot": False, "bootStud": True}
+
+
+def _checked_request(
+    methods: Sequence[str], kind: str, alpha: float, scope: str = "simultaneous"
+) -> tuple[str, ...]:
+    """Canonical names of ``methods``, once all of them accept the request.
+
+    Raises ``ValueError`` for an unknown name, a scope not in ``SCOPES``,
+    a kind not in ``KINDS``, an alpha outside ``(0, 1)``, or ``naive``
+    with a one-sided kind.
+    """
+    canonical = tuple(normalize_method(m) for m in methods)
+    _is_marginal(scope)
+    _check_kind(kind)
+    _check_alpha(alpha)
+    if "naive" in canonical and kind != "two_sided":
+        raise ValueError("the naive bootstrap only supports two-sided sets")
+    return canonical
+
+
 def rank_cs(
     method: str,
     sample: MultinomialSample,
@@ -90,24 +118,15 @@ def rank_cs(
     ``naive``, is passed through unchanged; the name alone picks the
     bootstrap statistic (``bootStud`` studentized, ``boot`` not).
     """
-    canonical = normalize_method(method)
-    _is_marginal(scope)  # cp and naive take no scope but must reject a bad one
-    if canonical == "exactBonf":
-        return exact_rank_cs(sample, J0, kind, alpha, "bonferroni", scope)
-    if canonical == "exactHolm":
-        return exact_rank_cs(sample, J0, kind, alpha, "holm", scope)
+    (canonical,) = _checked_request((method,), kind, alpha, scope)
+    if canonical in _CORRECTIONS:
+        return exact_rank_cs(sample, J0, kind, alpha, _CORRECTIONS[canonical], scope)
     if canonical == "cp":
         return cp_rank_cs(sample, J0, kind, alpha)
-    if canonical in ("boot", "bootStud"):
+    if canonical in _STUDENTIZE:
         return boot_rank_cs(sample, J0, kind, alpha, config, scope,
-                            studentize=canonical == "bootStud")
-    # naive
-    if kind != "two_sided":
-        raise ValueError("the naive bootstrap only supports two-sided sets")
+                            studentize=_STUDENTIZE[canonical])
     return naive_rank_cs(sample, J0, alpha, config)
-
-
-_CORRECTIONS = {"exactBonf": bonferroni_reject, "exactHolm": holm_reject}
 
 
 def _rank_bounds(
@@ -130,48 +149,29 @@ def _rank_bounds(
     :func:`rank_cs` gives table ``r``, bit for bit, columns in sorted
     ``J0`` order.
 
-    Tables go in chunks of :func:`~ranksets.core._chunk_rows`.  In a
-    chunk the exact methods share one stacked p-value table, ``cp``
-    evaluates one stacked box, and each table's resamples are drawn once
-    and calibrated for every bootstrap method in turn; the claims and
-    bounds of each method are then computed once for the whole chunk.
+    The stack is scored as handed, in one pass; the caller sizes it
+    (:mod:`ranksets.sim` hands one chunk at a time).  The exact methods
+    share one stacked p-value table, ``cp`` evaluates one stacked box,
+    and each table's resamples are drawn once and calibrated for every
+    bootstrap method in turn; the claims and bounds of each method are
+    then computed once for the whole stack.
     """
-    methods = [normalize_method(m) for m in methods]
-    _check_alpha(alpha)
-    _is_marginal(scope)
-    if "naive" in methods and kind != "two_sided":
-        raise ValueError("the naive bootstrap only supports two-sided sets")
+    methods = _checked_request(methods, kind, alpha, scope)
     family = build_index_family(kind, J0, x.shape[1])
-    step = _chunk_rows(family.p)
-    chunks = [
-        _chunk_bounds(methods, x[start:start + step], n, family, alpha, B,
-                      seeds[start:start + step], scope)
-        for start in range(0, len(x), step)
-    ]
-    if len(chunks) == 1:
-        return chunks[0]
-    return {
-        m: tuple(np.concatenate([c[m][i] for c in chunks]) for i in (0, 1))
-        for m in methods
-    }
-
-
-def _chunk_bounds(methods, x, n, family, alpha, B, seeds, scope):
-    """:func:`_rank_bounds` of one chunk of stacked tables."""
     out = {}
     exact = [m for m in methods if m in _CORRECTIONS]
     if exact:
         table = PairwisePValueTable(family, _pvalue_stack(x, family))
         for m in exact:
-            out[m] = _claim_bounds(_CORRECTIONS[m](table, alpha, scope))
+            out[m] = _claim_bounds(_corrected(table, alpha, _CORRECTIONS[m], scope))
     if "cp" in methods:
         lo, hi = _box_bounds(x, n, float(alpha))
         out["cp"] = _claim_bounds(_box_rejections(family, lo, hi))
-    resampled = [m for m in methods if m in ("boot", "bootStud", "naive")]
+    resampled = [m for m in methods if m in _STUDENTIZE or m == "naive"]
     statistics = [
         partial(_naive_bounds, j0=family.J0, alpha=alpha) if m == "naive"
         else partial(_band_critical_values, n=n, family=family, scope=scope,
-                     studentize=m == "bootStud", alpha=alpha)
+                     studentize=_STUDENTIZE[m], alpha=alpha)
         for m in resampled
     ]
     values = _resampled(x, n, B, seeds, statistics) if resampled else []
@@ -179,6 +179,6 @@ def _chunk_bounds(methods, x, n, family, alpha, B, seeds, scope):
         if m == "naive":
             out[m] = _checked_bounds(v[:, 0], v[:, 1], family.p, family.J0)
         else:
-            rej = _band_rejections(family, x / n, v, n, scope, m == "bootStud")
+            rej = _band_rejections(family, x / n, v, n, scope, _STUDENTIZE[m])
             out[m] = _claim_bounds(rej)
     return out

@@ -30,7 +30,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ._dispatch import METHOD_NAMES, SCOPES, normalize_method, rank_cs
+from ._dispatch import (
+    METHOD_NAMES, SCOPES, _checked_request, normalize_method, rank_cs,
+)
 from .boot import BootstrapConfig
 from .core import KINDS, MultinomialSample, compute_ranks
 from .projections import tau_best, tau_worst
@@ -447,13 +449,7 @@ def analyze(
         its standard error, the estimated (best) rank, and the rank
         interval.  Row order follows the dataset.
     """
-    method = normalize_method(method)
-    if scope not in SCOPES:
-        raise DataError(f"scope must be one of {SCOPES}, got {scope!r}")
-    if kind not in KINDS:
-        raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
-    if method == "naive" and kind != "two_sided":
-        raise DataError("the naive bootstrap only supports two-sided sets")
+    method = _request(method, kind, alpha, scope)
     rows = tuple(
         row
         for group, sample in dataset.samples.items()
@@ -465,6 +461,16 @@ def analyze(
         method=method, kind=kind, alpha=alpha, scope=scope, j0=j0,
         rows=rows, dataset_id=dataset.identity(),
     )
+
+
+def _request(method: str, kind: str, alpha: float, scope: str = "simultaneous") -> str:
+    """The canonical name of ``method`` once it accepts the request, or a
+    :class:`DataError` with the library's reason."""
+    try:
+        (method,) = _checked_request((method,), kind, alpha, scope)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    return method
 
 
 @dataclass(frozen=True)
@@ -835,8 +841,7 @@ def _run_analyze(args, out) -> int:
 
 
 def _run_tau(args, out) -> int:
-    if args.method == "naive":
-        raise DataError("tau-best needs one-sided rank sets, which naive lacks")
+    _request(args.method, "upper" if args.worst else "lower", args.alpha)
     dataset = _load_dataset(args)
     config = _boot_config(args)
     select = tau_worst if args.worst else tau_best

@@ -24,9 +24,10 @@ interest.
 Claims, thresholds and bounds may carry leading axes: ``R`` tables
 stacked as ``(R, p, p)`` claims give ``(R, |J0|)`` bounds in one pass
 (:func:`_claim_bounds`), with every check run over all of them, and a
-single table is the same code with no leading axis.  Stacked tables
-come in chunks of :func:`_chunk_rows`, so that their ``(R, p, p)``
-arrays stay within a fixed byte budget at any ``p``.
+single table is the same code with no leading axis.  One table's sums
+(:func:`_claim_sums`) are left to :class:`RankSet` to check.  How many
+tables go in one stack is the caller's choice (:mod:`ranksets.sim`
+sizes its chunks).
 
 Scope is decided here alone: :func:`_target_pairs` gives the pairs
 held to each threshold, one row of index arrays per threshold.
@@ -78,16 +79,6 @@ SCOPES = ("marginal", "simultaneous")
 
 #: Tolerance on sum-to-one checks for probability vectors.
 _SIMPLEX_TOL = 1e-12
-
-#: Bytes of one ``(chunk, p, p)`` float64 array of stacked tables.
-_CHUNK_BYTES = 1 << 22
-
-
-def _chunk_rows(p: int) -> int:
-    """Tables stacked per chunk, so a ``(chunk, p, p)`` float64 array fits
-    ``_CHUNK_BYTES`` (one table when a single one does not)."""
-    return max(1, _CHUNK_BYTES // (8 * p * p))
-
 
 class InvalidTestFamilyError(ValueError):
     """Raised when pairwise rejections are mutually inconsistent.
@@ -294,8 +285,7 @@ class IndexFamily:
     mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
         j0 = _categories_of_interest(self.J0, self.p)
         mask = np.zeros((self.p, self.p), dtype=bool)
         if self.kind != "upper":
@@ -335,6 +325,11 @@ def _categories_of_interest(J0: Iterable[int] | None, p: int) -> tuple[int, ...]
     if j0[0] < 0 or j0[-1] >= p:
         raise ValueError(f"J0={j0} out of range for p={p}")
     return j0
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def _is_marginal(scope: str) -> bool:
@@ -525,12 +520,21 @@ class PairwiseRejections:
 def _claim_bounds(rej: PairwiseRejections) -> tuple[np.ndarray, np.ndarray]:
     """``(lo, hi)``, shape ``(..., |J0|)``: the two sums, checked.
 
+    Raises ``InvalidTestFamilyError`` if some ``lo_j > hi_j``, which a
+    sound level-alpha family cannot produce.
+    """
+    family = rej.family
+    return _checked_bounds(*_claim_sums(rej), family.p, family.J0)
+
+
+def _claim_sums(rej: PairwiseRejections) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, shape ``(..., |J0|)``: the two sums, unchecked.
+
     ``lo_j = 1 + K[..., :, j].sum()`` (``1`` for an ``upper`` family)
     and ``hi_j = p - C[..., j, :].sum()`` (``p`` for a ``lower``
     family), where ``C`` is ``rej.claims`` and ``K`` is
     ``rej.column_claims``, for each ``j`` in ``J0`` of each stacked
-    table.  Raises ``InvalidTestFamilyError`` if some ``lo_j > hi_j``,
-    which a sound level-alpha family cannot produce.
+    table.
     """
     family = rej.family
     p, J0 = family.p, family.J0
@@ -542,7 +546,7 @@ def _claim_bounds(rej: PairwiseRejections) -> tuple[np.ndarray, np.ndarray]:
         lo += rej.column_claims.sum(axis=-2)[..., targets]
     if family.kind != "lower":
         hi -= rej.claims.sum(axis=-1)[..., targets]
-    return _checked_bounds(lo, hi, p, J0)
+    return lo, hi
 
 
 def _checked_bounds(
@@ -631,17 +635,17 @@ def rankset_from_rejections(
         ``lo_j = 1 + K[:, j].sum()`` (``1`` for an ``upper`` family) and
         ``hi_j = p - C[j, :].sum()`` (``p`` for a ``lower`` family) for
         each ``j`` in ``J0``, where ``C`` is ``rej.claims`` and ``K`` is
-        ``rej.column_claims``; see :func:`_claim_bounds`, which gives
+        ``rej.column_claims``; see :func:`_claim_sums`, which gives
         the same sums for stacked tables.
 
     Raises
     ------
     InvalidTestFamilyError
         If some ``lo_j > hi_j``, which a sound level-alpha family
-        cannot produce.
+        cannot produce; :class:`RankSet` checks the intervals.
     """
     family = rej.family
-    lo, hi = _claim_bounds(rej)
+    lo, hi = _claim_sums(rej)
     return _rank_set(family.p, family.J0, lo, hi, method, alpha, family.kind)
 
 

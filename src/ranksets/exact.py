@@ -425,11 +425,15 @@ def exact_rank_cs(
             f"correction must be one of {CORRECTIONS}, got {correction!r}"
         )
     family = build_index_family(kind, J0, sample.p)
-    table = pairwise_pvalues(sample, family)
-    if correction == "bonferroni":
-        rej = bonferroni_reject(table, alpha, scope)
-        method = "exactBonf"
-    else:
-        rej = holm_reject(table, alpha, scope)
-        method = "exactHolm"
+    rej = _corrected(pairwise_pvalues(sample, family), alpha, correction, scope)
+    method = "exactBonf" if correction == "bonferroni" else "exactHolm"
     return rankset_from_rejections(rej, method=method, alpha=alpha)
+
+
+def _corrected(
+    table: PairwisePValueTable, alpha: float, correction: str, scope: str
+) -> PairwiseRejections:
+    """The claims of ``correction``, one of ``CORRECTIONS``, on ``table``."""
+    if correction == "bonferroni":
+        return bonferroni_reject(table, alpha, scope)
+    return holm_reject(table, alpha, scope)

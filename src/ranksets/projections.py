@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._dispatch import normalize_method, rank_cs
+from ._dispatch import _checked_request, rank_cs
 from .boot import BootstrapConfig
 from .core import MultinomialSample, RankSet, _whole_number
 
 __all__ = ["TauBestSet", "tau_best", "tau_worst"]
-
-_PROJECTION_METHODS = ("exactBonf", "exactHolm", "cp", "boot", "bootStud")
 
 
 @dataclass(frozen=True)
@@ -64,16 +62,12 @@ def _project(
     ``direction`` ``'best'`` reads the lower bounds at rank ``tau``,
     ``'worst'`` the upper bounds at rank ``p - tau + 1``.
     """
-    canonical = normalize_method(method)
-    if canonical not in _PROJECTION_METHODS:
-        raise ValueError(
-            f"method must be one of {_PROJECTION_METHODS}, got {method!r}"
-        )
     tau = _whole_number(tau, "tau")
-    if not (1 <= tau <= sample.p):
-        raise ValueError(f"tau={tau} outside [1, {sample.p}]")
     best = direction == "best"
     kind, rank = ("lower", tau) if best else ("upper", sample.p - tau + 1)
+    (canonical,) = _checked_request((method,), kind, alpha)
+    if not (1 <= tau <= sample.p):
+        raise ValueError(f"tau={tau} outside [1, {sample.p}]")
     rs = rank_cs(canonical, sample, J0=None, kind=kind, alpha=alpha, config=config)
     members = frozenset(j for j in rs.J0 if rs.contains(j, rank))
     return TauBestSet(

@@ -15,10 +15,10 @@ resampling stream; replications get independent substreams spawned
 from the master seed, so a report is reproducible from its design.
 
 Replications are scored stacked.  Their counts are drawn in chunks of
-:func:`~ranksets.core._chunk_rows` replications, sized from ``p`` so
-that a chunk's ``(R, p, p)`` float arrays stay within a fixed byte
-budget, and each method turns a chunk's ``(R, p)`` counts into ``(R,
-|J0|)`` rank bounds in one pass through the claim rules that
+:func:`_chunk_rows` replications, sized from ``p`` so that a chunk's
+``(R, p, p)`` float arrays stay within a fixed byte budget, and each
+method turns a chunk's ``(R, p)`` counts into ``(R, |J0|)`` rank
+bounds in one pass through the claim rules that
 :func:`~ranksets.rank_cs` applies to one table: one stacked p-value
 table for the exact methods, one stacked box for ``cp``, and for the
 bootstrap methods each replication's own resamples and calibration
@@ -26,6 +26,11 @@ kernel, with only the critical values stacked.  Coverage and length are
 counted from the bound arrays; no :class:`~ranksets.RankSet` is built
 per replication, and the report is the one that scoring a ``RankSet``
 per replication and method would give.
+
+A design is checked once, on construction: its methods, scope and
+alpha by the one request check of :func:`~ranksets.rank_cs`, ``B`` as
+:class:`~ranksets.BootstrapConfig` checks it, and ``n``, ``reps`` and
+``master_seed`` as whole numbers in range.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dispatch import SCOPES, _rank_bounds, normalize_method
+from ._dispatch import _STUDENTIZE, _checked_request, _rank_bounds, normalize_method
 from .boot import (
+    BootstrapConfig,
     _band_critical_values,
     _band_rejections,
     _difference_bounds,
@@ -51,8 +57,9 @@ from .boot import (
 from .core import (
     ProbabilityVector,
     _categories_of_interest,
-    _chunk_rows,
+    _check_alpha,
     _claim_bounds,
+    _whole_number,
     build_index_family,
     compute_ranks,
 )
@@ -79,6 +86,23 @@ __all__ = [
 #: 3-decimal shares (0.372, 0.321, 0.179, 0.090, 0.026, 0.009, 0.004).
 AES_COUNTS = (87, 75, 42, 21, 6, 2, 1)
 AES_N = 234
+
+#: Bytes of one ``(chunk, p, p)`` float64 array of stacked replications.
+_CHUNK_BYTES = 1 << 22
+
+
+def _chunk_rows(p: int) -> int:
+    """Replications per chunk, so a ``(chunk, p, p)`` float64 array fits
+    ``_CHUNK_BYTES`` (one replication when a single one does not)."""
+    return max(1, _CHUNK_BYTES // (8 * p * p))
+
+
+def _positive_whole(value, name: str) -> int:
+    """``value`` as an int, or a ``ValueError`` unless it is a whole number >= 1."""
+    value = _whole_number(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def aes_theta(kappa: float) -> tuple[float, ...]:
@@ -155,15 +179,15 @@ class SimDesign:
 
     def __post_init__(self) -> None:
         ProbabilityVector(self.theta)  # validates simplex membership
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
-        if self.scope not in SCOPES:
-            raise ValueError(f"unknown scope {self.scope!r}")
-        object.__setattr__(
-            self, "methods", tuple(normalize_method(m) for m in self.methods)
-        )
+        methods = _checked_request(self.methods, "two_sided", self.alpha, self.scope)
+        BootstrapConfig(B=self.B)
+        seed = _whole_number(self.master_seed, "master_seed")
+        if seed < 0:
+            raise ValueError("master_seed must be non-negative")
+        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "n", _positive_whole(self.n, "n"))
+        object.__setattr__(self, "reps", _positive_whole(self.reps, "reps"))
+        object.__setattr__(self, "master_seed", seed)
         if self.categories is not None:
             cats = _categories_of_interest(self.categories, len(self.theta))
             object.__setattr__(self, "categories", cats)
@@ -319,7 +343,7 @@ def _rep_chunks(master_seed: int, reps: int, n: int, theta: np.ndarray):
 
     ``counts`` is ``(R, p)``, one multinomial draw per replication from
     its own stream, and ``seeds`` its ``R`` bootstrap seeds; a chunk
-    holds :func:`~ranksets.core._chunk_rows` replications.
+    holds :func:`_chunk_rows` replications.
     """
     streams = _rep_streams(master_seed, reps)
     step = _chunk_rows(theta.size)
@@ -423,6 +447,9 @@ def erratic_coverage_curves(
         ``diff_cov_nonstud``, ``rank_cov_bootStud``, ``rank_cov_boot``,
         ``rank_cov_exactBonf``.
     """
+    _check_alpha(alpha)
+    reps = _positive_whole(reps, "reps")
+    BootstrapConfig(B=B)
     rows = []
     for pi in pi_grid:
         theta = np.asarray(erratic_theta(pi))
@@ -432,29 +459,26 @@ def erratic_coverage_curves(
         delta = theta[jj] - theta[kk]
         for n in n_grid:
             n = int(n)
-            diff_cov = {True: 0, False: 0}
-            rank_cov = {"bootStud": 0, "boot": 0, "exactBonf": 0}
+            diff_cov = dict.fromkeys(_STUDENTIZE.values(), 0)
+            rank_cov = dict.fromkeys([*_STUDENTIZE, "exactBonf"], 0)
             for x, seeds in _rep_chunks(master_seed, reps, n, theta):
                 theta_hat = x / n
                 # The symm difference set of the family's pairs and the
                 # joint rank band calibrate the same statistic, each
                 # unordered pair once, at the same level.
-                studentized = (True, False)
                 crits = _resampled(x, n, B, seeds, [
                     partial(_band_critical_values, n=n, family=family,
                             scope="simultaneous", studentize=s, alpha=alpha)
-                    for s in studentized
+                    for s in _STUDENTIZE.values()
                 ])
-                for s, crit in zip(studentized, crits):
+                for (m, s), crit in zip(_STUDENTIZE.items(), crits):
                     lo, hi, _ = _difference_bounds(
                         theta_hat, jj, kk, n, (crit,), "symm", s
                     )
                     diff_cov[s] += int(((lo <= delta) & (delta <= hi)).all(axis=1).sum())
                     rej = _band_rejections(family, theta_hat, crit, n,
                                            "simultaneous", s)
-                    rank_cov["bootStud" if s else "boot"] += _covered(
-                        _claim_bounds(rej), triples[0]
-                    )
+                    rank_cov[m] += _covered(_claim_bounds(rej), triples[0])
                 exact = _rank_bounds(("exactBonf",), x, n, (0,), "two_sided",
                                      alpha, B, seeds)
                 rank_cov["exactBonf"] += _covered(exact["exactBonf"], triples[0])

@@ -81,6 +81,27 @@ def test_design_validates_inputs():
         )
 
 
+@pytest.mark.parametrize("field", [
+    dict(B=0), dict(B=-3), dict(B=2.5), dict(B=True), dict(B=1.0),
+    dict(n=2.5), dict(n=True), dict(reps=True), dict(reps=2.5),
+    dict(master_seed=True), dict(master_seed=-1), dict(master_seed=None),
+    dict(alpha=1.5), dict(alpha=0.0),
+], ids=repr)
+def test_design_refuses_fields_a_run_would_fail_on_or_misread(field):
+    # Each of these used to construct, then fail inside run_design or
+    # run with a truncated value.
+    with pytest.raises(ValueError):
+        SimDesign(name="bad", theta=(0.5, 0.5), methods=("boot",),
+                  **(dict(n=10) | field))
+
+
+def test_design_reads_whole_numbers_as_ints():
+    d = SimDesign(name="x", theta=(0.5, 0.5), n=10.0, methods=("cp",), reps=3.0,
+                  master_seed=2.0)
+    assert (d.n, d.reps, d.master_seed) == (10, 3, 2)
+    assert all(type(v) is int for v in (d.n, d.reps, d.master_seed))
+
+
 def test_design_canonicalizes_method_names():
     d = SimDesign(
         name="alias", theta=(0.5, 0.5), n=10, methods=("exact_holm", "BOOTSTUD")
@@ -222,6 +243,15 @@ def test_erratic_curves_report_the_expected_columns():
         for key in keys - {"pi", "n"}:
             assert 0.0 <= row[key] <= 1.0
         assert row["rank_cov_exactBonf"] >= 0.90
+
+
+@pytest.mark.parametrize("field", [
+    dict(B=0), dict(B=1.0), dict(reps=0), dict(reps=True), dict(alpha=1.5),
+], ids=repr)
+def test_erratic_curves_refuse_bad_runs(field):
+    with pytest.raises(ValueError):
+        erratic_coverage_curves(pi_grid=(0.05,), n_grid=(15,),
+                                **(dict(reps=5, B=20) | field))
 
 
 def test_large_p_study_reports_one_row_per_combination():

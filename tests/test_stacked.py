@@ -1,13 +1,15 @@
 """Stacked tables give, bound for bound, what one table at a time gives.
 
 ``_rank_bounds`` turns ``R`` count tables stacked as ``(R, p)`` into
-``(R, |J0|)`` rank bounds per method, in chunks; row ``r`` must be
+``(R, |J0|)`` rank bounds per method, in one pass; row ``r`` must be
 :func:`rank_cs` on table ``r``, bit for bit.  ``run_design`` scores
-coverage from those arrays and must report what scoring one
-:class:`RankSet` per replication reports.  Memory of the stacked paths
-is bounded by a chunk, not by the number of replications.
+coverage from those arrays, one chunk of replications at a time, and
+must report what scoring one :class:`RankSet` per replication reports.
+Memory of the stacked paths is bounded by a chunk, not by the number of
+replications.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,11 +17,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import ranksets.core as core
+import ranksets.sim as sim
 from ranksets import exact
 from ranksets._dispatch import METHOD_NAMES, _rank_bounds, rank_cs
 from ranksets.boot import BootstrapConfig
+from ranksets.cli import main
 from ranksets.core import KINDS, SCOPES, MultinomialSample, build_index_family, compute_ranks
+from ranksets.projections import tau_best, tau_worst
 from ranksets.sim import SimCell, SimDesign, SimReport, _mc_se, _rep_streams, run_design, uniform_design
 
 
@@ -56,7 +60,6 @@ def _stacks(draw):
         draw(st.integers(1, 60)),
         [int(s) for s in rng.integers(0, 2**63, R)],
         draw(st.sampled_from(SCOPES)),
-        draw(st.integers(1, 3)),  # tables per chunk
     )
 
 
@@ -65,43 +68,62 @@ def _stacks(draw):
 @given(_stacks())
 # Counts past the tail table's end (s > 512), repeated across tables.
 @example((np.array([[700, 600, 3, 0], [600, 700, 0, 3], [700, 600, 3, 0]]),
-          None, "two_sided", 0.05, 20, [1, 2, 3], "simultaneous", 2))
+          None, "two_sided", 0.05, 20, [1, 2, 3], "simultaneous"))
 @example((np.array([[900, 450, 450, 2], [450, 900, 2, 450]]),
-          {1, 2}, "lower", 0.05, 20, [4, 5], "marginal", 1))
+          {1, 2}, "lower", 0.05, 20, [4, 5], "marginal"))
 def test_stacked_bounds_equal_one_table_at_a_time(args):
-    x, J0, kind, alpha, B, seeds, scope, rows = args
-    p = x.shape[1]
-    with pytest.MonkeyPatch.context() as mp:
-        # At most `rows` tables per chunk, so that most stacks span chunks.
-        mp.setattr(core, "_CHUNK_BYTES", rows * 8 * p * p)
+    x, J0, kind, alpha, B, seeds, scope = args
+    for method in METHOD_NAMES:
+        expected = _one_at_a_time(method, x, J0, kind, alpha, B, seeds, scope)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match="two-sided"):
+                _rank_bounds((method,), x, int(x[0].sum()), J0, kind, alpha,
+                             B, seeds, scope)
+            continue
+        lo, hi = _rank_bounds((method,), x, int(x[0].sum()), J0, kind, alpha,
+                              B, seeds, scope)[method]
+        np.testing.assert_array_equal(lo, expected[0], err_msg=method)
+        np.testing.assert_array_equal(hi, expected[1], err_msg=method)
+    if kind == "two_sided":
+        # All methods at once share each table's draw and p-values.
+        together = _rank_bounds(METHOD_NAMES, x, int(x[0].sum()), J0, kind,
+                                alpha, B, seeds, scope)
         for method in METHOD_NAMES:
             expected = _one_at_a_time(method, x, J0, kind, alpha, B, seeds, scope)
-            if isinstance(expected, str):
-                with pytest.raises(ValueError, match="two-sided"):
-                    _rank_bounds((method,), x, int(x[0].sum()), J0, kind, alpha,
-                                 B, seeds, scope)
-                continue
-            lo, hi = _rank_bounds((method,), x, int(x[0].sum()), J0, kind, alpha,
-                                  B, seeds, scope)[method]
-            np.testing.assert_array_equal(lo, expected[0], err_msg=method)
-            np.testing.assert_array_equal(hi, expected[1], err_msg=method)
-        if kind == "two_sided":
-            # All methods at once share each table's draw and p-values.
-            together = _rank_bounds(METHOD_NAMES, x, int(x[0].sum()), J0, kind,
-                                    alpha, B, seeds, scope)
-            for method in METHOD_NAMES:
-                expected = _one_at_a_time(method, x, J0, kind, alpha, B, seeds, scope)
-                np.testing.assert_array_equal(together[method][0], expected[0])
-                np.testing.assert_array_equal(together[method][1], expected[1])
+            np.testing.assert_array_equal(together[method][0], expected[0])
+            np.testing.assert_array_equal(together[method][1], expected[1])
 
 
-def test_stacked_bounds_refuse_what_rank_cs_refuses():
+_REFUSED = [
+    ("exactHolm", dict(alpha=1.5)),
+    ("exactHolm", dict(scope="global")),
+    ("exactHolm", dict(kind="both")),
+    ("naive", dict(kind="lower")),
+    ("naive", dict(kind="upper")),
+]
+
+
+def test_stacked_bounds_refuse_what_rank_cs_refuses(tmp_path, capsys):
     x = np.array([[3, 2, 1], [1, 2, 3]])
-    for bad in (dict(alpha=1.5), dict(scope="global"), dict(kind="both")):
+    for method, bad in _REFUSED:
         args = dict(J0=None, kind="two_sided", alpha=0.05, scope="simultaneous") | bad
-        with pytest.raises(ValueError):
-            _rank_bounds(("exactHolm",), x, 6, args["J0"], args["kind"],
+        with pytest.raises(ValueError) as one_table:
+            rank_cs(method, MultinomialSample((3, 2, 1)), args["J0"], args["kind"],
+                    args["alpha"], BootstrapConfig(B=10), args["scope"])
+        with pytest.raises(ValueError, match=re.escape(str(one_table.value))):
+            _rank_bounds((method,), x, 6, args["J0"], args["kind"],
                          args["alpha"], 10, [0, 1], args["scope"])
+    # The tau projections and the command line refuse one-sided naive alike.
+    refusal = "the naive bootstrap only supports two-sided sets"
+    for select in (tau_best, tau_worst):
+        with pytest.raises(ValueError, match=refusal):
+            select(MultinomialSample((3, 2, 1)), 1, method="naive")
+    data = tmp_path / "t.csv"
+    data.write_text("group,category,count\ng,a,3\ng,b,2\ng,c,1\n")
+    for argv in (["analyze", str(data), "--method", "naive", "--kind", "lower"],
+                 ["tau-best", str(data), "--tau", "1", "--method", "naive"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {refusal}\n", argv
 
 
 def _per_replication_report(design):
@@ -138,7 +160,7 @@ def _per_replication_report(design):
 
 @pytest.mark.parametrize("scope", SCOPES)
 def test_run_design_reports_what_one_rank_set_per_replication_reports(scope, monkeypatch):
-    monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * 8 * 5 * 5)  # three per chunk
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 3 * 8 * 5 * 5)  # three per chunk
     design = SimDesign(name="x", theta=(0.3, 0.3, 0.2, 0.15, 0.05), n=60,
                        methods=METHOD_NAMES, categories=(0, 2, 4), scope=scope,
                        reps=20, B=80, master_seed=9)
