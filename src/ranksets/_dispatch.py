@@ -9,9 +9,15 @@ accepts.  ``_CORRECTIONS`` gives the familywise correction of each
 exact method and ``_STUDENTIZE`` whether each band bootstrap
 studentizes.  :func:`_checked_request` is the one check of a request:
 it normalizes the names, validates the scope, kind and alpha, and
-refuses ``naive`` with a one-sided kind.  :func:`rank_cs` (one table),
-:func:`_rank_bounds` (a stack of tables), the tau projections,
-``sim.SimDesign`` and the command line all run it.
+refuses ``naive`` with a one-sided kind.  :func:`_rank_bounds`, the
+tau projections, ``sim.SimDesign`` and the command line all run it.
+
+:func:`_rank_bounds` is the one scoring path: it turns a stack of count
+tables into pairwise claims and rank bounds for several methods at
+once.  :func:`rank_cs` is its stack of one, the per-method functions
+(``exact_rank_cs`` and the others) are names for :func:`rank_cs`, the
+command line scores every method of a group in one call, and
+:mod:`ranksets.sim` one chunk of replications per call.
 """
 
 from __future__ import annotations
@@ -27,22 +33,22 @@ from .boot import (
     _band_rejections,
     _naive_bounds,
     _resampled,
-    boot_rank_cs,
-    naive_rank_cs,
 )
 from .core import (
     SCOPES,
     MultinomialSample,
     RankSet,
+    _categories_of_interest,
     _check_alpha,
     _check_kind,
     _checked_bounds,
     _claim_bounds,
     _is_marginal,
+    _rank_set,
     build_index_family,
 )
-from .cp import _box_bounds, _box_rejections, cp_rank_cs
-from .exact import PairwisePValueTable, _corrected, _pvalue_stack, exact_rank_cs
+from .cp import _box_bounds, _box_rejections
+from .exact import PairwisePValueTable, _corrected, _pvalue_stack, _pvalue_table
 
 __all__ = ["METHOD_NAMES", "SCOPES", "normalize_method", "rank_cs"]
 
@@ -115,18 +121,20 @@ def rank_cs(
     claims do not depend on ``J0``, so for them the two scopes agree.
 
     ``config``, the resampling stream of ``boot``, ``bootStud`` and
-    ``naive``, is passed through unchanged; the name alone picks the
-    bootstrap statistic (``bootStud`` studentized, ``boot`` not).
+    ``naive`` (``BootstrapConfig()`` by default), is read as its ``B``
+    and ``seed``; the name alone picks the bootstrap statistic
+    (``bootStud`` studentized, ``boot`` not).  The set is
+    :func:`_rank_bounds` on a stack of this one table.
     """
-    (canonical,) = _checked_request((method,), kind, alpha, scope)
-    if canonical in _CORRECTIONS:
-        return exact_rank_cs(sample, J0, kind, alpha, _CORRECTIONS[canonical], scope)
-    if canonical == "cp":
-        return cp_rank_cs(sample, J0, kind, alpha)
-    if canonical in _STUDENTIZE:
-        return boot_rank_cs(sample, J0, kind, alpha, config, scope,
-                            studentize=_STUDENTIZE[canonical])
-    return naive_rank_cs(sample, J0, alpha, config)
+    if config is None:
+        config = BootstrapConfig()
+    # Read J0 once: it may be an iterator.
+    J0 = None if J0 is None else tuple(J0)
+    bounds = _rank_bounds((method,), np.array(sample.counts)[None], sample.n, J0,
+                          kind, alpha, config.B, (config.seed,), scope)
+    ((canonical, (lo, hi)),) = bounds.items()
+    j0 = _categories_of_interest(J0, sample.p)
+    return _rank_set(sample.p, j0, lo[0], hi[0], canonical, alpha, kind)
 
 
 def _rank_bounds(
@@ -150,18 +158,24 @@ def _rank_bounds(
     ``J0`` order.
 
     The stack is scored as handed, in one pass; the caller sizes it
-    (:mod:`ranksets.sim` hands one chunk at a time).  The exact methods
-    share one stacked p-value table, ``cp`` evaluates one stacked box,
-    and each table's resamples are drawn once and calibrated for every
-    bootstrap method in turn; the claims and bounds of each method are
-    then computed once for the whole stack.
+    (:mod:`ranksets.sim` hands one chunk at a time, :func:`rank_cs` and
+    the command line one table).  The exact methods share one stacked
+    p-value table, ``cp`` evaluates one stacked box, and each table's
+    resamples are drawn once and calibrated for every bootstrap method
+    in turn; the claims and bounds of each method are then computed once
+    for the whole stack.  Separate calls on one table share work through
+    caches: a stack of one reads its p-value table from
+    ``exact._pvalue_table``, and every table its resamples from
+    ``boot._theta_star_cached``.
     """
     methods = _checked_request(methods, kind, alpha, scope)
     family = build_index_family(kind, J0, x.shape[1])
     out = {}
     exact = [m for m in methods if m in _CORRECTIONS]
     if exact:
-        table = PairwisePValueTable(family, _pvalue_stack(x, family))
+        pvalues = (_pvalue_table(tuple(x[0].tolist()), family).pvalues[None]
+                   if len(x) == 1 else _pvalue_stack(x, family))
+        table = PairwisePValueTable(family, pvalues)
         for m in exact:
             out[m] = _claim_bounds(_corrected(table, alpha, _CORRECTIONS[m], scope))
     if "cp" in methods:

@@ -75,14 +75,10 @@ from .core import (
     MultinomialSample,
     PairwiseRejections,
     RankSet,
-    _categories_of_interest,
     _check_alpha,
     _is_marginal,
-    _rank_set,
     _target_pairs,
     _theta_array,
-    build_index_family,
-    rankset_from_rejections,
 )
 
 __all__ = [
@@ -148,7 +144,10 @@ def resample(theta_hat, n: int, rng: np.random.Generator) -> MultinomialSample:
     return MultinomialSample(counts=tuple(int(c) for c in counts))
 
 
-@lru_cache(maxsize=8)
+# One rank_cs call scores all its methods from one draw; the cache
+# serves separate calls on one table (boot, bootStud, naive) back to
+# back.  Each entry is B x p floats (16 MB at p = 1000, B = 2000).
+@lru_cache(maxsize=2)
 def _theta_star_cached(
     counts: tuple[int, ...], n: int, B: int, seed: int
 ) -> np.ndarray:
@@ -164,10 +163,6 @@ def _theta_star_cached(
     star = rng.multinomial(n, theta_hat, size=B) / n
     star.flags.writeable = False
     return star
-
-
-def _theta_star_matrix(sample: MultinomialSample, config: BootstrapConfig) -> np.ndarray:
-    return _theta_star_cached(sample.counts, sample.n, config.B, int(config.seed))
 
 
 #: Most bytes of one scratch buffer in the calibration kernels.  glibc
@@ -706,7 +701,7 @@ def difference_cs(
     mask.flags.writeable = False
     theta_hat = sample.theta_hat
     jj, kk = np.nonzero(mask)
-    star = _theta_star_matrix(sample, config)
+    star = _theta_star_cached(sample.counts, n, config.B, int(config.seed))
     if shape == "symm":
         # A pair and its mirror give the same statistic bit for bit, so
         # each unordered pair of the mask enters the max once.
@@ -798,15 +793,8 @@ def boot_rank_cs(
     times the largest per-pair scale in the row (over ``sqrt(n)``), so
     every pair of the row faces the same threshold.  Without
     studentization all scales equal 1 and the band reduces to the
-    per-pair intervals of :func:`difference_cs`.  A two-sided row
-    holding every unordered pair (joint, or a ``J0`` that leaves no pair
-    out) takes its maxima from :func:`_symm_stats`, which evaluates
-    O(p) pairs per resample on most tables rather than all of them, and
-    builds no pair index arrays.  Marginal two-sided rows take theirs
-    from :func:`_marginal_symm_stats`, which evaluates each unordered
-    pair once for both of its ends.  Both give the same result bit for
-    bit, and the largest scale of each row comes from
-    :func:`_sigma_max`, which needs no pair index arrays either.
+    per-pair intervals of :func:`difference_cs`.  The kernel of each
+    calibration is chosen by :func:`_band_critical_values`.
 
     Parameters
     ----------
@@ -831,21 +819,13 @@ def boot_rank_cs(
     Returns
     -------
     RankSet
-        Method is ``"bootStud"`` or ``"boot"`` per ``studentize``.
+        Method is ``"bootStud"`` or ``"boot"`` per ``studentize``; the
+        same set as :func:`~ranksets.rank_cs` under that name.
     """
-    if config is None:
-        config = BootstrapConfig()
-    _check_alpha(alpha)
-    family = build_index_family(kind, J0, sample.p)
-    theta_hat = sample.theta_hat
-    crit = _band_critical_values(
-        _theta_star_matrix(sample, config), theta_hat, sample.n, family, scope,
-        studentize, alpha,
-    )
-    rej = _band_rejections(family, theta_hat, crit, sample.n, scope, studentize)
-    return rankset_from_rejections(
-        rej, method="bootStud" if studentize else "boot", alpha=alpha
-    )
+    from ._dispatch import rank_cs  # _dispatch imports this module
+
+    method = "bootStud" if studentize else "boot"
+    return rank_cs(method, sample, J0, kind, alpha, config, scope)
 
 
 def _band_critical_values(
@@ -860,9 +840,18 @@ def _band_critical_values(
     """``(T,)`` critical value of each row of :func:`~ranksets.core._target_pairs`.
 
     ``star`` is one table's ``(B, p)`` resample matrix and ``theta_hat``
-    its estimates; the calibration kernel is chosen as
-    :func:`boot_rank_cs` describes, and all rows are read from one
-    :func:`_quantiles` of the ``(B, T)`` statistics.
+    its estimates; all rows are read from one :func:`_quantiles` of the
+    ``(B, T)`` statistics.  One-sided rows walk their pairs with
+    :func:`_pair_stats`.  A two-sided row holding every unordered pair
+    (joint, or a ``J0`` that leaves no pair out) takes its maxima from
+    :func:`_symm_stats`, which evaluates O(p) pairs per resample on most
+    tables rather than all of them, and builds no pair index arrays.
+    Marginal two-sided rows take theirs from
+    :func:`_marginal_symm_stats`, which evaluates each unordered pair
+    once for both of its ends.  Every kernel gives the maxima of the
+    pair walk bit for bit; the largest scale of each row, read by
+    :func:`_band_rejections`, comes from :func:`_sigma_max`, which needs
+    no pair index arrays either.
     """
     p = len(theta_hat)
     targets = np.asarray(family.J0)
@@ -968,13 +957,9 @@ def naive_rank_cs(
     concentrate away from the admissible-rank interval and the
     procedure under-covers badly.
     """
-    if config is None:
-        config = BootstrapConfig()
-    _check_alpha(alpha)
-    j0 = _categories_of_interest(J0, sample.p)
-    star = _theta_star_matrix(sample, config)
-    lo, hi = _naive_bounds(star, None, j0, alpha)
-    return _rank_set(sample.p, j0, lo, hi, "naive", alpha, "two_sided")
+    from ._dispatch import rank_cs  # _dispatch imports this module
+
+    return rank_cs("naive", sample, J0, alpha=alpha, config=config)
 
 
 def _naive_bounds(star, theta_hat, j0, alpha: float) -> np.ndarray:

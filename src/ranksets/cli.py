@@ -30,8 +30,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ._dispatch import (
-    METHOD_NAMES, SCOPES, _checked_request, normalize_method, rank_cs,
+    METHOD_NAMES, SCOPES, _checked_request, _rank_bounds, normalize_method,
 )
 from .boot import BootstrapConfig
 from .core import KINDS, MultinomialSample, compute_ranks
@@ -376,40 +378,6 @@ def _j0_indices(sample: MultinomialSample, j0: str) -> tuple[int, ...]:
     raise DataError(f"J0 spec must be 'all' or 'single:<name>', got {j0!r}")
 
 
-def _analyze_group(
-    group: str,
-    sample: MultinomialSample,
-    method: str,
-    kind: str,
-    alpha: float,
-    scope: str,
-    j0: str,
-    config: BootstrapConfig,
-) -> list[AnalysisRow]:
-    targets = _j0_indices(sample, j0)
-    theta = sample.theta_hat
-    triples = compute_ranks(theta)
-    rs = rank_cs(
-        method, sample, J0=targets, kind=kind, alpha=alpha, config=config,
-        scope=scope,
-    )
-    rows = []
-    for j in targets:
-        lo, hi = rs.interval(j)
-        rows.append(
-            AnalysisRow(
-                group=group,
-                category=sample.labels[j],
-                theta_hat=float(theta[j]),
-                se=math.sqrt(float(theta[j]) * (1.0 - float(theta[j])) / sample.n),
-                rank=triples[j].r,
-                lo=lo,
-                hi=hi,
-            )
-        )
-    return rows
-
-
 def analyze(
     dataset: Dataset,
     method: str,
@@ -449,28 +417,64 @@ def analyze(
         its standard error, the estimated (best) rank, and the rank
         interval.  Row order follows the dataset.
     """
-    method = _request(method, kind, alpha, scope)
-    rows = tuple(
-        row
-        for group, sample in dataset.samples.items()
-        for row in _analyze_group(
-            group, sample, method, kind, alpha, scope, j0, config
+    (report,) = _analyses(dataset, (method,), kind, alpha, scope, j0, config)
+    return report
+
+
+def _analyses(
+    dataset: Dataset,
+    methods: Sequence[str],
+    kind: str,
+    alpha: float,
+    scope: str,
+    j0: str,
+    config: BootstrapConfig | None,
+) -> list[AnalysisReport]:
+    """One :func:`analyze` report per entry of ``methods``.
+
+    Each group is scored once for every method: one
+    :func:`~ranksets._dispatch._rank_bounds` call on the stack of its
+    one table.
+    """
+    methods = _request(methods, kind, alpha, scope)
+    if config is None:
+        config = BootstrapConfig()
+    rows = {m: [] for m in methods}
+    for group, sample in dataset.samples.items():
+        targets = _j0_indices(sample, j0)
+        bounds = _rank_bounds(
+            methods, np.array(sample.counts)[None], sample.n, targets, kind,
+            alpha, config.B, (config.seed,), scope,
         )
-    )
-    return AnalysisReport(
-        method=method, kind=kind, alpha=alpha, scope=scope, j0=j0,
-        rows=rows, dataset_id=dataset.identity(),
-    )
+        theta = sample.theta_hat.tolist()
+        triples = compute_ranks(theta)
+        shared = [
+            (group, sample.labels[j], theta[j],
+             math.sqrt(theta[j] * (1.0 - theta[j]) / sample.n), triples[j].r)
+            for j in targets
+        ]
+        for m, (lo, hi) in bounds.items():
+            rows[m] += (
+                AnalysisRow(*row, lo_j, hi_j)
+                for row, lo_j, hi_j in zip(shared, lo[0].tolist(), hi[0].tolist())
+            )
+    identity = dataset.identity()
+    return [
+        AnalysisReport(method=m, kind=kind, alpha=alpha, scope=scope, j0=j0,
+                       rows=tuple(rows[m]), dataset_id=identity)
+        for m in methods
+    ]
 
 
-def _request(method: str, kind: str, alpha: float, scope: str = "simultaneous") -> str:
-    """The canonical name of ``method`` once it accepts the request, or a
-    :class:`DataError` with the library's reason."""
+def _request(
+    methods: Sequence[str], kind: str, alpha: float, scope: str = "simultaneous"
+) -> tuple[str, ...]:
+    """The canonical names of ``methods`` once they accept the request, or
+    a :class:`DataError` with the library's reason."""
     try:
-        (method,) = _checked_request((method,), kind, alpha, scope)
+        return _checked_request(methods, kind, alpha, scope)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    return method
 
 
 @dataclass(frozen=True)
@@ -822,12 +826,8 @@ def _boot_config(args) -> BootstrapConfig:
 
 def _method_reports(args, dataset: Dataset, j0: str) -> list[AnalysisReport]:
     """One :func:`analyze` report per ``--method``, all on one resampling stream."""
-    config = _boot_config(args)
-    return [
-        analyze(dataset, m, kind=args.kind, alpha=args.alpha,
-                scope=args.scope, j0=j0, config=config)
-        for m in args.method
-    ]
+    return _analyses(dataset, args.method, args.kind, args.alpha, args.scope, j0,
+                     _boot_config(args))
 
 
 def _run_analyze(args, out) -> int:
@@ -841,7 +841,7 @@ def _run_analyze(args, out) -> int:
 
 
 def _run_tau(args, out) -> int:
-    _request(args.method, "upper" if args.worst else "lower", args.alpha)
+    _request((args.method,), "upper" if args.worst else "lower", args.alpha)
     dataset = _load_dataset(args)
     config = _boot_config(args)
     select = tau_worst if args.worst else tau_best

@@ -26,8 +26,6 @@ from .core import (
     PairwiseRejections,
     RankSet,
     _check_alpha,
-    build_index_family,
-    rankset_from_rejections,
 )
 
 __all__ = ["IntervalBox", "clopper_pearson", "cp_box", "cp_rank_cs"]
@@ -155,10 +153,9 @@ def cp_rank_cs(
         touching intervals cannot exclude equality), and symmetrically
         for the other direction.
     """
-    family = build_index_family(kind, J0, sample.p)
-    box = cp_box(sample, alpha)
-    rej = _box_rejections(family, np.asarray(box.lo), np.asarray(box.hi))
-    return rankset_from_rejections(rej, method="cp", alpha=alpha)
+    from ._dispatch import rank_cs  # _dispatch imports this module
+
+    return rank_cs("cp", sample, J0, kind, alpha)
 
 
 def _box_rejections(

@@ -43,8 +43,6 @@ from .core import (
     _check_alpha,
     _target_pairs,
     _whole_number,
-    build_index_family,
-    rankset_from_rejections,
 )
 
 __all__ = [
@@ -257,15 +255,17 @@ def pairwise_pvalues(
 ) -> PairwisePValueTable:
     """Evaluate the conditional test p-value for every family pair.
 
-    The table is shared: ``exactBonf`` and ``exactHolm`` on the same
-    counts and family get one table, built once.
+    The table is shared: separate ``exactBonf`` and ``exactHolm`` calls
+    on the same counts and family, back to back, get one table, built
+    once.
     """
     return _pvalue_table(sample.counts, family)
 
 
-# Bonferroni and Holm on one table run back to back, over every group
-# of a dataset in turn; each entry is p x p floats (8 MB at p = 1000).
-@lru_cache(maxsize=8)
+# One _rank_bounds call scores Bonferroni and Holm from one table; the
+# cache serves separate rank_cs calls on one table back to back.  Each
+# entry is p x p floats (8 MB at p = 1000).
+@lru_cache(maxsize=2)
 def _pvalue_table(
     counts: tuple[int, ...], family: IndexFamily
 ) -> PairwisePValueTable:
@@ -424,10 +424,10 @@ def exact_rank_cs(
         raise ValueError(
             f"correction must be one of {CORRECTIONS}, got {correction!r}"
         )
-    family = build_index_family(kind, J0, sample.p)
-    rej = _corrected(pairwise_pvalues(sample, family), alpha, correction, scope)
+    from ._dispatch import rank_cs  # _dispatch imports this module
+
     method = "exactBonf" if correction == "bonferroni" else "exactHolm"
-    return rankset_from_rejections(rej, method=method, alpha=alpha)
+    return rank_cs(method, sample, J0, kind, alpha, scope=scope)
 
 
 def _corrected(

@@ -329,8 +329,10 @@ def _rep_streams(master_seed: int, reps: int):
     """Per-replication (data_rng, bootstrap_seed) pairs.
 
     Each replication owns an independent substream; the bootstrap seed
-    is a deterministic integer so that every method in the replication
-    keys into the same cached resample matrix.
+    is a deterministic integer, read as ``BootstrapConfig(B, seed)``:
+    every method of the replication is calibrated on the one resample
+    matrix that :func:`~ranksets._dispatch._rank_bounds` draws from it,
+    as ``rank_cs`` does with that config.
     """
     for child in np.random.SeedSequence(master_seed).spawn(reps):
         data_ss, boot_ss = child.spawn(2)

@@ -1,7 +1,6 @@
 """Bootstrap difference bands, their rank readouts, and the naive baseline."""
 
 import dataclasses
-import inspect
 import math
 import tracemalloc
 
@@ -881,19 +880,18 @@ def test_rank_cs_names_pick_the_studentization(method, studentize, kind, scope):
 
 @pytest.mark.parametrize("method", ["boot", "bootStud", "naive"])
 def test_rank_cs_passes_the_config_through_unchanged(method, monkeypatch):
+    # The draw reads the config's own B and seed, once.
     seen = []
-    for name in ("boot_rank_cs", "naive_rank_cs"):
-        real = getattr(dispatch, name)
+    real = dispatch._resampled
 
-        def spy(*args, _real=real, **kwargs):
-            bound = inspect.signature(_real).bind(*args, **kwargs)
-            seen.append(bound.arguments["config"])
-            return _real(*args, **kwargs)
+    def spy(x, n, B, seeds, statistics):
+        seen.append((B, tuple(seeds)))
+        return real(x, n, B, seeds, statistics)
 
-        monkeypatch.setattr(dispatch, name, spy)
+    monkeypatch.setattr(dispatch, "_resampled", spy)
     cfg = BootstrapConfig(B=20, seed=1)
     rank_cs(method, MELBOURNE, config=cfg)
-    assert len(seen) == 1 and seen[0] is cfg
+    assert seen == [(cfg.B, (cfg.seed,))]
 
 
 def test_rank_cs_is_deterministic_for_a_seed():

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ranksets.cli as cli
-from ranksets.boot import BootstrapConfig
+from ranksets._dispatch import METHOD_NAMES
+from ranksets.boot import BootstrapConfig, _theta_star_cached
 from ranksets.cli import (
     AnalysisReport,
     DataError,
@@ -25,6 +27,7 @@ from ranksets.cli import (
     main,
 )
 from ranksets.core import InvalidTestFamilyError, MultinomialSample
+from ranksets.exact import _pvalue_table
 
 # ---------------------------------------------------------------------------
 # ingest
@@ -456,6 +459,27 @@ def test_main_analyze_out_is_the_report_csvs_under_one_header(
     assert out.read_bytes() == expected.encode("utf-8")
 
 
+def test_main_analyze_scores_each_group_once_for_every_method(tmp_path, capsys):
+    # Nine groups: more than the per-table caches hold.  Every group's
+    # resamples are drawn once and its exact p-value table built once,
+    # for all six methods.
+    rng = np.random.default_rng(3)
+    lines = ["group,category,count"]
+    for g in range(9):
+        counts = rng.multinomial(120, np.ones(5) / 5)
+        lines += [f"g{g},c{j},{c}" for j, c in enumerate(counts)]
+    data = tmp_path / "nine.csv"
+    data.write_text("\n".join(lines) + "\n")
+    _theta_star_cached.cache_clear()
+    _pvalue_table.cache_clear()
+    argv = ["analyze", str(data), "--method", ",".join(METHOD_NAMES),
+            "--boot-samples", "50"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _theta_star_cached.cache_info().misses == 9
+    assert _pvalue_table.cache_info().misses == 9
+
+
 def test_main_unreadable_data_exits_one(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "nope.csv")])
     assert code == 1
@@ -494,7 +518,7 @@ def test_main_internal_invariant_exits_two(melbourne_csv, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InvalidTestFamilyError("claims collide")
 
-    monkeypatch.setattr(cli, "analyze", boom)
+    monkeypatch.setattr(cli, "_rank_bounds", boom)
     code = main(["analyze", str(melbourne_csv)])
     assert code == 2
     assert "internal error:" in capsys.readouterr().err
@@ -506,7 +530,7 @@ def test_main_library_errors_exit_two(melbourne_csv, capsys, monkeypatch, error)
     def boom(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "rank_cs", boom)
+    monkeypatch.setattr(cli, "_rank_bounds", boom)
     code = main(["analyze", str(melbourne_csv)])
     assert code == 2
     assert "internal error:" in capsys.readouterr().err

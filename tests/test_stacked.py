@@ -2,11 +2,15 @@
 
 ``_rank_bounds`` turns ``R`` count tables stacked as ``(R, p)`` into
 ``(R, |J0|)`` rank bounds per method, in one pass; row ``r`` must be
-:func:`rank_cs` on table ``r``, bit for bit.  ``run_design`` scores
+table ``r`` scored alone, bit for bit: for the exact methods and
+``cp`` by the public pieces (p-values, correction, box, claims), for
+the bootstrap methods by :func:`rank_cs`.  ``run_design`` scores
 coverage from those arrays, one chunk of replications at a time, and
 must report what scoring one :class:`RankSet` per replication reports.
 Memory of the stacked paths is bounded by a chunk, not by the number of
-replications.
+replications.  Separate ``rank_cs`` calls on one table, each a stack of
+one, share its p-value table and resamples through caches that keep two
+tables.
 """
 
 import re
@@ -18,22 +22,52 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ranksets.sim as sim
-from ranksets import exact
+from ranksets import boot, exact
 from ranksets._dispatch import METHOD_NAMES, _rank_bounds, rank_cs
 from ranksets.boot import BootstrapConfig
 from ranksets.cli import main
-from ranksets.core import KINDS, SCOPES, MultinomialSample, build_index_family, compute_ranks
+from ranksets.core import (
+    KINDS, SCOPES, MultinomialSample, PairwiseRejections, build_index_family,
+    compute_ranks, rankset_from_rejections,
+)
+from ranksets.cp import cp_box
+from ranksets.exact import bonferroni_reject, holm_reject, pairwise_pvalues
 from ranksets.projections import tau_best, tau_worst
 from ranksets.sim import SimCell, SimDesign, SimReport, _mc_se, _rep_streams, run_design, uniform_design
 
 
+_REJECT = {"exactBonf": bonferroni_reject, "exactHolm": holm_reject}
+
+
+def _reference(method, sample, J0, kind, alpha, config, scope):
+    """The set of ``method`` on one table.
+
+    The exact methods and ``cp`` are built from the public pieces: the
+    p-value table and its correction, or the Clopper-Pearson box read
+    by strict non-overlap, then assembled from the claims.  The
+    bootstrap methods are :func:`rank_cs`.
+    """
+    if method not in _REJECT and method != "cp":
+        return rank_cs(method, sample, J0, kind, alpha, config, scope)
+    family = build_index_family(kind, J0, sample.p)
+    if method == "cp":
+        box = cp_box(sample, alpha)
+        lo, hi = np.array(box.lo), np.array(box.hi)
+        rej = PairwiseRejections.from_claims(
+            family, family.mask & (lo[:, None] > hi[None, :])
+        )
+    else:
+        rej = _REJECT[method](pairwise_pvalues(sample, family), alpha, scope)
+    return rankset_from_rejections(rej, method=method, alpha=alpha)
+
+
 def _one_at_a_time(method, x, J0, kind, alpha, B, seeds, scope):
-    """``(lo, hi)`` of ``rank_cs`` on each table, or the ``ValueError`` text."""
+    """``(lo, hi)`` of each table scored alone, or the ``ValueError`` text."""
     lo, hi = [], []
     for counts, seed in zip(x.tolist(), seeds):
         try:
-            rs = rank_cs(method, MultinomialSample(tuple(counts)), J0, kind, alpha,
-                         BootstrapConfig(B=B, seed=seed), scope)
+            rs = _reference(method, MultinomialSample(tuple(counts)), J0, kind,
+                            alpha, BootstrapConfig(B=B, seed=seed), scope)
         except ValueError as exc:
             return str(exc)
         lo.append([rs.lo[j] for j in rs.J0])
@@ -199,3 +233,38 @@ def test_run_design_memory_does_not_grow_with_reps(method):
 
     few, many = peak(16), peak(256)
     assert abs(many - few) <= 0.1 * few, (few, many)
+
+
+def test_separate_calls_on_one_table_share_the_per_table_caches():
+    exact._pvalue_table.cache_clear()
+    boot._theta_star_cached.cache_clear()
+    sample = MultinomialSample((86, 72, 38, 22, 9, 5, 4, 2))
+    config = BootstrapConfig(B=200, seed=0)
+    for method in ("exactBonf", "exactHolm", "boot", "bootStud", "naive"):
+        rank_cs(method, sample, config=config)
+    assert exact._pvalue_table.cache_info()[:2] == (1, 1)  # hits, misses
+    assert boot._theta_star_cached.cache_info()[:2] == (2, 1)
+
+
+@pytest.mark.parametrize("method, cache", [
+    ("exactHolm", exact._pvalue_table),  # a 1000 x 1000 p-value table
+    ("boot", boot._theta_star_cached),  # 1000 resamples of 1000 shares
+])
+def test_per_table_caches_keep_two_tables_at_p_1000(method, cache):
+    # Each entry is 8 MB; only the last two tables stay cached.
+    entry = 1000 * 1000 * 8
+    weights = 1.0 / np.arange(1, 1001) ** 0.5
+    config = BootstrapConfig(B=1000, seed=0)
+    exact._tail_table(exact._EXACT_MAX_S)
+    build_index_family("two_sided", None, 1000)
+    cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for seed in range(5):
+            counts = np.random.default_rng(seed).multinomial(5_000, weights / weights.sum())
+            rank_cs(method, MultinomialSample(tuple(counts.tolist())), config=config)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cache.cache_info().currsize == 2
+    assert 2 * entry <= kept < 2.5 * entry, kept / entry
