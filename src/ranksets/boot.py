@@ -626,19 +626,33 @@ def _sigma_max(theta_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
     ``_sigma_hat`` of ``(j, k)`` equals that of ``(k, j)`` bit for bit,
     so this is the largest scale of every family whose pairs with each
     target ``j`` run one or both ways round.  ``theta_hat`` is ``(...,
-    p)`` and the result ``(..., T)``.  Targets are taken in blocks of
-    ``_BLOCK_BYTES`` per ``(..., block, p)`` array, with no pair index
-    arrays.
+    p)``, ``targets`` are distinct and the result is ``(..., T)``.
+    Targets are taken in blocks of ``_BLOCK_BYTES`` per ``(..., block,
+    p)`` array, with no pair index arrays.  As in
+    :func:`_marginal_symm_stats`, a block takes its pairs with the later
+    targets and the other categories, and folds each pair with a later
+    target into that target's maximum too, so a pair of targets in two
+    blocks is evaluated once.  Every scale is ``+0`` or more, so the
+    maxima start at 0.
     """
-    p = theta_hat.shape[-1]
-    others = np.arange(p)
-    out = np.empty(theta_hat.shape[:-1] + (len(targets),))
+    p, T = theta_hat.shape[-1], len(targets)
+    other = np.ones(p, dtype=bool)
+    other[targets] = False
+    order = np.concatenate((targets, np.flatnonzero(other)))
+    out = np.zeros(theta_hat.shape[:-1] + (T,))
     step = max(1, _BLOCK_BYTES // (8 * theta_hat.size))
-    for start in range(0, len(targets), step):
-        j = targets[start:start + step, None]
-        sigma = _sigma_hat(theta_hat, j, others[None, :])
-        sigma[..., j == others] = 0.0  # (j, j) is no pair; every scale is >= +0
-        sigma.max(axis=-1, out=out[..., start:start + step])
+    for start in range(0, T, step):
+        stop = min(start + step, T)
+        # Row i is the target at start + i, column c the category at
+        # start + c: the block's own pairs, both ways round, and its
+        # pairs with every later category.
+        sigma = _sigma_hat(theta_hat, order[start:stop, None], order[None, start:])
+        diag = np.arange(stop - start)
+        sigma[..., diag, diag] = 0.0  # (j, j) is no pair
+        np.maximum(out[..., start:stop], sigma.max(axis=-1), out=out[..., start:stop])
+        if stop < T:
+            later = out[..., stop:]
+            np.maximum(later, sigma[..., diag.size:T - start].max(axis=-2), out=later)
     return out
 
 

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -679,7 +680,10 @@ def _parse_design(text: str) -> tuple[str, dict[str, str]]:
     return name.strip(), kwargs
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; its defaults are immutable, so one
+    call's arguments cannot carry into the next."""
     parser = _Parser(
         prog="ranksets",
         description="Confidence sets for ranks of multinomial categories.",
@@ -741,7 +745,7 @@ def _build_parser() -> _Parser:
         help="rank confidence sets per group and category",
     )
     p_analyze.add_argument(
-        "--method", type=_method_list, default=["exactHolm"], metavar="M[,M...]",
+        "--method", type=_method_list, default=("exactHolm",), metavar="M[,M...]",
         help=f"methods, comma-separated from {', '.join(METHOD_NAMES)}",
     )
 
@@ -764,7 +768,7 @@ def _build_parser() -> _Parser:
         help="percentage of cells where one method's interval is wider",
     )
     p_compare.add_argument(
-        "--method", type=_method_list, default=["exactHolm", "bootStud"],
+        "--method", type=_method_list, default=("exactHolm", "bootStud"),
         metavar="M,M[,M...]", help="two or more methods, comma-separated",
     )
 
@@ -773,7 +777,7 @@ def _build_parser() -> _Parser:
         help="plot-ready CSV (group, category, theta_hat, se, method, lo, hi)",
     )
     p_plot.add_argument(
-        "--method", type=_method_list, default=["exactHolm"], metavar="M[,M...]",
+        "--method", type=_method_list, default=("exactHolm",), metavar="M[,M...]",
     )
 
     p_sim = sub.add_parser(

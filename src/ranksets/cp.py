@@ -9,6 +9,8 @@ intervals are strictly disjoint in that direction.  Coverage of the
 box is inherited by the rank set, so the construction is valid in
 finite samples, at the price of a cruder pairwise comparison than the
 conditional tests in :mod:`ranksets.exact`.
+
+scipy is imported on the first interval computed, not with the module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy import special
 
 from .core import (
     IndexFamily,
@@ -66,6 +67,8 @@ def _cp_bounds(
     x: np.ndarray, n: int, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`clopper_pearson` of every count in ``x``, one call per bound."""
+    from scipy import special  # here, so importing ranksets does not load scipy
+
     alpha = 1.0 - level
     # x = 0 and x = n put a zero beta shape in the quantile; its NaN is
     # replaced by the closed end.

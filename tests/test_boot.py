@@ -29,6 +29,8 @@ from ranksets.boot import (
     _marginal_symm_stats,
     _pair_stats,
     _pairs_with,
+    _sigma_hat,
+    _sigma_max,
     _theta_star_cached,
 )
 from ranksets.core import MultinomialSample, build_index_family
@@ -305,6 +307,42 @@ def test_marginal_symm_kernel_equals_per_target_pair_stats(case, studentize):
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _sigma_max_oracle(theta_hat, targets):
+    # Every ordered pair of each target evaluated, (j, k) and (k, j) alike.
+    p = theta_hat.shape[-1]
+    others = np.arange(p)
+    j = np.asarray(targets)[:, None]
+    sigma = _sigma_hat(theta_hat, j, others[None, :])
+    sigma[..., j == others] = 0.0
+    return sigma.max(axis=-1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 30, 100, 300])
+@pytest.mark.parametrize("R", [None, 1, 5])
+def test_sigma_max_evaluates_each_pair_once_bit_for_bit(p, R):
+    # Zero cells, every target, a proper subset, the last category alone
+    # and stacked tables, in blocks of 1, 2 and 3 targets and in the
+    # default blocks: folding each pair of two targets into both ends'
+    # maxima gives the full evaluation's scales bit for bit.
+    rng = np.random.default_rng(p)
+    counts = rng.integers(1, 6, size=(p,) if R is None else (R, p))
+    if p > 3:  # at p <= 3 a zero cell can leave every scale 0
+        counts[..., ::3] = 0
+    theta_hat = counts / counts.sum(axis=-1, keepdims=True)
+    subsets = [np.arange(p), np.arange(0, p, 2), np.array([p - 1]),
+               np.sort(rng.choice(p, size=max(1, p // 3), replace=False))]
+    for targets in subsets:
+        expected = _sigma_max_oracle(theta_hat, targets)
+        for width in (1, 2, 3, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if width is not None:
+                    mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * theta_hat.size * width)
+                got = _sigma_max(theta_hat, targets)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected), (targets, width)
+            assert not np.signbit(got).any()
 
 
 # ---------------------------------------------------------------------------

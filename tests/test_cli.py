@@ -574,6 +574,42 @@ def test_main_repeated_runs_are_identical(melbourne_csv, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_main_shares_one_parser_across_calls(territories_csv, capsys, tmp_path,
+                                            monkeypatch):
+    # analyze, a usage error, compare, tau-best and analyze again in one
+    # process on the one parser of the process: each call prints and
+    # writes what the same argv prints and writes through a parser of its
+    # own.
+    data = str(territories_csv)
+    argvs = [
+        ["analyze", data],
+        ["analyze", data, "--alpha", "1.5"],
+        ["compare", data, "--boot-samples", "200"],
+        ["tau-best", data, "--tau", "2"],
+        ["analyze", data],
+    ]
+
+    def run_all(tag):
+        results = []
+        for i, argv in enumerate(argvs):
+            out = tmp_path / f"{tag}{i}.csv"
+            code = main([*argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            written = out.read_text(encoding="utf-8") if out.exists() else None
+            results.append((code, captured.out, captured.err, written))
+        return results
+
+    cli._build_parser.cache_clear()
+    shared = run_all("shared")
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = run_all("fresh")
+    assert [r[0] for r in shared] == [0, 1, 0, 0, 0]
+    assert shared[1][2].startswith("error:")
+    assert all(r[3] is not None for i, r in enumerate(shared) if i != 1)
+    assert shared == fresh
+
+
 def test_main_group_small_flag(melbourne_csv, capsys):
     code = main([
         "analyze", str(melbourne_csv), "--group-small", "0.05",
