@@ -161,12 +161,13 @@ def _rank_bounds(
     (:mod:`ranksets.sim` hands one chunk at a time, :func:`rank_cs` and
     the command line one table).  The exact methods share one stacked
     p-value table, ``cp`` evaluates one stacked box, and each table's
-    resamples are drawn once and calibrated for every bootstrap method
-    in turn; the claims and bounds of each method are then computed once
-    for the whole stack.  Separate calls on one table share work through
-    caches: a stack of one reads its p-value table from
-    ``exact._pvalue_table``, and every table its resamples from
-    ``boot._theta_star_cached``.
+    resamples are drawn once: ``boot`` and ``bootStud`` are calibrated
+    together, from one walk of each table's pairs that computes both
+    statistics, and ``naive`` ranks the same draw.  The claims and
+    bounds of each method are then computed once for the whole stack.
+    Separate calls on one table share work through caches: a stack of
+    one reads its p-value table from ``exact._pvalue_table``, and every
+    table its resamples from ``boot._theta_star_cached``.
     """
     methods = _checked_request(methods, kind, alpha, scope)
     family = build_index_family(kind, J0, x.shape[1])
@@ -181,18 +182,22 @@ def _rank_bounds(
     if "cp" in methods:
         lo, hi = _box_bounds(x, n, float(alpha))
         out["cp"] = _claim_bounds(_box_rejections(family, lo, hi))
-    resampled = [m for m in methods if m in _STUDENTIZE or m == "naive"]
-    statistics = [
-        partial(_naive_bounds, j0=family.J0, alpha=alpha) if m == "naive"
-        else partial(_band_critical_values, n=n, family=family, scope=scope,
-                     studentize=_STUDENTIZE[m], alpha=alpha)
-        for m in resampled
-    ]
-    values = _resampled(x, n, B, seeds, statistics) if resampled else []
-    for m, v in zip(resampled, values):
-        if m == "naive":
-            out[m] = _checked_bounds(v[:, 0], v[:, 1], family.p, family.J0)
-        else:
-            rej = _band_rejections(family, x / n, v, n, scope, _STUDENTIZE[m])
+    band = [m for m in dict.fromkeys(methods) if m in _STUDENTIZE]
+    statistics = []
+    if band:
+        statistics.append(partial(
+            _band_critical_values, n=n, family=family, scope=scope,
+            studentize=tuple(_STUDENTIZE[m] for m in band), alpha=alpha,
+        ))
+    if "naive" in methods:
+        statistics.append(partial(_naive_bounds, j0=family.J0, alpha=alpha))
+    values = _resampled(x, n, B, seeds, statistics) if statistics else []
+    for m in methods:
+        if m in _STUDENTIZE:
+            crit = values[0][:, band.index(m)]
+            rej = _band_rejections(family, x / n, crit, n, scope, _STUDENTIZE[m])
             out[m] = _claim_bounds(rej)
+        elif m == "naive":
+            v = values[-1]
+            out[m] = _checked_bounds(v[:, 0], v[:, 1], family.p, family.J0)
     return out

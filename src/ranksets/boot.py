@@ -14,23 +14,27 @@ one category's draws, and for the studentized statistic computes each
 category's ``theta*(1 - theta*)`` row once, rather than once per pair.
 The maximum over a family of ``m`` pairs (up to ``p(p-1)``) is then
 taken block by block over the pairs, gathering whole contiguous rows,
-with a running maximum per resample.  Calibration thus holds the
-``B x p`` matrix, its ``p x B`` copy and variance terms, and one
-block, never a ``B x m`` array; each of a block's buffers stays under
-the 128 KiB at which the allocator would map it afresh on every call.
-The critical values are the same bit for bit as from the whole ``B x
-m`` array at once.
+with a running maximum per resample.  A call may ask for both the
+unstudentized (``boot``) and the studentized (``bootStud``) statistic:
+one walk of the pairs then takes each block's numerator once, folds
+its unstudentized maximum, and studentizes it in place.  Calibration
+thus holds the ``B x p`` matrix, its ``p x B`` copy and variance terms,
+and one block, never a ``B x m`` array; each of a block's buffers stays
+under the 128 KiB at which the allocator would map it afresh on every
+call.  The critical values are the same bit for bit as from the whole
+``B x m`` array at once, one statistic at a time.
 
 The symmetric statistic over every unordered pair (the joint two-sided
-readout, and ``symm`` difference sets whose mask covers every pair one
-way round) mostly needs far fewer than its ``p(p-1)/2`` pairs per
-resample.  Each category gets a deviation score that bounds every pair
-it is in; the pairs of a resample's highest-scoring categories are
-evaluated exactly, one category per level, until its running maximum
-reaches a proven bound on all remaining pairs.  Blocks of resamples are
-read as they lie in the ``B x p`` matrix, most resamples stop after one
-or two levels, and none runs more than ``p - 1``, after which every
-pair has been evaluated.  The maxima are the same bit for bit; see
+readout, ``symm`` difference sets whose mask covers every pair one way
+round, and the joint one-sided readout over every category, whose
+family holds every ordered pair) mostly needs far fewer than its
+``p(p-1)/2`` pairs per resample.  Each category gets a deviation score
+that bounds every pair it is in; the pairs of a resample's
+highest-scoring categories are evaluated exactly, one category per
+level, until its running maximum reaches a proven bound on all
+remaining pairs.  Blocks of resamples are read as they lie in the ``B
+x p`` matrix, most resamples stop after one or two levels, and none
+runs more than ``p - 1``, after which every pair has been evaluated.  The maxima are the same bit for bit; see
 :func:`_all_pairs_symm_stats`.
 
 Zero counts need conventions: a bootstrap ratio evaluates ``0/0`` as 0
@@ -52,8 +56,8 @@ targets' two-sided families share the pair of the two, so the
 two-sided kind evaluates each unordered pair once and folds it into
 the running maxima of both its ends (:func:`_marginal_symm_stats`).
 The targets share the estimates and the category-major resamples, and
-all critical values are read from one sort of the ``B x |J0|`` max
-statistics.
+all critical values, of each statistic asked for, are read from one
+sort of the ``B x S x |J0|`` max statistics.
 
 The naive alternative resamples the ranks themselves and reads off
 their empirical quantiles; it is included as a comparison baseline and
@@ -176,21 +180,32 @@ _BLOCK_BYTES = 127 * 1024
 
 
 def _category_major(
-    theta_star: np.ndarray, studentize: bool
+    theta_star: np.ndarray, studentize: bool, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The resamples laid out for :func:`_pair_stats`, built once per call.
+    """The resamples laid out for the pair walks, built once per call.
 
-    Returns ``rows``, the ``(p, B)`` C-contiguous copy of the ``(B, p)``
+    Returns ``rows``, a ``(p, B)`` C-contiguous copy of the ``(B, p)``
     resample matrix, so each category's ``B`` draws are one contiguous
-    row, and, when studentizing, ``var = rows * (1 - rows)``, each
-    category's variance term (``None`` otherwise).
+    row (row ``i`` is category ``order[i]`` when ``order`` is given),
+    and, when studentizing, ``var = rows * (1 - rows)``, each row's
+    variance term (``None`` otherwise).
     """
-    rows = np.ascontiguousarray(theta_star.T)
+    rows = np.ascontiguousarray(theta_star.T) if order is None else theta_star.T[order]
     if not studentize:
         return rows, None
     var = 1.0 - rows
     var *= rows
     return rows, var
+
+
+def _statistic_rows(out: np.ndarray, studentize: tuple[bool, ...]):
+    """``(plain, stud)``: the rows of ``out`` of each statistic asked for.
+
+    ``studentize`` holds each flag at most once; a statistic it does not
+    ask for gets ``None``.
+    """
+    return tuple(out[studentize.index(s)] if s in studentize else None
+                 for s in (False, True))
 
 
 def _pair_stats(
@@ -201,29 +216,40 @@ def _pair_stats(
     jj: np.ndarray,
     kk: np.ndarray,
     variant: str,
+    studentize: tuple[bool, ...],
 ) -> np.ndarray:
-    """(B,) bootstrap max statistics over the pairs ``(jj[i], kk[i])``.
+    """(S, B) bootstrap max statistics over the pairs ``(jj[i], kk[i])``.
 
-    ``rows`` and ``var`` come from :func:`_category_major`; ``var`` is
-    ``None`` for the unstudentized statistic.  ``jj`` and ``kk`` are
-    non-empty index arrays of equal length.  The pairs are walked in
-    blocks of ``_BLOCK_BYTES`` per ``block x B`` buffer: a block gathers
-    the contiguous rows of its pairs' categories into four preallocated
-    buffers, is evaluated in place, and folds its maximum over the pair
-    axis into a running maximum per resample.  Memory is the ``p x B``
-    rows and variance terms plus one block, whatever the number of
-    pairs, and the inputs are never written.
+    Row ``s`` is the studentized statistic if ``studentize[s]`` is true
+    and the unstudentized one if not; ``studentize`` holds each flag at
+    most once.  ``rows`` and ``var`` come from :func:`_category_major`,
+    and ``var`` is needed only for the studentized statistic.  ``jj``
+    and ``kk`` are non-empty index arrays of equal length.  The pairs
+    are walked in blocks of ``_BLOCK_BYTES`` per ``block x B`` buffer: a
+    block gathers the contiguous rows of its pairs' categories into four
+    preallocated buffers, takes its numerator once, folds its maximum
+    over the pair axis into the unstudentized running maximum per
+    resample, then studentizes it in place and folds that maximum into
+    the studentized one.  Memory is the ``p x B`` rows and variance
+    terms plus one block and one running maximum per statistic, whatever
+    the number of pairs, and the inputs are never written.
 
     Each element takes ``(tj - tk) - d_hat``, then the variant, then
     either times ``sqrt(n)`` or, studentized, over ``sqrt(v_j + v_k +
     (2 tj) tk) / sqrt(n)``: the operations, in the order, of the
-    elementwise formula over all ``B x m`` pairs at once.  With an
-    exact maximum, the result is that formula's bit for bit, whatever
-    the block size.  Numerator and denominator are finite, so the
-    quotient's only NaNs are its ``0/0`` cells, which count as 0, and
-    ``c/0`` is ``sign(c) * inf``.  Over every unordered pair with
-    variant ``symm``, :func:`_symm_stats` gives the same result from
-    far fewer pairs.
+    elementwise formula over all ``B x m`` pairs at once.  The
+    unstudentized maxima are scaled by ``c = sqrt(n)`` after the max,
+    which is the same bit for bit: ``c >= 1`` and the numerators are
+    finite, so ``x -> fl(c x)`` is non-decreasing, keeps the sign of
+    ``x`` and sends only zeros to zero; if ``x*`` is a largest
+    numerator, ``fl(c x*) >= fl(c x)`` for every ``x``, so ``max_i fl(c
+    x_i) = fl(c max_i x_i)``, a zero keeping its sign.  With an exact
+    maximum, the result is the formula's bit for bit, whatever the block
+    size.  Numerator and denominator are finite, so the quotient's only
+    NaNs are its ``0/0`` cells, which count as 0, and ``c/0`` is
+    ``sign(c) * inf``.  Over every unordered pair with variant
+    ``symm``, :func:`_symm_stats` gives the same result from far fewer
+    pairs.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -232,7 +258,9 @@ def _pair_stats(
     width = min(len(jj), max(1, _BLOCK_BYTES // (8 * B)))
     buf_j, buf_k, buf_num, buf_sd = (np.empty((width, B)) for _ in range(4))
     root_n = math.sqrt(n)
-    best = None
+    out = np.empty((len(studentize), B))
+    out.fill(-np.inf)
+    plain, stud = _statistic_rows(out, studentize)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, len(jj), width):
             j, k = jj[start:start + width], kk[start:start + width]
@@ -248,9 +276,9 @@ def _pair_stats(
                 np.negative(num, out=num)
             elif variant == "symm":
                 np.abs(num, out=num)
-            if var is None:
-                num *= root_n
-            else:
+            if plain is not None:
+                np.maximum(plain, num.max(axis=0), out=plain)
+            if stud is not None:
                 sd = buf_sd[:w]
                 tj *= 2.0
                 tj *= tk
@@ -261,83 +289,99 @@ def _pair_stats(
                 np.sqrt(sd, out=sd)
                 sd /= root_n
                 num /= sd
-            top = num.max(axis=0)
-            if var is not None and np.isnan(top).any():
-                np.copyto(num, 0.0, where=np.isnan(num))
                 top = num.max(axis=0)
-            if best is None:
-                best = top
-            else:
-                np.maximum(best, top, out=best)
-    return best
+                if np.isnan(top).any():
+                    np.copyto(num, 0.0, where=np.isnan(num))
+                    top = num.max(axis=0)
+                np.maximum(stud, top, out=stud)
+    if plain is not None:
+        plain *= root_n
+    return out
 
 
 def _marginal_symm_stats(
-    rows: np.ndarray,
-    var: np.ndarray | None,
+    theta_star: np.ndarray,
+    studentize: tuple[bool, ...],
     theta_hat: np.ndarray,
     n: int,
     targets: np.ndarray,
 ) -> np.ndarray:
-    """(B, T) ``symm`` max statistics of each target's own family.
+    """(S, T, B) ``symm`` max statistics of each target's own family.
 
-    Column ``t`` is :func:`_pair_stats` ``symm`` over the pairs of
-    ``targets[t]`` with every other category, bit for bit; ``rows`` and
-    ``var`` come from :func:`_category_major` and ``targets`` are
-    distinct.  Each unordered pair is evaluated once.  Target ``c``
-    takes the pairs ``(c, k)`` for every ``k`` that is not an earlier
-    target, later targets first, so that a block's rows of later
-    targets fold into a contiguous slice of the running maxima and the
-    whole block into ``c``'s own.  A pair and its mirror give the same
-    statistic bit for bit (see :func:`_all_pairs_symm_stats`), and each
-    element takes :func:`_pair_stats`'s operations in their order.
-    Every statistic is ``+0`` or more, or a ``0/0`` NaN that counts as
-    0, so the running maxima start at 0 and fold with ``fmax``.  Blocks
-    are ``_BLOCK_BYTES`` per buffer, and the inputs are never written.
+    ``theta_star`` is the ``(B, p)`` resample matrix, ``targets`` are
+    distinct, and statistic ``s`` is studentized if ``studentize[s]`` is
+    true (each flag at most once).  Row ``[s, t]`` is :func:`_pair_stats`
+    ``symm`` over the pairs of ``targets[t]`` with every other category,
+    bit for bit.  The rows are read once, from one :func:`_category_major`
+    copy in walk order: the targets, then the other categories.  Each
+    unordered pair is evaluated once.  The target at walk position ``t``
+    takes the pairs with every later position, a contiguous slice of the
+    rows and variance terms, so that a block's rows of later targets
+    fold into a contiguous slice of the running maxima and the whole
+    block into the target's own.  Each block's numerator is taken once;
+    its unstudentized maxima are folded before it is studentized in
+    place, and scaled by ``sqrt(n)`` after the walk (see
+    :func:`_pair_stats`).  A pair and its mirror give the same statistic
+    bit for bit (see :func:`_all_pairs_symm_stats`), and each element
+    takes :func:`_pair_stats`'s operations in their order.  Every
+    statistic is ``+0`` or more, or a ``0/0`` NaN that counts as 0, so
+    the running maxima start at 0 and fold with ``fmax``.  Blocks are
+    ``_BLOCK_BYTES`` per buffer, and the inputs are never written.
     """
-    p, B = rows.shape
+    B, p = theta_star.shape
     T = len(targets)
     other = np.ones(p, dtype=bool)
     other[targets] = False
     order = np.concatenate((targets, np.flatnonzero(other)))
+    rows, var = _category_major(theta_star, True in studentize, order)
+    walk_hat = theta_hat[order]
     width = min(p - 1, max(1, _BLOCK_BYTES // (8 * B)))
-    buf_k, buf_num = np.empty((width, B)), np.empty((width, B))
+    buf_num = np.empty((width, B))
     if var is not None:
         buf_sd, buf_prod = np.empty((width, B)), np.empty((width, B))
     root_n = math.sqrt(n)
-    out = np.zeros((T, B))
+    out = np.zeros((len(studentize), T, B))
+    plain, stud = _statistic_rows(out, studentize)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t, c in enumerate(targets):
-            ks = order[t + 1:]
-            d_hat = theta_hat[c] - theta_hat[ks]
-            tc = rows[c]
+        for t in range(T):
+            d_hat = walk_hat[t] - walk_hat[t + 1:]
+            tc = rows[t]
             if var is not None:
                 two_tc = tc * 2.0
-            for start in range(0, len(ks), width):
-                k = ks[start:start + width]
-                w = len(k)
-                tk, num = buf_k[:w], buf_num[:w]
-                rows.take(k, axis=0, out=tk, mode="clip")
+            for start in range(t + 1, p, width):
+                stop = min(start + width, p)
+                tk, num = rows[start:stop], buf_num[:stop - start]
                 np.subtract(tc, tk, out=num)
-                num -= d_hat[start:start + w, None]
+                num -= d_hat[start - t - 1:stop - t - 1, None]
                 np.abs(num, out=num)
-                if var is None:
-                    num *= root_n
-                else:
-                    sd, prod = buf_sd[:w], buf_prod[:w]
+                # The block's rows that are later targets' own pairs.
+                later = min(stop, T) - start
+                if plain is not None:
+                    _fold_marginal(plain, t, start, later, num)
+                if stud is not None:
+                    sd, prod = buf_sd[:len(num)], buf_prod[:len(num)]
                     np.multiply(two_tc, tk, out=prod)
-                    var.take(k, axis=0, out=sd, mode="clip")
-                    sd += var[c]
+                    np.add(var[start:stop], var[t], out=sd)
                     sd += prod
                     np.sqrt(sd, out=sd)
                     sd /= root_n
                     num /= sd
-                np.fmax(out[t], np.fmax.reduce(num, axis=0), out=out[t])
-                stop = min(w, T - 1 - t - start)
-                if stop > 0:
-                    seg = out[t + 1 + start:t + 1 + start + stop]
-                    np.fmax(seg, num[:stop], out=seg)
-    return out.T
+                    _fold_marginal(stud, t, start, later, num)
+    if plain is not None:
+        plain *= root_n
+    return out
+
+
+def _fold_marginal(out, t, start, later, num):
+    """Fold a block of target ``t``'s pairs into the ``(T, B)`` maxima ``out``.
+
+    Row ``i`` of ``num`` is the pair of ``t`` with walk position ``start
+    + i``; its first ``later`` rows are also later targets' own pairs.
+    """
+    np.fmax(out[t], np.fmax.reduce(num, axis=0), out=out[t])
+    if later > 0:
+        seg = out[start:start + later]
+        np.fmax(seg, num[:later], out=seg)
 
 
 #: Smallest ``p`` at which a symmetric calibration over every unordered
@@ -352,28 +396,33 @@ _U = 2.0**-53
 
 def _symm_stats(
     theta_star: np.ndarray,
-    studentize: bool,
+    studentize: tuple[bool, ...],
     theta_hat: np.ndarray,
     n: int,
     upper: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(B,) ``symm`` max statistics over the unordered pairs of ``upper``.
+    """(S, B) ``symm`` max statistics over the unordered pairs of ``upper``.
 
     ``upper`` is a ``p x p`` mask with no pair below the diagonal, or
-    ``None`` for every unordered pair.  Equal, bit for bit, to
-    :func:`_pair_stats` on the category-major ``theta_star``;
-    :func:`_all_pairs_symm_stats` computes them when the pairs are every
-    unordered pair of ``p >= _ALL_PAIRS_MIN_P`` categories.
+    ``None`` for every unordered pair; row ``s`` is studentized if
+    ``studentize[s]`` is true (each flag at most once).  Equal, bit for
+    bit, to :func:`_pair_stats` on the category-major ``theta_star``,
+    which computes every statistic in one walk of the pairs; when the
+    pairs are every unordered pair of ``p >= _ALL_PAIRS_MIN_P``
+    categories, :func:`_all_pairs_symm_stats` computes each statistic
+    instead, one call each, as its levels follow each statistic's own
+    scores.
     """
     p = theta_star.shape[1]
     every = upper is None or np.count_nonzero(upper) == p * (p - 1) // 2
     if every and p >= _ALL_PAIRS_MIN_P:
-        return _all_pairs_symm_stats(theta_star, studentize, theta_hat, n)
+        return np.stack([_all_pairs_symm_stats(theta_star, s, theta_hat, n)
+                         for s in studentize])
     if upper is None:  # a quarter of np.triu_indices' cost at small p
         upper = np.less.outer(np.arange(p), np.arange(p))
     jj, kk = np.nonzero(upper)
-    rows, var = _category_major(theta_star, studentize)
-    return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
+    rows, var = _category_major(theta_star, True in studentize)
+    return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm", studentize)
 
 
 def _all_pairs_symm_stats(
@@ -719,14 +768,14 @@ def difference_cs(
     if shape == "symm":
         # A pair and its mirror give the same statistic bit for bit, so
         # each unordered pair of the mask enters the max once.
-        stats = _symm_stats(star, studentize, theta_hat, n, np.triu(mask | mask.T, 1))
-        crits = (bootstrap_quantile(stats, 1.0 - alpha),)
+        stats = _symm_stats(star, (studentize,), theta_hat, n, np.triu(mask | mask.T, 1))
+        crits = (bootstrap_quantile(stats[0], 1.0 - alpha),)
     else:
         rows, var = _category_major(star, studentize)
 
         def crit(variant: str, level: float) -> float:
-            stats = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
-            return bootstrap_quantile(stats, level)
+            stats = _pair_stats(rows, var, theta_hat, n, jj, kk, variant, (studentize,))
+            return bootstrap_quantile(stats[0], level)
 
         if shape == "equi":  # both one-sided shapes at half level
             crits = (crit("lower", 1.0 - alpha / 2), crit("upper", 1.0 - alpha / 2))
@@ -797,15 +846,18 @@ def boot_rank_cs(
 
     Each row of pairs that :func:`~ranksets.core._target_pairs` holds
     to one threshold (the whole family, or in marginal ``scope`` each
-    target's own family) is calibrated on its own.  One-sided kinds
-    calibrate the lower-variant max statistic over the row's pairs;
-    the two-sided kind calibrates the symmetric variant with each
-    unordered pair of the row entering the max once (its mirror gives
-    the same statistic and scale, bit for bit).  Either way the claims
-    use a constant-width band per row: a comparison is rejected only
-    when its estimated difference clears the row's critical value
-    times the largest per-pair scale in the row (over ``sqrt(n)``), so
-    every pair of the row faces the same threshold.  Without
+    target's own family) is calibrated on its own; when ``boot`` and
+    ``bootStud`` are scored in one
+    :func:`~ranksets._dispatch._rank_bounds` call, as the command line
+    scores its methods, both come from one walk of each row's pairs.
+    One-sided kinds calibrate the lower-variant max statistic over the
+    row's pairs; the two-sided kind calibrates the symmetric variant
+    with each unordered pair of the row entering the max once (its
+    mirror gives the same statistic and scale, bit for bit).  Either way
+    the claims use a constant-width band per row: a comparison is
+    rejected only when its estimated difference clears the row's
+    critical value times the largest per-pair scale in the row (over
+    ``sqrt(n)``), so every pair of the row faces the same threshold.  Without
     studentization all scales equal 1 and the band reduces to the
     per-pair intervals of :func:`difference_cs`.  The kernel of each
     calibration is chosen by :func:`_band_critical_values`.
@@ -848,42 +900,53 @@ def _band_critical_values(
     n: int,
     family: IndexFamily,
     scope: str,
-    studentize: bool,
+    studentize: tuple[bool, ...],
     alpha: float,
 ) -> np.ndarray:
-    """``(T,)`` critical value of each row of :func:`~ranksets.core._target_pairs`.
+    """``(S, T)`` critical values of each row of :func:`~ranksets.core._target_pairs`.
 
     ``star`` is one table's ``(B, p)`` resample matrix and ``theta_hat``
-    its estimates; all rows are read from one :func:`_quantiles` of the
-    ``(B, T)`` statistics.  One-sided rows walk their pairs with
-    :func:`_pair_stats`.  A two-sided row holding every unordered pair
-    (joint, or a ``J0`` that leaves no pair out) takes its maxima from
+    its estimates.  Row ``s`` calibrates the studentized statistic if
+    ``studentize[s]`` is true and the unstudentized one if not (each
+    flag at most once); every statistic comes from the same walk of the
+    pairs, and all are read from one :func:`_quantiles` of the ``(B, S,
+    T)`` maxima.
+
+    A joint row holding every unordered pair takes its maxima from
     :func:`_symm_stats`, which evaluates O(p) pairs per resample on most
     tables rather than all of them, and builds no pair index arrays.
-    Marginal two-sided rows take theirs from
-    :func:`_marginal_symm_stats`, which evaluates each unordered pair
-    once for both of its ends.  Every kernel gives the maxima of the
-    pair walk bit for bit; the largest scale of each row, read by
+    That is a two-sided family whose ``J0`` leaves out at most one
+    category, and a one-sided family whose ``J0`` is every category:
+    that family holds every ordered pair, and a pair's mirror negates
+    its ``lower`` statistic over the same denominator bit for bit
+    (``fl(tk - tj) = -fl(tj - tk)``, and ``2 t`` is exact), so the
+    larger of the two is the pair's ``symm`` statistic.  Marginal
+    two-sided rows take theirs from :func:`_marginal_symm_stats`, which
+    evaluates each unordered pair once for both of its ends.  Other
+    one-sided rows and two-sided ``J0`` subsets walk their pairs with
+    :func:`_pair_stats`.  Every kernel gives the maxima of the pair walk
+    bit for bit; the largest scale of each row, read by
     :func:`_band_rejections`, comes from :func:`_sigma_max`, which needs
     no pair index arrays either.
     """
     p = len(theta_hat)
     targets = np.asarray(family.J0)
-    if family.kind != "two_sided":
-        jj, kk = _target_pairs(family, scope)
-        rows, var = _category_major(star, studentize)
-        stats = np.column_stack([
-            _pair_stats(rows, var, theta_hat, n, j, k, "lower") for j, k in zip(jj, kk)
-        ])
-    elif _is_marginal(scope):
-        rows, var = _category_major(star, studentize)
-        stats = _marginal_symm_stats(rows, var, theta_hat, n, targets)
-    else:
+    marginal = _is_marginal(scope)
+    if family.kind == "two_sided" and marginal:
+        stats = _marginal_symm_stats(star, studentize, theta_hat, n, targets)
+    elif not marginal and (family.kind == "two_sided" or len(targets) == p):
         # Every unordered pair has an end in a J0 that leaves out at
-        # most one category.
+        # most one category (one-sided, J0 is every category).
         upper = None if len(targets) >= p - 1 else np.triu(family.mask, 1)
         stats = _symm_stats(star, studentize, theta_hat, n, upper)[:, None]
-    return _quantiles(stats, 1.0 - alpha)
+    else:
+        jj, kk = _target_pairs(family, scope)
+        rows, var = _category_major(star, True in studentize)
+        stats = np.stack([
+            _pair_stats(rows, var, theta_hat, n, j, k, "lower", studentize)
+            for j, k in zip(jj, kk)
+        ], axis=1)
+    return _quantiles(stats.transpose(2, 0, 1), 1.0 - alpha)
 
 
 def _band_rejections(
@@ -920,7 +983,9 @@ def _resampled(x, n: int, B: int, seeds, statistics) -> list[np.ndarray]:
     resample matrix comes once from the resample cache, from its own
     seed, and goes with the table's estimates to each
     ``statistic(star, theta_hat)`` in turn, so that the methods of one
-    table share one draw however many tables are stacked.  Returns, per
+    table share one draw however many tables are stacked.  A statistic
+    may serve several methods: :func:`_band_critical_values` calibrates
+    every band statistic it is asked for in one walk.  Returns, per
     statistic, its ``R`` values stacked along a new first axis.
     """
     values = [[] for _ in statistics]

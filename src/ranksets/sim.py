@@ -467,13 +467,15 @@ def erratic_coverage_curves(
                 theta_hat = x / n
                 # The symm difference set of the family's pairs and the
                 # joint rank band calibrate the same statistic, each
-                # unordered pair once, at the same level.
-                crits = _resampled(x, n, B, seeds, [
+                # unordered pair once, at the same level; both
+                # statistics come from one walk of the pairs.
+                (crits,) = _resampled(x, n, B, seeds, [
                     partial(_band_critical_values, n=n, family=family,
-                            scope="simultaneous", studentize=s, alpha=alpha)
-                    for s in _STUDENTIZE.values()
+                            scope="simultaneous",
+                            studentize=tuple(_STUDENTIZE.values()), alpha=alpha)
                 ])
-                for (m, s), crit in zip(_STUDENTIZE.items(), crits):
+                for i, (m, s) in enumerate(_STUDENTIZE.items()):
+                    crit = crits[:, i]
                     lo, hi, _ = _difference_bounds(
                         theta_hat, jj, kk, n, (crit,), "symm", s
                     )

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ranksets._dispatch as dispatch
+import ranksets.boot as boot
 from ranksets import rank_cs
 from ranksets.boot import (
     BootstrapConfig,
@@ -23,6 +24,7 @@ from ranksets.boot import (
 from ranksets.boot import (
     _ALL_PAIRS_MIN_P,
     _all_pairs_symm_stats,
+    _band_critical_values,
     _band_half_width,
     _best_ranks,
     _category_major,
@@ -31,9 +33,10 @@ from ranksets.boot import (
     _pairs_with,
     _sigma_hat,
     _sigma_max,
+    _symm_stats,
     _theta_star_cached,
 )
-from ranksets.core import MultinomialSample, build_index_family
+from ranksets.core import MultinomialSample, _target_pairs, build_index_family
 
 MELBOURNE = MultinomialSample((87, 75, 42, 21, 6, 2, 1))
 
@@ -93,7 +96,7 @@ def _stat(counts, theta_hat, pairs, studentize=True, variant="lower"):
     theta = np.asarray(theta_hat, dtype=float)
     jj, kk = np.asarray(pairs).T
     rows, var = _category_major(star, studentize)
-    return float(_pair_stats(rows, var, theta, n, jj, kk, variant)[0])
+    return float(_pair_stats(rows, var, theta, n, jj, kk, variant, (studentize,))[0, 0])
 
 
 def test_stat_zero_over_zero_is_zero():
@@ -182,24 +185,32 @@ def _calibration_case(draw):
     return star, theta_hat, sum(counts), pairs, variant, falling
 
 
+#: The statistics a kernel call can ask for: one alone, or both in one pass.
+_STATISTICS = ((False,), (True,), (False, True), (True, False))
+
+
 @settings(max_examples=200, deadline=None)
-@given(_calibration_case(), st.booleans())
+@given(_calibration_case(), st.sampled_from(_STATISTICS))
 def test_blocked_stats_equal_one_shot_oracle(case, studentize):
     # Column blocks of 1, 2 and 3 pairs, with a ragged last block when the
     # pair count is not a multiple of the width, give the same maximum
-    # as the whole B x m array, bit for bit.
+    # as the whole B x m array, bit for bit, for each statistic of a
+    # one- or two-statistic call.
     star, theta_hat, n, pairs, variant, falling = case
     B = star.shape[0]
-    expected = _one_shot_stats(star, theta_hat, n, pairs, studentize, variant)
+    expected = [_one_shot_stats(star, theta_hat, n, pairs, s, variant)
+                for s in studentize]
     if falling:
-        assert (expected < 0).all()
+        assert all((e < 0).all() for e in expected)
     jj, kk = np.asarray(pairs).T
     for width in (1, 2, 3, len(pairs)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * B * width)
-            rows, var = _category_major(star, studentize)
-            got = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
-        assert np.array_equal(got, expected), width
+            rows, var = _category_major(star, True in studentize)
+            got = _pair_stats(rows, var, theta_hat, n, jj, kk, variant, studentize)
+        assert got.shape == (len(studentize), B)
+        for row, e in zip(got, expected):
+            assert np.array_equal(row, e), width
 
 
 _ZERO_COLUMNS = (
@@ -219,59 +230,69 @@ _ZERO_COLUMNS = (
     _ZERO_COLUMNS,
 ], ids=["p2_B1", "zero_columns"])
 @pytest.mark.parametrize("variant", ["lower", "upper", "symm"])
-@pytest.mark.parametrize("studentize", [False, True])
+@pytest.mark.parametrize("studentize", [(False,), (True,), (False, True)],
+                         ids=["False", "True", "both"])
 @pytest.mark.parametrize("one_pair_blocks", [False, True])
 def test_pair_stats_never_writes_its_inputs(case, variant, studentize, one_pair_blocks):
     # The kernel evaluates its blocks in place; every write must land
     # in its own buffers, never in the resample rows, the variance
-    # terms, the estimates or the indices it was given.
+    # terms, the estimates or the indices it was given.  A two-statistic
+    # call studentizes the block it has just read the unstudentized
+    # maxima from, and each of its rows is the one-statistic call's.
     star, theta_hat, pairs = case[0].copy(), case[1].copy(), case[2]
     jj, kk = np.asarray(pairs).T
     n = 4
-    rows, var = _category_major(star, studentize)
-    inputs = [star, theta_hat, jj, kk, rows] + ([var] if studentize else [])
+    rows, var = _category_major(star, True in studentize)
+    inputs = [star, theta_hat, jj, kk, rows] + ([var] if True in studentize else [])
     before = [x.copy() for x in inputs]
     with pytest.MonkeyPatch.context() as mp:
         if one_pair_blocks:
             mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * star.shape[0])
-        first = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
-        second = _pair_stats(rows, var, theta_hat, n, jj, kk, variant)
+        first = _pair_stats(rows, var, theta_hat, n, jj, kk, variant, studentize)
+        second = _pair_stats(rows, var, theta_hat, n, jj, kk, variant, studentize)
+        alone = [_pair_stats(rows, var, theta_hat, n, jj, kk, variant, (s,))[0]
+                 for s in studentize]
     assert np.array_equal(first, second)
+    assert np.array_equal(first, np.stack(alone))
     assert not np.isnan(first).any()
     for got, saved in zip(inputs, before):
         assert np.array_equal(got, saved)
 
 
-@pytest.mark.parametrize("studentize", [False, True])
+@pytest.mark.parametrize("studentize", [(False,), (True,), (False, True)],
+                         ids=["False", "True", "both"])
 def test_pair_stats_buffers_stay_below_the_mapping_threshold(studentize):
     # Scratch buffers of 128 KiB or more are mapped on every call and
     # faulted in again; four below that, plus the (B,) running and block
     # maxima and the differences of the estimates, are the whole peak.
+    # Both statistics in one pass add one more (B,) running maximum.
     B, p = 2048, 20
     counts = tuple(range(1, p + 1))
     star = _theta_star_cached.__wrapped__(counts, sum(counts), B, 0)
     theta_hat = np.asarray(counts, dtype=float) / sum(counts)
-    rows, var = _category_major(star, studentize)
+    rows, var = _category_major(star, True in studentize)
     jj, kk = np.triu_indices(p, 1)
     tracemalloc.start()
     try:
-        _pair_stats(rows, var, theta_hat, sum(counts), jj, kk, "symm")
+        _pair_stats(rows, var, theta_hat, sum(counts), jj, kk, "symm", studentize)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 128 * 1024 + 3 * 8 * B + 8 * len(jj)
+    maxima = 3 if len(studentize) == 1 else 4
+    assert peak < 4 * 128 * 1024 + maxima * 8 * B + 8 * len(jj)
 
 
 def _per_target_oracle(star, studentize, theta_hat, n, targets):
-    """Each target's own two-sided family, one :func:`_pair_stats` call each."""
+    """Each target's own two-sided family, one one-statistic
+    :func:`_pair_stats` call each: the ``(T, B)`` maxima."""
     rows, var = _category_major(star, studentize)
     p = star.shape[1]
     columns = []
     for j in targets:
         others = np.asarray([k for k in range(p) if k != j])
         lo, hi = np.minimum(j, others), np.maximum(j, others)
-        columns.append(_pair_stats(rows, var, theta_hat, n, lo, hi, "symm"))
-    return np.column_stack(columns)
+        columns.append(_pair_stats(rows, var, theta_hat, n, lo, hi, "symm", (studentize,))[0])
+    return np.stack(columns)
 
 
 @st.composite
@@ -291,22 +312,139 @@ def _marginal_case(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_marginal_case(), st.booleans())
-@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2)), True)
-@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.arange(5)), True)
-@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.array([1, 3, 4])), False)
+@given(_marginal_case(), st.sampled_from(_STATISTICS))
+@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2)), (True,))
+@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2)), (False, True))
+@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.arange(5)), (True,))
+@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.arange(5)), (True, False))
+@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.array([1, 3, 4])), (False,))
+@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.array([1, 3, 4])), (False, True))
 def test_marginal_symm_kernel_equals_per_target_pair_stats(case, studentize):
     # Zero cells (0/0 and c/0 pairs), all-zero columns, partial and full
     # target sets, one resample or many blocks of them: evaluating each
     # unordered pair once and folding it into both ends' maxima gives
-    # every target's own calibration, bit for bit and sign for sign.
+    # every target's own calibration, bit for bit and sign for sign,
+    # for each statistic of a one- or two-statistic call.
     star, theta_hat, n, targets = case
-    expected = _per_target_oracle(star, studentize, theta_hat, n, targets)
-    rows, var = _category_major(star, studentize)
-    got = _marginal_symm_stats(rows, var, theta_hat, n, targets)
-    assert got.shape == expected.shape
-    assert np.array_equal(got, expected)
-    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    got = _marginal_symm_stats(star, studentize, theta_hat, n, targets)
+    assert got.shape == (len(studentize), len(targets), star.shape[0])
+    for row, s in zip(got, studentize):
+        expected = _per_target_oracle(star, s, theta_hat, n, targets)
+        assert np.array_equal(row, expected)
+        assert np.array_equal(np.signbit(row), np.signbit(expected))
+
+
+def _drawn_counts(draw, p):
+    """Counts of ``p`` cells: drawn with zeros, all tied, or one non-zero cell."""
+    shape = draw(st.sampled_from(("drawn", "uniform", "single")))
+    if shape == "drawn":
+        counts = draw(st.lists(st.integers(0, 60), min_size=p, max_size=p))
+        if sum(counts) == 0:
+            counts[draw(st.integers(0, p - 1))] = 1
+    elif shape == "uniform":
+        counts = [draw(st.integers(1, 30))] * p
+    else:
+        counts = [0] * p
+        counts[draw(st.integers(0, p - 1))] = draw(st.integers(1, 50))
+    return counts
+
+
+@st.composite
+def _band_case(draw):
+    p = draw(st.integers(2, 40))
+    counts = _drawn_counts(draw, p)
+    star = _theta_star_cached.__wrapped__(
+        tuple(counts), sum(counts), draw(st.sampled_from((1, 7, 2000))),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+    J0 = draw(st.sampled_from(("every", "all_but_one", "subset")))
+    if J0 == "every":
+        J0 = None
+    elif J0 == "all_but_one":
+        J0 = tuple(j for j in range(p) if j != draw(st.integers(0, p - 1))) or None
+    else:
+        J0 = tuple(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
+    kind = draw(st.sampled_from(("two_sided", "lower", "upper")))
+    scope = draw(st.sampled_from(("simultaneous", "marginal")))
+    return star, counts, build_index_family(kind, J0, p), scope
+
+
+@settings(max_examples=150, deadline=None)
+@given(_band_case(), st.sampled_from(_STATISTICS))
+def test_band_calibration_equals_one_statistic_pair_walk(case, studentize):
+    # p on both sides of the all-pairs crossover, zero cells, ties, a
+    # single non-zero cell, J0 subsets, both scopes, all three kinds and
+    # B at and across block edges: every statistic of a one- or
+    # two-statistic calibration has the maxima, bit for bit, of one
+    # one-statistic pair walk per row of the family.
+    star, counts, family, scope = case
+    n = sum(counts)
+    theta_hat = np.asarray(counts, dtype=float) / n
+    seen = []
+    quantiles = boot._quantiles
+
+    def recorded(stats, level):
+        seen.append(stats)
+        return quantiles(stats, level)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ranksets.boot._quantiles", recorded)
+        crit = _band_critical_values(star, theta_hat, n, family, scope, studentize, 0.05)
+    (stats,) = seen
+    jj, kk = _target_pairs(family, scope)
+    variant = "symm" if family.kind == "two_sided" else "lower"
+    assert crit.shape == (len(studentize), len(jj))
+    for i, s in enumerate(studentize):
+        rows, var = _category_major(star, s)
+        expected = np.stack([_pair_stats(rows, var, theta_hat, n, j, k, variant, (s,))[0]
+                             for j, k in zip(jj, kk)], axis=1)
+        assert np.array_equal(stats[:, i], expected)
+        assert np.array_equal(np.signbit(stats[:, i]), np.signbit(expected))
+        assert np.array_equal(crit[i], quantiles(expected, 0.95))
+
+
+_KERNELS = ("_category_major", "_pair_stats", "_marginal_symm_stats",
+            "_all_pairs_symm_stats")
+
+
+@pytest.mark.parametrize("p, kind, scope, J0, calls", [
+    (8, "two_sided", "marginal", None, {"_category_major": 1, "_marginal_symm_stats": 1}),
+    (8, "two_sided", "simultaneous", None, {"_category_major": 1, "_pair_stats": 1}),
+    (8, "two_sided", "simultaneous", (0, 2, 5), {"_category_major": 1, "_pair_stats": 1}),
+    (8, "lower", "simultaneous", None, {"_category_major": 1, "_pair_stats": 1}),
+    (8, "upper", "simultaneous", (1, 3), {"_category_major": 1, "_pair_stats": 1}),
+    (8, "lower", "marginal", (0, 2, 5), {"_category_major": 1, "_pair_stats": 3}),
+    (30, "two_sided", "simultaneous", None, {"_all_pairs_symm_stats": 2}),
+    (30, "upper", "simultaneous", None, {"_all_pairs_symm_stats": 2}),
+], ids=["marginal", "joint", "joint-subset", "lower-every", "upper-subset",
+        "lower-marginal", "wide-joint", "wide-upper-every"])
+def test_band_methods_share_one_copy_and_one_kernel_call_per_table(
+    p, kind, scope, J0, calls, monkeypatch
+):
+    # boot and bootStud together make one category-major copy per table
+    # and one kernel call per row of the family, asking for both
+    # statistics; only the all-pairs kernel, whose levels follow one
+    # statistic's scores, runs once per statistic.
+    R = 3
+    x = np.random.default_rng(p).multinomial(60 * p, np.full(p, 1.0 / p), size=R)
+    seen = {name: [] for name in _KERNELS}
+    for name in _KERNELS:
+        def counted(*args, _name=name, _real=getattr(boot, name)):
+            seen[_name].append(args[1] if _name != "_pair_stats" else args[7])
+            return _real(*args)
+        monkeypatch.setattr(boot, name, counted)
+    together = dispatch._rank_bounds(("boot", "bootStud"), x, 60 * p, J0, kind,
+                                     0.05, 50, (0, 1, 2), scope)
+    assert {name: len(args) for name, args in seen.items() if args} == {
+        name: R * count for name, count in calls.items()
+    }
+    for name in ("_pair_stats", "_marginal_symm_stats"):
+        assert all(args == (False, True) for args in seen[name])
+    for method in ("boot", "bootStud"):
+        alone = dispatch._rank_bounds((method,), x, 60 * p, J0, kind, 0.05, 50,
+                                      (0, 1, 2), scope)
+        for got, expected in zip(together[method], alone[method]):
+            assert np.array_equal(got, expected)
 
 
 def _sigma_max_oracle(theta_hat, targets):
@@ -351,18 +489,9 @@ def test_sigma_max_evaluates_each_pair_once_bit_for_bit(p, R):
 
 
 @st.composite
-def _all_pairs_case(draw):
-    p = draw(st.integers(2, 40))
-    shape = draw(st.sampled_from(("drawn", "uniform", "single")))
-    if shape == "drawn":
-        counts = draw(st.lists(st.integers(0, 60), min_size=p, max_size=p))
-        if sum(counts) == 0:
-            counts[draw(st.integers(0, p - 1))] = 1
-    elif shape == "uniform":
-        counts = [draw(st.integers(1, 30))] * p
-    else:
-        counts = [0] * p
-        counts[draw(st.integers(0, p - 1))] = draw(st.integers(1, 50))
+def _all_pairs_case(draw, max_p=40):
+    p = draw(st.integers(2, max_p))
+    counts = _drawn_counts(draw, p)
     scale = draw(st.sampled_from((1, 1, 1, 1000, 10**5)))
     counts = [c * scale for c in counts]
     star = _theta_star_cached.__wrapped__(
@@ -376,7 +505,7 @@ def _all_pairs_case(draw):
 
 def _symm_oracle(star, studentize, theta_hat, n, jj, kk):
     rows, var = _category_major(star, studentize)
-    return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm")
+    return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm", (studentize,))[0]
 
 
 def _fixed_all_pairs_case(counts, B, seed):
@@ -491,6 +620,30 @@ def test_joint_symm_calibrations_use_the_all_pairs_kernel(studentize, monkeypatc
                  studentize=studentize)
     difference_cs(sample, cfg, shape="equi", studentize=studentize)
     assert calls == [p, p]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_all_pairs_case(max_p=59), st.sampled_from(("lower", "upper")),
+       st.sampled_from(_STATISTICS))
+def test_joint_one_sided_maxima_over_every_ordered_pair_are_symmetric(
+    case, kind, studentize
+):
+    # A one-sided family whose J0 is every category holds every ordered
+    # pair, and a pair's mirror negates its lower statistic over the same
+    # denominator, so the lower maxima are the symm maxima over every
+    # unordered pair, bit for bit: zero cells (0/0 and c/0), ties and
+    # single-cell tables, p from 2 to 59 (from 30 through the all-pairs
+    # kernel).
+    star, theta_hat, n, _, _ = case
+    p = star.shape[1]
+    jj, kk = np.nonzero(build_index_family(kind, None, p).mask)
+    assert len(jj) == p * (p - 1)
+    got = _symm_stats(star, studentize, theta_hat, n, None)
+    for row, s in zip(got, studentize):
+        rows, var = _category_major(star, s)
+        expected = _pair_stats(rows, var, theta_hat, n, jj, kk, "lower", (s,))[0]
+        assert np.array_equal(row, expected)
+        assert np.array_equal(np.signbit(row), np.signbit(expected))
 
 
 def test_all_pairs_kernel_memory_is_one_block_at_p_100():
