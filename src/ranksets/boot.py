@@ -24,18 +24,22 @@ under the 128 KiB at which the allocator would map it afresh on every
 call.  The critical values are the same bit for bit as from the whole
 ``B x m`` array at once, one statistic at a time.
 
-The symmetric statistic over every unordered pair (the joint two-sided
-readout, ``symm`` difference sets whose mask covers every pair one way
-round, and the joint one-sided readout over every category, whose
-family holds every ordered pair) mostly needs far fewer than its
+One family's kernel is chosen in one place, :func:`_max_stats`.  A
+pair's mirror gives the same symmetric statistic and negates a
+one-sided one over the same denominator, bit for bit, so a symmetric
+family and a one-sided family closed under transpose (the joint
+two-sided readout, the joint one-sided readout over every category,
+and ``difference_cs`` over its default mask, every ordered pair, in
+any shape) take the symmetric statistic over their unordered pairs.
+Over every unordered pair it mostly needs far fewer than its
 ``p(p-1)/2`` pairs per resample.  Each category gets a deviation score
 that bounds every pair it is in; the pairs of a resample's
 highest-scoring categories are evaluated exactly, one category per
 level, until its running maximum reaches a proven bound on all
 remaining pairs.  Blocks of resamples are read as they lie in the ``B
 x p`` matrix, most resamples stop after one or two levels, and none
-runs more than ``p - 1``, after which every pair has been evaluated.  The maxima are the same bit for bit; see
-:func:`_all_pairs_symm_stats`.
+runs more than ``p - 1``, after which every pair has been evaluated.
+The maxima are the same bit for bit; see :func:`_all_pairs_symm_stats`.
 
 Zero counts need conventions: a bootstrap ratio evaluates ``0/0`` as 0
 and ``c/0`` as ``sign(c) * inf``.  Infinities are kept and propagate
@@ -247,9 +251,9 @@ def _pair_stats(
     maximum, the result is the formula's bit for bit, whatever the block
     size.  Numerator and denominator are finite, so the quotient's only
     NaNs are its ``0/0`` cells, which count as 0, and ``c/0`` is
-    ``sign(c) * inf``.  Over every unordered pair with variant
-    ``symm``, :func:`_symm_stats` gives the same result from far fewer
-    pairs.
+    ``sign(c) * inf``.  :func:`_max_stats` chooses, for one family,
+    between this walk and :func:`_all_pairs_symm_stats`, which gives the
+    same result over every unordered pair from far fewer pairs.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
@@ -330,9 +334,7 @@ def _marginal_symm_stats(
     """
     B, p = theta_star.shape
     T = len(targets)
-    other = np.ones(p, dtype=bool)
-    other[targets] = False
-    order = np.concatenate((targets, np.flatnonzero(other)))
+    order = _targets_first(p, targets)
     rows, var = _category_major(theta_star, True in studentize, order)
     walk_hat = theta_hat[order]
     width = min(p - 1, max(1, _BLOCK_BYTES // (8 * B)))
@@ -372,6 +374,13 @@ def _marginal_symm_stats(
     return out
 
 
+def _targets_first(p: int, targets: np.ndarray) -> np.ndarray:
+    """The marginal walk order: ``targets``, then the other categories ascending."""
+    other = np.ones(p, dtype=bool)
+    other[targets] = False
+    return np.concatenate((targets, np.flatnonzero(other)))
+
+
 def _fold_marginal(out, t, start, later, num):
     """Fold a block of target ``t``'s pairs into the ``(T, B)`` maxima ``out``.
 
@@ -394,35 +403,56 @@ _ALL_PAIRS_MIN_P = 30
 _U = 2.0**-53
 
 
-def _symm_stats(
+def _max_stats(
     theta_star: np.ndarray,
     studentize: tuple[bool, ...],
     theta_hat: np.ndarray,
     n: int,
-    upper: np.ndarray | None = None,
+    mask: np.ndarray,
+    variant: str,
 ) -> np.ndarray:
-    """(S, B) ``symm`` max statistics over the unordered pairs of ``upper``.
+    """(S, B) max statistics of ``variant`` over the pairs of ``mask``.
 
-    ``upper`` is a ``p x p`` mask with no pair below the diagonal, or
-    ``None`` for every unordered pair; row ``s`` is studentized if
-    ``studentize[s]`` is true (each flag at most once).  Equal, bit for
-    bit, to :func:`_pair_stats` on the category-major ``theta_star``,
-    which computes every statistic in one walk of the pairs; when the
-    pairs are every unordered pair of ``p >= _ALL_PAIRS_MIN_P``
-    categories, :func:`_all_pairs_symm_stats` computes each statistic
-    instead, one call each, as its levels follow each statistic's own
-    scores.
+    ``theta_star`` is the ``(B, p)`` resample matrix and ``mask`` a
+    ``p x p`` bool mask with no diagonal cell and at least one pair; row
+    ``s`` is studentized if ``studentize[s]`` is true (each flag at most
+    once).  Equal, bit for bit, to :func:`_pair_stats` of ``variant``
+    over the mask's pairs on the category-major ``theta_star``, except
+    that a zero maximum is ``+0`` where ``upper``'s negation gives
+    ``-0``.  This is the one place that chooses the kernel of a single
+    family.
+
+    A pair and its mirror give the same ``symm`` statistic, and a pair's
+    mirror negates its one-sided statistic over the same denominator,
+    bit for bit: ``fl(tk - tj) = -fl(tj - tk)``, likewise for the
+    estimates, and ``2 t`` is exact, so ``(k, j)``'s ``lower`` statistic
+    is ``(j, k)``'s ``upper`` one, up to the sign of a zero.  So the
+    ``symm`` maximum, and a one-sided maximum over a mask closed under
+    transpose (the larger of a pair and its mirror is the pair's
+    ``symm`` statistic), is the ``symm`` maximum over the unordered
+    pairs of ``mask | mask.T``.  When those are every pair of ``p >=
+    _ALL_PAIRS_MIN_P`` categories, :func:`_all_pairs_symm_stats` computes
+    each statistic, one call each, as its levels follow each statistic's
+    own scores; otherwise one :func:`_pair_stats` walk computes every
+    statistic.  Any other one-sided mask is walked as ``lower``, an
+    ``upper`` one over its transpose.
     """
     p = theta_star.shape[1]
-    every = upper is None or np.count_nonzero(upper) == p * (p - 1) // 2
-    if every and p >= _ALL_PAIRS_MIN_P:
-        return np.stack([_all_pairs_symm_stats(theta_star, s, theta_hat, n)
-                         for s in studentize])
-    if upper is None:  # a quarter of np.triu_indices' cost at small p
+    pairs = mask | mask.T if variant == "symm" else mask
+    every = np.count_nonzero(pairs) == p * (p - 1)
+    if every or variant == "symm" or np.array_equal(mask, mask.T):
+        if every and p >= _ALL_PAIRS_MIN_P:
+            return np.stack([_all_pairs_symm_stats(theta_star, s, theta_hat, n)
+                             for s in studentize])
+        # The pairs j < k; a fifth of np.triu's cost at small p.
         upper = np.less.outer(np.arange(p), np.arange(p))
-    jj, kk = np.nonzero(upper)
+        jj, kk = np.nonzero(upper if every else upper & pairs)
+        variant = "symm"
+    else:
+        jj, kk = np.nonzero(mask.T if variant == "upper" else mask)
+        variant = "lower"
     rows, var = _category_major(theta_star, True in studentize)
-    return _pair_stats(rows, var, theta_hat, n, jj, kk, "symm", studentize)
+    return _pair_stats(rows, var, theta_hat, n, jj, kk, variant, studentize)
 
 
 def _all_pairs_symm_stats(
@@ -685,9 +715,7 @@ def _sigma_max(theta_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
     maxima start at 0.
     """
     p, T = theta_hat.shape[-1], len(targets)
-    other = np.ones(p, dtype=bool)
-    other[targets] = False
-    order = np.concatenate((targets, np.flatnonzero(other)))
+    order = _targets_first(p, targets)
     out = np.zeros(theta_hat.shape[:-1] + (T,))
     step = max(1, _BLOCK_BYTES // (8 * theta_hat.size))
     for start in range(0, T, step):
@@ -723,6 +751,15 @@ def difference_cs(
     studentize: bool = True,
 ) -> DifferenceCS:
     """Bootstrap confidence set for all pairwise differences at once.
+
+    Each critical value is a quantile of one :func:`_max_stats` maximum.
+    A ``symm`` set, or any shape over a mask closed under transpose
+    (the default, every ordered pair, is), costs the symmetric
+    statistic over its unordered pairs: when those are every pair of
+    ``p >= 30`` categories, O(B p) per level of
+    :func:`_all_pairs_symm_stats`, and mostly one or two levels; otherwise
+    O(B m) over the ``m`` pairs walked.  ``equi`` takes two maxima.  A zero
+    critical value is ``+0.0``.
 
     Parameters
     ----------
@@ -763,24 +800,15 @@ def difference_cs(
         raise ValueError("pairs must be non-empty")
     mask.flags.writeable = False
     theta_hat = sample.theta_hat
-    jj, kk = np.nonzero(mask)
     star = _theta_star_cached(sample.counts, n, config.B, int(config.seed))
-    if shape == "symm":
-        # A pair and its mirror give the same statistic bit for bit, so
-        # each unordered pair of the mask enters the max once.
-        stats = _symm_stats(star, (studentize,), theta_hat, n, np.triu(mask | mask.T, 1))
-        crits = (bootstrap_quantile(stats[0], 1.0 - alpha),)
-    else:
-        rows, var = _category_major(star, studentize)
-
-        def crit(variant: str, level: float) -> float:
-            stats = _pair_stats(rows, var, theta_hat, n, jj, kk, variant, (studentize,))
-            return bootstrap_quantile(stats[0], level)
-
-        if shape == "equi":  # both one-sided shapes at half level
-            crits = (crit("lower", 1.0 - alpha / 2), crit("upper", 1.0 - alpha / 2))
-        else:
-            crits = (crit(shape, 1.0 - alpha),)
+    # equi is both one-sided shapes at half level.
+    variants = ("lower", "upper") if shape == "equi" else (shape,)
+    level = 1.0 - alpha / len(variants)
+    crits = tuple(
+        bootstrap_quantile(_max_stats(star, (studentize,), theta_hat, n, mask, v)[0], level)
+        for v in variants
+    )
+    jj, kk = np.nonzero(mask)
     lo, hi, sigma = _difference_bounds(theta_hat, jj, kk, n, crits, shape, studentize)
     return DifferenceCS(
         mask=mask, shape=shape, studentize=studentize,
@@ -912,33 +940,19 @@ def _band_critical_values(
     pairs, and all are read from one :func:`_quantiles` of the ``(B, S,
     T)`` maxima.
 
-    A joint row holding every unordered pair takes its maxima from
-    :func:`_symm_stats`, which evaluates O(p) pairs per resample on most
-    tables rather than all of them, and builds no pair index arrays.
-    That is a two-sided family whose ``J0`` leaves out at most one
-    category, and a one-sided family whose ``J0`` is every category:
-    that family holds every ordered pair, and a pair's mirror negates
-    its ``lower`` statistic over the same denominator bit for bit
-    (``fl(tk - tj) = -fl(tj - tk)``, and ``2 t`` is exact), so the
-    larger of the two is the pair's ``symm`` statistic.  Marginal
-    two-sided rows take theirs from :func:`_marginal_symm_stats`, which
-    evaluates each unordered pair once for both of its ends.  Other
-    one-sided rows and two-sided ``J0`` subsets walk their pairs with
-    :func:`_pair_stats`.  Every kernel gives the maxima of the pair walk
-    bit for bit; the largest scale of each row, read by
+    The joint row is one family, whose kernel :func:`_max_stats`
+    chooses.  Marginal two-sided rows take their maxima from
+    :func:`_marginal_symm_stats`, which evaluates each unordered pair
+    once for both of its ends; marginal one-sided rows walk their pairs
+    with :func:`_pair_stats`.  Every kernel gives the maxima of the pair
+    walk bit for bit; the largest scale of each row, read by
     :func:`_band_rejections`, comes from :func:`_sigma_max`, which needs
-    no pair index arrays either.
+    no pair index arrays.
     """
-    p = len(theta_hat)
-    targets = np.asarray(family.J0)
-    marginal = _is_marginal(scope)
-    if family.kind == "two_sided" and marginal:
-        stats = _marginal_symm_stats(star, studentize, theta_hat, n, targets)
-    elif not marginal and (family.kind == "two_sided" or len(targets) == p):
-        # Every unordered pair has an end in a J0 that leaves out at
-        # most one category (one-sided, J0 is every category).
-        upper = None if len(targets) >= p - 1 else np.triu(family.mask, 1)
-        stats = _symm_stats(star, studentize, theta_hat, n, upper)[:, None]
+    if not _is_marginal(scope):
+        stats = _max_stats(star, studentize, theta_hat, n, family.mask, "lower")[:, None]
+    elif family.kind == "two_sided":
+        stats = _marginal_symm_stats(star, studentize, theta_hat, n, np.asarray(family.J0))
     else:
         jj, kk = _target_pairs(family, scope)
         rows, var = _category_major(star, True in studentize)

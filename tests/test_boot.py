@@ -13,6 +13,7 @@ import ranksets._dispatch as dispatch
 import ranksets.boot as boot
 from ranksets import rank_cs
 from ranksets.boot import (
+    SHAPES,
     BootstrapConfig,
     DifferenceCS,
     boot_rank_cs,
@@ -29,11 +30,11 @@ from ranksets.boot import (
     _best_ranks,
     _category_major,
     _marginal_symm_stats,
+    _max_stats,
     _pair_stats,
     _pairs_with,
     _sigma_hat,
     _sigma_max,
-    _symm_stats,
     _theta_star_cached,
 )
 from ranksets.core import MultinomialSample, _target_pairs, build_index_family
@@ -597,8 +598,9 @@ def test_all_pairs_kernel_never_calls_the_pair_walk(studentize, counts, monkeypa
 def test_joint_symm_calibrations_use_the_all_pairs_kernel(studentize, monkeypatch):
     # The joint two-sided readout and a symm difference set over a mask
     # whose pairs, either way round, are every pair go through the
-    # kernel; a J0 that leaves out a pair, marginal rows, one-sided
-    # shapes and p below the crossover do not.
+    # kernel, and equi over every ordered pair through it once per
+    # one-sided shape; a J0 that leaves out a pair, marginal rows and p
+    # below the crossover do not.
     calls = []
     kernel = _all_pairs_symm_stats
 
@@ -618,8 +620,9 @@ def test_joint_symm_calibrations_use_the_all_pairs_kernel(studentize, monkeypatc
     boot_rank_cs(sample, config=cfg, scope="marginal", studentize=studentize)
     boot_rank_cs(MultinomialSample(tuple(range(3, 2 + p))), config=cfg,
                  studentize=studentize)
-    difference_cs(sample, cfg, shape="equi", studentize=studentize)
     assert calls == [p, p]
+    difference_cs(sample, cfg, shape="equi", studentize=studentize)
+    assert calls == [p, p, p, p]
 
 
 @settings(max_examples=120, deadline=None)
@@ -636,9 +639,10 @@ def test_joint_one_sided_maxima_over_every_ordered_pair_are_symmetric(
     # kernel).
     star, theta_hat, n, _, _ = case
     p = star.shape[1]
-    jj, kk = np.nonzero(build_index_family(kind, None, p).mask)
+    mask = build_index_family(kind, None, p).mask
+    jj, kk = np.nonzero(mask)
     assert len(jj) == p * (p - 1)
-    got = _symm_stats(star, studentize, theta_hat, n, None)
+    got = _max_stats(star, studentize, theta_hat, n, mask, "lower")
     for row, s in zip(got, studentize):
         rows, var = _category_major(star, s)
         expected = _pair_stats(rows, var, theta_hat, n, jj, kk, "lower", (s,))[0]
@@ -762,6 +766,19 @@ def test_difference_cs_zero_frequency_pair_degenerates_to_a_point():
     assert dcs.interval((0, 1)) == (1.0, 1.0)
 
 
+def test_difference_cs_zero_critical_value_is_positive_zero():
+    # A pair of two empty cells has an unstudentized statistic of zero in
+    # every resample; its upper critical value was once -0.0, from the
+    # negated lower statistic, and is +0.0 as the lower one is.
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[1, 2] = True
+    for shape in ("upper", "equi"):
+        dcs = difference_cs(MultinomialSample((5, 0, 0)), BootstrapConfig(B=20, seed=0),
+                            mask=mask, shape=shape, studentize=False)
+        assert all(c == 0.0 and math.copysign(1.0, c) > 0 for c in dcs.crit)
+        assert dcs.hi[1, 2] == 0.0
+
+
 def test_difference_cs_contains_and_covers():
     dcs = difference_cs(MELBOURNE, BootstrapConfig(B=300, seed=9))
     th = MELBOURNE.theta_hat
@@ -844,6 +861,116 @@ def test_difference_cs_covers_equals_per_pair_loop(data):
     assert dcs.covers(theta) == loop
     with pytest.raises(ValueError):
         dcs.covers(np.full(p + 1, 1.0 / (p + 1)))
+
+
+_MASK_KINDS = ("full", "closed", "arbitrary", "upper", "lower")
+
+
+def _drawn_mask(draw, p, kind):
+    """A ``p x p`` mask of ``kind``: every ordered pair, closed under
+    transpose, any pairs, or pairs above or below the diagonal (at times
+    all of them)."""
+    if kind == "full":
+        return None
+    # Cells from a drawn seed and density: p * p drawn booleans would
+    # outgrow hypothesis' buffer at p = 59.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((p, p)) < draw(st.sampled_from((0.05, 0.5, 0.95)))
+    np.fill_diagonal(mask, False)
+    if kind == "closed":
+        mask |= mask.T
+    elif kind in ("upper", "lower"):
+        mask = np.triu(np.ones((p, p), dtype=bool) if draw(st.booleans()) else mask, 1)
+        if kind == "lower":
+            mask = mask.T.copy()
+    if not mask.any():
+        mask[0, 1] = True
+        if kind == "closed":
+            mask[1, 0] = True
+    return mask
+
+
+def _difference_cs_oracle(sample, cfg, alpha, mask, shape, studentize):
+    """``(crit, lo, hi, sigma)`` of :func:`difference_cs` from one
+    :func:`_pair_stats` walk of the mask's ordered pairs per shape."""
+    n, theta_hat = sample.n, sample.theta_hat
+    star = _theta_star_cached(sample.counts, n, cfg.B, cfg.seed)
+    rows, var = _category_major(star, studentize)
+    jj, kk = np.nonzero(mask)
+    variants = ("lower", "upper") if shape == "equi" else (shape,)
+    crit = tuple(
+        bootstrap_quantile(
+            _pair_stats(rows, var, theta_hat, n, jj, kk, v, (studentize,))[0],
+            1.0 - alpha / len(variants),
+        )
+        for v in variants
+    )
+    ends = boot._difference_bounds(theta_hat, jj, kk, n, crit, shape, studentize)
+    return (crit,) + tuple(boot._on_mask(mask, end) for end in ends)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", _MASK_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_difference_cs_equals_the_pair_walk_over_every_ordered_pair(kind, shape, data):
+    # Every shape and statistic over full, transpose-closed, arbitrary
+    # and triangular masks, p from 2 to 59 (across the all-pairs
+    # crossover), zero cells, ties and single-cell tables, B of 1 and 7:
+    # the kernel chooser gives the intervals of the plain pair walk bit
+    # for bit, and critical values equal to its, a zero one being +0.
+    p = data.draw(st.integers(2, 59))
+    sample = MultinomialSample(tuple(_drawn_counts(data.draw, p)))
+    mask = _drawn_mask(data.draw, p, kind)
+    studentize = data.draw(st.booleans())
+    cfg = BootstrapConfig(B=data.draw(st.sampled_from((1, 7))),
+                          seed=data.draw(st.integers(0, 2**32 - 1)))
+    got = difference_cs(sample, cfg, 0.1, mask, shape=shape, studentize=studentize)
+    crit, *ends = _difference_cs_oracle(sample, cfg, 0.1, got.mask, shape, studentize)
+    assert got.crit == crit
+    assert not any(c == 0.0 and math.copysign(1.0, c) < 0 for c in got.crit)
+    for end, expected in zip((got.lo, got.hi, got.sigma), ends):
+        assert np.array_equal(end, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(end), np.signbit(expected))
+
+
+def test_one_sided_statistics_never_walk_a_transpose_closed_pair_set(monkeypatch):
+    # A pair's mirror negates its one-sided statistic, so a one-sided
+    # maximum over a pair set closed under transpose is the symm one and
+    # must not reach the pair walk as a one-sided variant: the rank band
+    # (every kind and scope, J0 every category and subsets) and
+    # difference_cs (every shape, every kind of mask).
+    walked = []
+    pair_stats = boot._pair_stats
+
+    def guarded(rows, var, theta_hat, n, jj, kk, variant, studentize):
+        if variant != "symm":
+            pairs = set(zip(jj.tolist(), kk.tolist()))
+            assert pairs != {(k, j) for j, k in pairs}, "one-sided walk of a closed set"
+            walked.append(variant)
+        return pair_stats(rows, var, theta_hat, n, jj, kk, variant, studentize)
+
+    monkeypatch.setattr(boot, "_pair_stats", guarded)
+    rng = np.random.default_rng(0)
+    for p in (2, 8, _ALL_PAIRS_MIN_P + 1):
+        sample = MultinomialSample(tuple(int(c) for c in rng.integers(0, 40, p)) + (1,))
+        cfg = BootstrapConfig(B=20, seed=int(rng.integers(100)))
+        q = sample.p
+        for J0 in (None, tuple(range(q - 1)), (0,), (1, q - 1)):
+            for kind in ("two_sided", "lower", "upper"):
+                for scope in ("simultaneous", "marginal"):
+                    for method in ("boot", "bootStud"):
+                        rank_cs(method, sample, J0, kind, 0.05, cfg, scope)
+        closed = rng.random((q, q)) < 0.3
+        closed |= closed.T
+        for mask in (None, closed, rng.random((q, q)) < 0.3,
+                     np.triu(np.ones((q, q), dtype=bool), 1)):
+            if mask is not None:
+                np.fill_diagonal(mask, False)
+                mask[0, 1] = mask[1, 0] = True
+            for shape in SHAPES:
+                difference_cs(sample, cfg, 0.05, mask, shape=shape, studentize=True)
+    assert {"lower"} == set(walked)
 
 
 def test_difference_cs_memory_is_bounded_at_p_1000():

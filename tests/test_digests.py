@@ -217,7 +217,7 @@ def _tied_wide_digest() -> str:
     calibration's maximum statistic of every resample is pinned too.
     """
     h = hashlib.sha256()
-    maxima, kernel = [], boot._symm_stats
+    maxima, kernel = [], boot._max_stats
 
     def recorded(*args):
         maxima.append(kernel(*args))
@@ -225,7 +225,7 @@ def _tied_wide_digest() -> str:
 
     tables = ((5,) * 1000, (1,) * 1000, (5_000,) + (1,) * 999)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boot, "_symm_stats", recorded)
+        mp.setattr(boot, "_max_stats", recorded)
         for i, counts in enumerate(tables):
             config = BootstrapConfig(B=25, seed=2000 + i)
             for method in ("boot", "bootStud"):
