@@ -54,14 +54,16 @@ band that covers all pairs simultaneously.  The band contains each
 per-pair interval, so its simultaneous coverage is at least as high.
 
 Marginal scope gives each target its own family ``J0 = {j}``, so each
-target gets its own calibration and its own band.  One-sided kinds
-walk each target's pairs as :mod:`ranksets.core` forms them.  Two
-targets' two-sided families share the pair of the two, so the
-two-sided kind evaluates each unordered pair once and folds it into
-the running maxima of both its ends (:func:`_marginal_symm_stats`).
-The targets share the estimates and the category-major resamples, and
-all critical values, of each statistic asked for, are read from one
-sort of the ``B x S x |J0|`` max statistics.
+target gets its own calibration and its own band.  Two targets'
+families share the pair of the two, one way round or both, so every
+kind evaluates each unordered pair once and folds it into the running
+maxima of both its ends (:func:`_marginal_stats`): two-sided, the
+pair's symmetric statistic into both; one-sided, its statistic into
+the row that holds the pair that way round and its mirror, ``0.0 -
+x`` bit for bit, into the other.  The targets share the estimates and
+the category-major resamples, and all critical values, of each
+statistic asked for, are read from one sort of the ``B x S x |J0|``
+max statistics.
 
 The naive alternative resamples the ranks themselves and reads off
 their empirical quantiles; it is included as a comparison baseline and
@@ -85,7 +87,6 @@ from .core import (
     RankSet,
     _check_alpha,
     _is_marginal,
-    _target_pairs,
     _theta_array,
 )
 
@@ -103,7 +104,7 @@ __all__ = [
 #: Interval shapes for difference confidence sets.
 SHAPES = ("lower", "upper", "symm", "equi")
 
-_VARIANTS = ("lower", "upper", "symm")
+_VARIANTS = ("lower", "symm")
 
 
 @dataclass(frozen=True)
@@ -276,9 +277,7 @@ def _pair_stats(
             rows.take(k, axis=0, out=tk, mode="clip")
             np.subtract(tj, tk, out=num)
             num -= d_hat[start:start + w, None]
-            if variant == "upper":
-                np.negative(num, out=num)
-            elif variant == "symm":
+            if variant == "symm":
                 np.abs(num, out=num)
             if plain is not None:
                 np.maximum(plain, num.max(axis=0), out=plain)
@@ -303,63 +302,81 @@ def _pair_stats(
     return out
 
 
-def _marginal_symm_stats(
+def _marginal_stats(
     theta_star: np.ndarray,
     studentize: tuple[bool, ...],
     theta_hat: np.ndarray,
     n: int,
-    targets: np.ndarray,
+    targets,
+    kind: str,
 ) -> np.ndarray:
-    """(S, T, B) ``symm`` max statistics of each target's own family.
+    """(S, T, B) max statistics of each target's own family of ``kind``.
 
     ``theta_star`` is the ``(B, p)`` resample matrix, ``targets`` are
-    distinct, and statistic ``s`` is studentized if ``studentize[s]`` is
-    true (each flag at most once).  Row ``[s, t]`` is :func:`_pair_stats`
-    ``symm`` over the pairs of ``targets[t]`` with every other category,
-    bit for bit.  The rows are read once, from one :func:`_category_major`
-    copy in walk order: the targets, then the other categories.  Each
-    unordered pair is evaluated once.  The target at walk position ``t``
-    takes the pairs with every later position, a contiguous slice of the
-    rows and variance terms, so that a block's rows of later targets
-    fold into a contiguous slice of the running maxima and the whole
-    block into the target's own.  Each block's numerator is taken once;
-    its unstudentized maxima are folded before it is studentized in
-    place, and scaled by ``sqrt(n)`` after the walk (see
-    :func:`_pair_stats`).  A pair and its mirror give the same statistic
-    bit for bit (see :func:`_all_pairs_symm_stats`), and each element
-    takes :func:`_pair_stats`'s operations in their order.  Every
-    statistic is ``+0`` or more, or a ``0/0`` NaN that counts as 0, so
-    the running maxima start at 0 and fold with ``fmax``.  Blocks are
+    distinct category indices, and statistic ``s`` is studentized if
+    ``studentize[s]`` is true (each flag at most once).  Row ``[s, t]``
+    is :func:`_pair_stats` over row ``t`` of
+    :func:`~ranksets.core._target_pairs` in marginal scope, ``symm``
+    two-sided and ``lower`` one-sided, bit for bit and sign for sign.
+    The rows are read once, from one :func:`_category_major` copy in
+    walk order: the targets, then the other categories.  Each unordered
+    pair is evaluated once.  The target ``c`` at walk position ``t``
+    takes its pairs with every later position ``k``, a contiguous slice
+    of the rows and variance terms, so that a block's rows of later
+    targets fold into a contiguous slice of the running maxima and the
+    whole block into ``c``'s own (see :func:`_fold_marginal`).  Each
+    block's numerator is taken once; its unstudentized maxima are folded
+    before it is studentized in place, and scaled by ``sqrt(n)`` after
+    the walk (see :func:`_pair_stats`).  Each element takes
+    :func:`_pair_stats`'s operations in their order.
+
+    Two-sided, a block holds each pair's ``symm`` statistic, which its
+    mirror gives bit for bit (see :func:`_all_pairs_symm_stats`).
+    One-sided, it holds the ``lower`` statistic of the pair as the later
+    target's row holds it: ``(c, k)`` for ``lower`` (each other category
+    above ``k``) and ``(k, c)`` for ``upper`` (``k`` above each other
+    category).  ``c``'s own row holds the mirror, the same pair with its
+    ends swapped, whose statistic is ``0.0 - x`` bit for bit:
+    ``fl(tk - tc) = -fl(tc - tk)``, likewise for the estimates, and ``2
+    t`` is exact, so the mirror negates the numerator over the same
+    denominator.  A numerator is never ``-0`` (a difference of equal
+    values is ``+0`` either way round), so ``0.0 - x`` gives the
+    mirror's ``+0`` where ``-x`` would give ``-0``.  The quotient rounds
+    symmetrically and ``+0 / sd`` is ``+0`` or a ``0/0`` NaN that counts
+    as 0, so the mirror may be taken after studentizing; with the
+    unstudentized maxima scaled after the max, as in
+    :func:`_pair_stats`, every row is its own walk's.  Blocks are
     ``_BLOCK_BYTES`` per buffer, and the inputs are never written.
     """
     B, p = theta_star.shape
     T = len(targets)
     order = _targets_first(p, targets)
     rows, var = _category_major(theta_star, True in studentize, order)
-    walk_hat = theta_hat[order]
+    hat = theta_hat[order]
+    # upper's blocks are the pairs (k, c), the later category first.
+    ahead = kind == "upper"
     width = min(p - 1, max(1, _BLOCK_BYTES // (8 * B)))
-    buf_num = np.empty((width, B))
-    if var is not None:
-        buf_sd, buf_prod = np.empty((width, B)), np.empty((width, B))
+    buf_num, buf_sd, buf_prod = (np.empty((width, B)) for _ in range(3))
     root_n = math.sqrt(n)
-    out = np.zeros((len(studentize), T, B))
+    # Every statistic of a one-sided row can be negative.
+    out = np.full((len(studentize), T, B), 0.0 if kind == "two_sided" else -np.inf)
     plain, stud = _statistic_rows(out, studentize)
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(T):
-            d_hat = walk_hat[t] - walk_hat[t + 1:]
+            d_hat = hat[t + 1:] - hat[t] if ahead else hat[t] - hat[t + 1:]
             tc = rows[t]
-            if var is not None:
-                two_tc = tc * 2.0
+            two_tc = tc * 2.0
             for start in range(t + 1, p, width):
                 stop = min(start + width, p)
                 tk, num = rows[start:stop], buf_num[:stop - start]
-                np.subtract(tc, tk, out=num)
+                np.subtract(*((tk, tc) if ahead else (tc, tk)), out=num)
                 num -= d_hat[start - t - 1:stop - t - 1, None]
-                np.abs(num, out=num)
+                if kind == "two_sided":
+                    np.abs(num, out=num)
                 # The block's rows that are later targets' own pairs.
                 later = min(stop, T) - start
                 if plain is not None:
-                    _fold_marginal(plain, t, start, later, num)
+                    _fold_marginal(plain, t, start, later, num, kind)
                 if stud is not None:
                     sd, prod = buf_sd[:len(num)], buf_prod[:len(num)]
                     np.multiply(two_tc, tk, out=prod)
@@ -368,26 +385,41 @@ def _marginal_symm_stats(
                     np.sqrt(sd, out=sd)
                     sd /= root_n
                     num /= sd
-                    _fold_marginal(stud, t, start, later, num)
+                    _fold_marginal(stud, t, start, later, num, kind)
     if plain is not None:
         plain *= root_n
     return out
 
 
-def _targets_first(p: int, targets: np.ndarray) -> np.ndarray:
+def _targets_first(p: int, targets) -> np.ndarray:
     """The marginal walk order: ``targets``, then the other categories ascending."""
     other = np.ones(p, dtype=bool)
-    other[targets] = False
+    other[np.asarray(targets)] = False
     return np.concatenate((targets, np.flatnonzero(other)))
 
 
-def _fold_marginal(out, t, start, later, num):
+def _fold_marginal(out, t, start, later, num, kind):
     """Fold a block of target ``t``'s pairs into the ``(T, B)`` maxima ``out``.
 
     Row ``i`` of ``num`` is the pair of ``t`` with walk position ``start
-    + i``; its first ``later`` rows are also later targets' own pairs.
+    + i``; its first ``later`` rows are also later targets' own pairs,
+    whose rows take them as they are.  Two-sided, every statistic is
+    ``+0`` or more, or a ``0/0`` NaN that counts as 0, so the maxima
+    start at 0 and fold with ``fmax``, and ``t``'s row takes each
+    statistic too.  One-sided, the maxima start at ``-inf``, ``0/0``
+    NaNs are cleared to 0 first, as :func:`_pair_stats` does, and
+    ``t``'s row takes each mirror ``0.0 - x``, whose largest is ``0.0 -
+    num.min(axis=0)`` (see :func:`_marginal_stats`).
     """
-    np.fmax(out[t], np.fmax.reduce(num, axis=0), out=out[t])
+    if kind == "two_sided":
+        own = np.fmax.reduce(num, axis=0)
+    else:
+        own = num.min(axis=0)
+        if np.isnan(own).any():
+            np.copyto(num, 0.0, where=np.isnan(num))
+            own = num.min(axis=0)
+        np.subtract(0.0, own, out=own)
+    np.fmax(out[t], own, out=out[t])
     if later > 0:
         seg = out[start:start + later]
         np.fmax(seg, num[:later], out=seg)
@@ -417,8 +449,10 @@ def _max_stats(
     ``p x p`` bool mask with no diagonal cell and at least one pair; row
     ``s`` is studentized if ``studentize[s]`` is true (each flag at most
     once).  Equal, bit for bit, to :func:`_pair_stats` of ``variant``
-    over the mask's pairs on the category-major ``theta_star``, except
-    that a zero maximum is ``+0`` where ``upper``'s negation gives
+    over the mask's pairs on the category-major ``theta_star``; an
+    ``upper`` maximum, which the walk has no variant for, equals the
+    elementwise ``upper`` formula (the negated ``lower`` numerator)
+    except that a zero maximum is ``+0`` where the negation gives
     ``-0``.  This is the one place that chooses the kernel of a single
     family.
 
@@ -699,7 +733,7 @@ def _sigma_hat(theta_hat: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndar
     return np.sqrt(tj * (1.0 - tj) + tk * (1.0 - tk) + 2.0 * tj * tk)
 
 
-def _sigma_max(theta_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _sigma_max(theta_hat: np.ndarray, targets) -> np.ndarray:
     """Largest :func:`_sigma_hat` of each target's pairs with the other categories.
 
     ``_sigma_hat`` of ``(j, k)`` equals that of ``(k, j)`` bit for bit,
@@ -708,7 +742,7 @@ def _sigma_max(theta_hat: np.ndarray, targets: np.ndarray) -> np.ndarray:
     p)``, ``targets`` are distinct and the result is ``(..., T)``.
     Targets are taken in blocks of ``_BLOCK_BYTES`` per ``(..., block,
     p)`` array, with no pair index arrays.  As in
-    :func:`_marginal_symm_stats`, a block takes its pairs with the later
+    :func:`_marginal_stats`, a block takes its pairs with the later
     targets and the other categories, and folds each pair with a later
     target into that target's maximum too, so a pair of targets in two
     blocks is evaluated once.  Every scale is ``+0`` or more, so the
@@ -758,8 +792,10 @@ def difference_cs(
     statistic over its unordered pairs: when those are every pair of
     ``p >= 30`` categories, O(B p) per level of
     :func:`_all_pairs_symm_stats`, and mostly one or two levels; otherwise
-    O(B m) over the ``m`` pairs walked.  ``equi`` takes two maxima.  A zero
-    critical value is ``+0.0``.
+    O(B m) over the ``m`` pairs walked.  ``equi`` takes two maxima, or
+    one over a mask closed under transpose, where its lower and upper
+    maxima are the same symmetric one.  A zero critical value is
+    ``+0.0``.
 
     Parameters
     ----------
@@ -801,13 +837,15 @@ def difference_cs(
     mask.flags.writeable = False
     theta_hat = sample.theta_hat
     star = _theta_star_cached(sample.counts, n, config.B, int(config.seed))
-    # equi is both one-sided shapes at half level.
+    # equi is both one-sided shapes at half level; over a mask closed
+    # under transpose both take the one symm maximum (see _max_stats).
     variants = ("lower", "upper") if shape == "equi" else (shape,)
     level = 1.0 - alpha / len(variants)
+    once = len(variants) == 2 and np.array_equal(mask, mask.T)
     crits = tuple(
         bootstrap_quantile(_max_stats(star, (studentize,), theta_hat, n, mask, v)[0], level)
-        for v in variants
-    )
+        for v in variants[:1 if once else 2]
+    ) * (2 if once else 1)
     jj, kk = np.nonzero(mask)
     lo, hi, sigma = _difference_bounds(theta_hat, jj, kk, n, crits, shape, studentize)
     return DifferenceCS(
@@ -881,7 +919,11 @@ def boot_rank_cs(
     One-sided kinds calibrate the lower-variant max statistic over the
     row's pairs; the two-sided kind calibrates the symmetric variant
     with each unordered pair of the row entering the max once (its
-    mirror gives the same statistic and scale, bit for bit).  Either way
+    mirror gives the same statistic and scale, bit for bit).  In
+    marginal scope each unordered pair of two targets is evaluated once
+    for both of their rows: a one-sided pair's mirror is ``0.0 - x``
+    over the same scale, bit for bit, and the one-sided maxima start at
+    ``-inf``, as every statistic of a row can be negative.  Either way
     the claims use a constant-width band per row: a comparison is
     rejected only when its estimated difference clears the row's
     critical value times the largest per-pair scale in the row (over
@@ -941,25 +983,20 @@ def _band_critical_values(
     T)`` maxima.
 
     The joint row is one family, whose kernel :func:`_max_stats`
-    chooses.  Marginal two-sided rows take their maxima from
-    :func:`_marginal_symm_stats`, which evaluates each unordered pair
-    once for both of its ends; marginal one-sided rows walk their pairs
-    with :func:`_pair_stats`.  Every kernel gives the maxima of the pair
-    walk bit for bit; the largest scale of each row, read by
-    :func:`_band_rejections`, comes from :func:`_sigma_max`, which needs
-    no pair index arrays.
+    chooses.  Marginal rows, of every kind, take their maxima from
+    :func:`_marginal_stats`, which evaluates each unordered pair once
+    for both of its ends: a one-sided row starts at ``-inf``, as every
+    statistic of it can be negative, and takes the mirror ``0.0 - x`` of
+    a pair that the other end's row holds the right way round, which is
+    the statistic with the ends swapped, bit for bit.  Both kernels give
+    the maxima of the pair walk bit for bit; the largest scale of each
+    row, read by :func:`_band_rejections`, comes from
+    :func:`_sigma_max`, which needs no pair index arrays.
     """
     if not _is_marginal(scope):
         stats = _max_stats(star, studentize, theta_hat, n, family.mask, "lower")[:, None]
-    elif family.kind == "two_sided":
-        stats = _marginal_symm_stats(star, studentize, theta_hat, n, np.asarray(family.J0))
     else:
-        jj, kk = _target_pairs(family, scope)
-        rows, var = _category_major(star, True in studentize)
-        stats = np.stack([
-            _pair_stats(rows, var, theta_hat, n, j, k, "lower", studentize)
-            for j, k in zip(jj, kk)
-        ], axis=1)
+        stats = _marginal_stats(star, studentize, theta_hat, n, family.J0, family.kind)
     return _quantiles(stats.transpose(2, 0, 1), 1.0 - alpha)
 
 
@@ -979,7 +1016,7 @@ def _band_rejections(
     pass gives every table's claims.
     """
     if studentize:
-        sigma_max = _sigma_max(theta_hat, np.asarray(family.J0))
+        sigma_max = _sigma_max(theta_hat, family.J0)
         if not _is_marginal(scope):
             sigma_max = sigma_max.max(axis=-1, keepdims=True)
     else:

@@ -29,7 +29,7 @@ from ranksets.boot import (
     _band_half_width,
     _best_ranks,
     _category_major,
-    _marginal_symm_stats,
+    _marginal_stats,
     _max_stats,
     _pair_stats,
     _pairs_with,
@@ -108,9 +108,10 @@ def test_stat_zero_over_zero_is_zero():
 
 def test_stat_nonzero_over_zero_is_signed_infinity():
     theta_hat = (0.8, 0.2, 0.0)
-    # Pair (1, 2): numerator -(0.2 - 0.0), denominator 0.
+    # Pair (1, 2): numerator -(0.2 - 0.0), denominator 0; its mirror
+    # (2, 1) has numerator 0.2 over the same denominator.
     assert _stat((5, 0, 0), theta_hat, [(1, 2)], variant="lower") == -math.inf
-    assert _stat((5, 0, 0), theta_hat, [(1, 2)], variant="upper") == math.inf
+    assert _stat((5, 0, 0), theta_hat, [(2, 1)], variant="lower") == math.inf
     assert _stat((5, 0, 0), theta_hat, [(1, 2)], variant="symm") == math.inf
 
 
@@ -135,8 +136,10 @@ def test_stat_takes_max_over_pairs():
 
 
 def test_stat_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        _stat((5, 5), (0.5, 0.5), [(0, 1)], variant="middle")
+    # upper is lower over the mirrored pairs, which _max_stats walks.
+    for variant in ("middle", "upper"):
+        with pytest.raises(ValueError):
+            _stat((5, 5), (0.5, 0.5), [(0, 1)], variant=variant)
 
 
 def _one_shot_stats(theta_star, theta_hat, n, pairs, studentize, variant):
@@ -182,7 +185,7 @@ def _calibration_case(draw):
     else:
         pool = [(j, k) for j in range(p) for k in range(p) if j != k]
     pairs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3 * len(pool)))
-    variant = "lower" if falling else draw(st.sampled_from(("lower", "upper", "symm")))
+    variant = "lower" if falling else draw(st.sampled_from(("lower", "symm")))
     return star, theta_hat, sum(counts), pairs, variant, falling
 
 
@@ -239,9 +242,13 @@ def test_pair_stats_never_writes_its_inputs(case, variant, studentize, one_pair_
     # in its own buffers, never in the resample rows, the variance
     # terms, the estimates or the indices it was given.  A two-statistic
     # call studentizes the block it has just read the unstudentized
-    # maxima from, and each of its rows is the one-statistic call's.
+    # maxima from, and each of its rows is the one-statistic call's.  An
+    # upper maximum is walked as lower over the mirrored pairs, the way
+    # _max_stats walks it.
     star, theta_hat, pairs = case[0].copy(), case[1].copy(), case[2]
     jj, kk = np.asarray(pairs).T
+    if variant == "upper":
+        jj, kk, variant = kk, jj, "lower"
     n = 4
     rows, var = _category_major(star, True in studentize)
     inputs = [star, theta_hat, jj, kk, rows] + ([var] if True in studentize else [])
@@ -283,17 +290,15 @@ def test_pair_stats_buffers_stay_below_the_mapping_threshold(studentize):
     assert peak < 4 * 128 * 1024 + maxima * 8 * B + 8 * len(jj)
 
 
-def _per_target_oracle(star, studentize, theta_hat, n, targets):
-    """Each target's own two-sided family, one one-statistic
-    :func:`_pair_stats` call each: the ``(T, B)`` maxima."""
+def _per_target_oracle(star, studentize, theta_hat, n, targets, kind):
+    """Each target's own family of ``kind``, one one-statistic
+    :func:`_pair_stats` call per row of :func:`_target_pairs`: the
+    ``(T, B)`` maxima."""
+    family = build_index_family(kind, tuple(int(j) for j in targets), star.shape[1])
+    variant = "symm" if kind == "two_sided" else "lower"
     rows, var = _category_major(star, studentize)
-    p = star.shape[1]
-    columns = []
-    for j in targets:
-        others = np.asarray([k for k in range(p) if k != j])
-        lo, hi = np.minimum(j, others), np.maximum(j, others)
-        columns.append(_pair_stats(rows, var, theta_hat, n, lo, hi, "symm", (studentize,))[0])
-    return np.stack(columns)
+    return np.stack([_pair_stats(rows, var, theta_hat, n, j, k, variant, (studentize,))[0]
+                     for j, k in zip(*_target_pairs(family, "marginal"))])
 
 
 @st.composite
@@ -309,28 +314,54 @@ def _marginal_case(draw):
     theta_hat = np.asarray(counts, dtype=float) / sum(counts)
     every = draw(st.booleans())
     targets = range(p) if every else draw(st.sets(st.integers(0, p - 1), min_size=1))
-    return star, theta_hat, sum(counts), np.asarray(sorted(targets))
+    targets = np.asarray(sorted(targets))
+    kind = draw(st.sampled_from(("two_sided", "lower", "upper")))
+    if kind != "two_sided" and draw(st.booleans()):
+        # Falling estimates: the first target trails (lower) or leads
+        # (upper) every other category by more than any resampled
+        # difference, so each statistic of its row is negative and a
+        # running maximum must not start from zero.
+        rank = (np.arange(p) - targets[0]) % p
+        theta_hat = theta_hat + 3.0 * (rank if kind == "lower" else p - rank)
+    return star, theta_hat, sum(counts), targets, kind
+
+
+def _zero_columns_case(targets, kind):
+    return _ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.asarray(targets), kind
 
 
 @settings(max_examples=200, deadline=None)
-@given(_marginal_case(), st.sampled_from(_STATISTICS))
-@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2)), (True,))
-@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2)), (False, True))
-@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.arange(5)), (True,))
-@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.arange(5)), (True, False))
-@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.array([1, 3, 4])), (False,))
-@example((_ZERO_COLUMNS[0], _ZERO_COLUMNS[1], 4, np.array([1, 3, 4])), (False, True))
-def test_marginal_symm_kernel_equals_per_target_pair_stats(case, studentize):
-    # Zero cells (0/0 and c/0 pairs), all-zero columns, partial and full
-    # target sets, one resample or many blocks of them: evaluating each
-    # unordered pair once and folding it into both ends' maxima gives
-    # every target's own calibration, bit for bit and sign for sign,
-    # for each statistic of a one- or two-statistic call.
-    star, theta_hat, n, targets = case
-    got = _marginal_symm_stats(star, studentize, theta_hat, n, targets)
+@given(_marginal_case(), st.sampled_from(_STATISTICS), st.sampled_from((1, 2, 3, None)))
+@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2), "two_sided"),
+         (True,), None)
+@example((np.array([[0.25, 0.75]]), np.array([0.5, 0.5]), 4, np.arange(2), "two_sided"),
+         (False, True), None)
+@example(_zero_columns_case(range(5), "two_sided"), (True,), None)
+@example(_zero_columns_case(range(5), "two_sided"), (True, False), 1)
+@example(_zero_columns_case((1, 3, 4), "two_sided"), (False,), None)
+@example(_zero_columns_case((1, 3, 4), "two_sided"), (False, True), 2)
+@example(_zero_columns_case(range(5), "lower"), (True, False), 1)
+@example(_zero_columns_case((1, 3, 4), "lower"), (False, True), None)
+@example(_zero_columns_case(range(5), "upper"), (False, True), 3)
+@example(_zero_columns_case((1, 3, 4), "upper"), (True,), None)
+def test_marginal_kernel_equals_per_target_pair_stats(case, studentize, width):
+    # Every kind, zero cells (0/0 and c/0 pairs), all-zero columns,
+    # falling estimates, partial and full target sets, one resample or
+    # many, blocks of 1, 2 or 3 pairs or the default width: evaluating
+    # each unordered pair once and folding it, or its mirror, into both
+    # ends' maxima gives every target's own calibration, bit for bit and
+    # sign for sign, for each statistic of a one- or two-statistic call.
+    star, theta_hat, n, targets, kind = case
+    with pytest.MonkeyPatch.context() as mp:
+        if width is not None:
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * star.shape[0] * width)
+        got = _marginal_stats(star, studentize, theta_hat, n, targets, kind)
     assert got.shape == (len(studentize), len(targets), star.shape[0])
+    falling = kind != "two_sided" and np.ptp(theta_hat) > 1.0
     for row, s in zip(got, studentize):
-        expected = _per_target_oracle(star, s, theta_hat, n, targets)
+        expected = _per_target_oracle(star, s, theta_hat, n, targets, kind)
+        if falling:
+            assert (expected[0] < 0).all()
         assert np.array_equal(row, expected)
         assert np.array_equal(np.signbit(row), np.signbit(expected))
 
@@ -404,21 +435,22 @@ def test_band_calibration_equals_one_statistic_pair_walk(case, studentize):
         assert np.array_equal(crit[i], quantiles(expected, 0.95))
 
 
-_KERNELS = ("_category_major", "_pair_stats", "_marginal_symm_stats",
+_KERNELS = ("_category_major", "_pair_stats", "_marginal_stats",
             "_all_pairs_symm_stats")
 
 
 @pytest.mark.parametrize("p, kind, scope, J0, calls", [
-    (8, "two_sided", "marginal", None, {"_category_major": 1, "_marginal_symm_stats": 1}),
+    (8, "two_sided", "marginal", None, {"_category_major": 1, "_marginal_stats": 1}),
     (8, "two_sided", "simultaneous", None, {"_category_major": 1, "_pair_stats": 1}),
     (8, "two_sided", "simultaneous", (0, 2, 5), {"_category_major": 1, "_pair_stats": 1}),
     (8, "lower", "simultaneous", None, {"_category_major": 1, "_pair_stats": 1}),
     (8, "upper", "simultaneous", (1, 3), {"_category_major": 1, "_pair_stats": 1}),
-    (8, "lower", "marginal", (0, 2, 5), {"_category_major": 1, "_pair_stats": 3}),
+    (8, "lower", "marginal", (0, 2, 5), {"_category_major": 1, "_marginal_stats": 1}),
+    (8, "upper", "marginal", None, {"_category_major": 1, "_marginal_stats": 1}),
     (30, "two_sided", "simultaneous", None, {"_all_pairs_symm_stats": 2}),
     (30, "upper", "simultaneous", None, {"_all_pairs_symm_stats": 2}),
 ], ids=["marginal", "joint", "joint-subset", "lower-every", "upper-subset",
-        "lower-marginal", "wide-joint", "wide-upper-every"])
+        "lower-marginal", "upper-marginal", "wide-joint", "wide-upper-every"])
 def test_band_methods_share_one_copy_and_one_kernel_call_per_table(
     p, kind, scope, J0, calls, monkeypatch
 ):
@@ -439,7 +471,7 @@ def test_band_methods_share_one_copy_and_one_kernel_call_per_table(
     assert {name: len(args) for name, args in seen.items() if args} == {
         name: R * count for name, count in calls.items()
     }
-    for name in ("_pair_stats", "_marginal_symm_stats"):
+    for name in ("_pair_stats", "_marginal_stats"):
         assert all(args == (False, True) for args in seen[name])
     for method in ("boot", "bootStud"):
         alone = dispatch._rank_bounds((method,), x, 60 * p, J0, kind, 0.05, 50,
@@ -598,8 +630,8 @@ def test_all_pairs_kernel_never_calls_the_pair_walk(studentize, counts, monkeypa
 def test_joint_symm_calibrations_use_the_all_pairs_kernel(studentize, monkeypatch):
     # The joint two-sided readout and a symm difference set over a mask
     # whose pairs, either way round, are every pair go through the
-    # kernel, and equi over every ordered pair through it once per
-    # one-sided shape; a J0 that leaves out a pair, marginal rows and p
+    # kernel, and equi over every ordered pair through it once for both
+    # one-sided shapes; a J0 that leaves out a pair, marginal rows and p
     # below the crossover do not.
     calls = []
     kernel = _all_pairs_symm_stats
@@ -622,7 +654,7 @@ def test_joint_symm_calibrations_use_the_all_pairs_kernel(studentize, monkeypatc
                  studentize=studentize)
     assert calls == [p, p]
     difference_cs(sample, cfg, shape="equi", studentize=studentize)
-    assert calls == [p, p, p, p]
+    assert calls == [p, p, p]
 
 
 @settings(max_examples=120, deadline=None)
@@ -891,20 +923,20 @@ def _drawn_mask(draw, p, kind):
 
 
 def _difference_cs_oracle(sample, cfg, alpha, mask, shape, studentize):
-    """``(crit, lo, hi, sigma)`` of :func:`difference_cs` from one
-    :func:`_pair_stats` walk of the mask's ordered pairs per shape."""
+    """``(crit, lo, hi, sigma)`` of :func:`difference_cs` from the one-shot
+    formula over the mask's ordered pairs, once per one-sided shape."""
     n, theta_hat = sample.n, sample.theta_hat
     star = _theta_star_cached(sample.counts, n, cfg.B, cfg.seed)
-    rows, var = _category_major(star, studentize)
-    jj, kk = np.nonzero(mask)
+    pairs = list(zip(*np.nonzero(mask)))
     variants = ("lower", "upper") if shape == "equi" else (shape,)
     crit = tuple(
         bootstrap_quantile(
-            _pair_stats(rows, var, theta_hat, n, jj, kk, v, (studentize,))[0],
+            _one_shot_stats(star, theta_hat, n, pairs, studentize, v),
             1.0 - alpha / len(variants),
         )
         for v in variants
     )
+    jj, kk = np.nonzero(mask)
     ends = boot._difference_bounds(theta_hat, jj, kk, n, crit, shape, studentize)
     return (crit,) + tuple(boot._on_mask(mask, end) for end in ends)
 
@@ -917,8 +949,9 @@ def test_difference_cs_equals_the_pair_walk_over_every_ordered_pair(kind, shape,
     # Every shape and statistic over full, transpose-closed, arbitrary
     # and triangular masks, p from 2 to 59 (across the all-pairs
     # crossover), zero cells, ties and single-cell tables, B of 1 and 7:
-    # the kernel chooser gives the intervals of the plain pair walk bit
-    # for bit, and critical values equal to its, a zero one being +0.
+    # the kernel chooser gives the intervals of the one-shot formula over
+    # the mask's ordered pairs bit for bit, and critical values equal to
+    # its, a zero one being +0.
     p = data.draw(st.integers(2, 59))
     sample = MultinomialSample(tuple(_drawn_counts(data.draw, p)))
     mask = _drawn_mask(data.draw, p, kind)
