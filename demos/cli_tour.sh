@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tour of the command-line interface on the packaged survey data.
-# Every command is deterministic (fixed --seed; RANKSETS_SEED would
-# override it).  Run from the repository root:
+# Every command is deterministic: its bootstrap seed comes from
+# --seed alone.  Run from the repository root:
 #
 #     bash demos/cli_tour.sh
 

@@ -85,6 +85,7 @@ from .core import (
     MultinomialSample,
     PairwiseRejections,
     RankSet,
+    _BLOCK_BYTES,
     _check_alpha,
     _is_marginal,
     _theta_array,
@@ -172,16 +173,6 @@ def _theta_star_cached(
     star = rng.multinomial(n, theta_hat, size=B) / n
     star.flags.writeable = False
     return star
-
-
-#: Most bytes of one scratch buffer in the calibration kernels.  glibc
-#: serves a request of 128 KiB or more (its default mmap threshold,
-#: chunk header included) with a fresh mapping that it unmaps on free,
-#: so every call faults such buffers in again: one studentized
-#: :func:`_pair_stats` call at B = 2000 over 28 pairs took 218 minor
-#: faults and 0.9-1.1 ms with 256 KiB buffers, none and 0.5 ms with
-#: these (one 2-vCPU Xeon core).
-_BLOCK_BYTES = 127 * 1024
 
 
 def _category_major(

@@ -13,8 +13,7 @@ Every step is importable and pure; the CLI subcommands (``analyze``,
 argument-parsing wrappers.  Exit codes: 0 on success, 1 on bad input
 (a :class:`DataError`: unreadable/malformed data, unknown names, invalid
 flag values) or an ``OSError``, 2 on any other exception, which is an
-internal error.  The environment variable
-``RANKSETS_SEED``, when set, overrides ``--seed``.
+internal error.  The bootstrap seed comes from ``--seed`` alone.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -48,7 +46,6 @@ __all__ = [
     "AnalysisReport",
     "ComparisonMatrix",
     "ingest",
-    "emit_dataset",
     "group_small",
     "analyze",
     "compare_methods",
@@ -107,7 +104,7 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# ingestion / emission
+# ingestion
 
 
 def _rows_from_csv(text: str) -> list[tuple[int, str, str, int]]:
@@ -224,35 +221,6 @@ def ingest(path, format: str | None = None, drop_zero: bool = False) -> Dataset:
     if not samples:
         raise DataError("no data rows found")
     return Dataset(samples=samples, source=str(path))
-
-
-def emit_dataset(dataset: Dataset, path=None, format: str = "csv") -> str:
-    """Serialize a dataset back to CSV or JSON.
-
-    ``ingest(emit_dataset(ds))`` reproduces groups, labels, and counts
-    exactly.
-    """
-    if format == "csv":
-        text = _csv_text(
-            ["group", "category", "count"],
-            ([group, label, count]
-             for group, sample in dataset.samples.items()
-             for label, count in zip(sample.labels, sample.counts)),
-        )
-    elif format == "json":
-        text = json.dumps(
-            [
-                {"group": group, "category": label, "count": count}
-                for group, sample in dataset.samples.items()
-                for label, count in zip(sample.labels, sample.counts)
-            ],
-            indent=2,
-        )
-    else:
-        raise DataError(f"unknown format {format!r}")
-    if path is not None:
-        _write_text(path, text)
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +610,11 @@ def _alpha_value(text: str) -> float:
     return value
 
 
-def _resolve_seed(flag_value: int) -> int:
-    seed = flag_value
-    env = os.environ.get("RANKSETS_SEED")
-    if env is not None and env.strip() != "":
-        try:
-            seed = int(env)
-        except ValueError:
-            raise DataError(
-                f"RANKSETS_SEED must be an integer, got {env!r}"
-            ) from None
-    if seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+def _seed_value(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
 
 
 def _group_small_spec(text: str):
@@ -691,7 +651,21 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    data_common = argparse.ArgumentParser(add_help=False)
+    # The resampling flags of every subcommand.
+    resampling = argparse.ArgumentParser(add_help=False)
+    resampling.add_argument(
+        "--alpha", type=_alpha_value, default=0.05,
+        help="one minus the nominal coverage level (default 0.05)",
+    )
+    resampling.add_argument(
+        "--boot-samples", type=_positive_int, default=2000, metavar="B",
+        help="bootstrap resamples (default 2000)",
+    )
+    resampling.add_argument(
+        "--seed", type=_seed_value, default=0,
+        help="non-negative random seed (default 0)",
+    )
+    data_common = argparse.ArgumentParser(add_help=False, parents=[resampling])
     data_common.add_argument("data", help="count table (CSV or JSON)")
     data_common.add_argument(
         "--format", choices=("csv", "json"), default=None,
@@ -705,18 +679,6 @@ def _build_parser() -> _Parser:
         "--group-small", metavar="SPEC", default=None,
         help="merge categories into 'Other': share threshold in (0,1) "
              "or comma-separated labels",
-    )
-    data_common.add_argument(
-        "--alpha", type=_alpha_value, default=0.05,
-        help="one minus the nominal coverage level (default 0.05)",
-    )
-    data_common.add_argument(
-        "--boot-samples", type=_positive_int, default=2000, metavar="B",
-        help="bootstrap resamples (default 2000)",
-    )
-    data_common.add_argument(
-        "--seed", type=int, default=0,
-        help="bootstrap seed (env RANKSETS_SEED overrides)",
     )
     data_common.add_argument(
         "--out", default=None, help="also write machine-readable CSV here"
@@ -781,7 +743,8 @@ def _build_parser() -> _Parser:
     )
 
     p_sim = sub.add_parser(
-        "simulate", help="Monte Carlo coverage/length study for one design"
+        "simulate", parents=[resampling],
+        help="Monte Carlo coverage/length study for one design",
     )
     p_sim.add_argument(
         "design",
@@ -790,10 +753,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--method", type=_method_list, default=None,
                        metavar="M[,M...]", help="override the design's methods")
     p_sim.add_argument("--reps", type=_positive_int, default=1000)
-    p_sim.add_argument("--boot-samples", type=_positive_int, default=2000,
-                       metavar="B")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--alpha", type=_alpha_value, default=0.05)
     p_sim.add_argument("--scope", choices=SCOPES, default="marginal")
     p_sim.add_argument(
         "--categories", default=None, metavar="I[,I...]",
@@ -825,7 +784,7 @@ def _load_dataset(args) -> Dataset:
 
 def _boot_config(args) -> BootstrapConfig:
     """The one resampling stream of a request: ``--boot-samples`` and the seed."""
-    return BootstrapConfig(B=args.boot_samples, seed=_resolve_seed(args.seed))
+    return BootstrapConfig(B=args.boot_samples, seed=args.seed)
 
 
 def _method_reports(args, dataset: Dataset, j0: str) -> list[AnalysisReport]:
@@ -913,31 +872,30 @@ def _run_plotdata(args, out) -> int:
     return 0
 
 
+#: The designs of ``simulate``: each one's constructor and the type of
+#: each of its arguments, read in this order.
+_DESIGNS = {
+    "aes": (aes_design, {"kappa": float, "tau_n": float}),
+    "erratic": (erratic_design, {"pi": float, "n": int}),
+    "uniform": (uniform_design, {"p": int, "n": int}),
+}
+
+
 def _run_simulate(args, out) -> int:
     name, kw = _parse_design(args.design)
+    if name not in _DESIGNS:
+        raise DataError(f"bad design argument: unknown design {name!r}; "
+                        "expected aes, erratic, or uniform")
+    make, types = _DESIGNS[name]
     common = dict(
         alpha=args.alpha, reps=args.reps, B=args.boot_samples,
-        master_seed=_resolve_seed(args.seed), scope=args.scope,
+        master_seed=args.seed, scope=args.scope,
     )
     if args.method:
         common["methods"] = tuple(args.method)
     try:
-        if name == "aes":
-            design = aes_design(
-                kappa=float(kw.pop("kappa")), tau_n=float(kw.pop("tau_n")), **common
-            )
-        elif name == "erratic":
-            design = erratic_design(
-                pi=float(kw.pop("pi")), n=int(kw.pop("n")), **common
-            )
-        elif name == "uniform":
-            design = uniform_design(
-                p=int(kw.pop("p")), n=int(kw.pop("n")), **common
-            )
-        else:
-            raise DataError(
-                f"unknown design {name!r}; expected aes, erratic, or uniform"
-            )
+        design = make(**{arg: cast(kw.pop(arg)) for arg, cast in types.items()},
+                      **common)
     except KeyError as exc:
         raise DataError(f"design {name!r} is missing argument {exc}") from None
     except ValueError as exc:

@@ -27,6 +27,7 @@ from .core import (
     PairwiseRejections,
     RankSet,
     _check_alpha,
+    _whole_number,
 )
 
 __all__ = ["IntervalBox", "clopper_pearson", "cp_box", "cp_rank_cs"]
@@ -52,7 +53,7 @@ def clopper_pearson(x: int, n: int, level: float = 0.95) -> tuple[float, float]:
         when ``x = 0``) and ``hi`` solves ``P{Bin(n, hi) <= x} =
         alpha/2`` (1 when ``x = n``).
     """
-    x, n = int(x), int(n)
+    x, n = _whole_number(x, "x"), _whole_number(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not (0 <= x <= n):

@@ -40,6 +40,7 @@ from .core import (
     MultinomialSample,
     PairwiseRejections,
     RankSet,
+    _BLOCK_BYTES,
     _check_alpha,
     _target_pairs,
     _whole_number,
@@ -273,8 +274,8 @@ def _pvalue_table(
 
 
 #: Cells of one block of :func:`_pvalue_stack`: each of its int64
-#: temporaries stays under glibc's 128 KiB mmap threshold.
-_BLOCK_CELLS = 127 * 1024 // 8
+#: temporaries fills at most ``_BLOCK_BYTES``.
+_BLOCK_CELLS = _BLOCK_BYTES // 8
 
 
 def _cell_blocks(R: int, p: int):

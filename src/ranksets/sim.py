@@ -128,6 +128,7 @@ def erratic_theta(pi: float) -> tuple[float, float, float]:
 
 def uniform_theta(p: int) -> tuple[float, ...]:
     """``p`` exactly tied categories."""
+    p = _whole_number(p, "p")
     if p < 2:
         raise ValueError("p must be at least 2")
     return (1.0 / p,) * p
@@ -451,6 +452,7 @@ def erratic_coverage_curves(
     """
     _check_alpha(alpha)
     reps = _positive_whole(reps, "reps")
+    n_grid = [_positive_whole(n, "an n_grid entry") for n in n_grid]
     BootstrapConfig(B=B)
     rows = []
     for pi in pi_grid:
@@ -460,7 +462,6 @@ def erratic_coverage_curves(
         jj, kk = np.nonzero(family.mask)
         delta = theta[jj] - theta[kk]
         for n in n_grid:
-            n = int(n)
             diff_cov = dict.fromkeys(_STUDENTIZE.values(), 0)
             rank_cov = dict.fromkeys([*_STUDENTIZE, "exactBonf"], 0)
             for x, seeds in _rep_chunks(master_seed, reps, n, theta):
@@ -525,19 +526,21 @@ def large_p_study(
         Rows with keys ``p``, ``n``, ``method``, ``coverage``,
         ``coverage_se``, ``avg_length``.
     """
+    p_grid = [_whole_number(p, "a p_grid entry") for p in p_grid]
+    n_grid = [_positive_whole(n, "an n_grid entry") for n in n_grid]
     rows = []
     for p in p_grid:
         for n in n_grid:
             design = uniform_design(
-                int(p), int(n), methods=methods, alpha=alpha,
+                p, n, methods=methods, alpha=alpha,
                 reps=reps, B=B, master_seed=master_seed,
             )
             report = run_design(design)
             for m in design.methods:
                 cell = report.cell(m, 0)
                 rows.append({
-                    "p": int(p),
-                    "n": int(n),
+                    "p": p,
+                    "n": n,
                     "method": m,
                     "coverage": cell.coverage,
                     "coverage_se": cell.coverage_se,

@@ -20,7 +20,6 @@ from ranksets.cli import (
     Dataset,
     analyze,
     compare_methods,
-    emit_dataset,
     emit_plotdata,
     group_small,
     ingest,
@@ -177,17 +176,6 @@ def test_ingest_drop_zero(tmp_path):
     path2 = _write(tmp_path, "zero2.csv", text2)
     with pytest.raises(DataError, match="group 'A'"):
         ingest(path2, drop_zero=True)
-
-
-def test_emit_dataset_round_trips_both_formats(tmp_path, melbourne_csv):
-    ds = ingest(melbourne_csv)
-    for fmt in ("csv", "json"):
-        out = tmp_path / f"copy.{fmt}"
-        emit_dataset(ds, out, format=fmt)
-        back = ingest(out)
-        assert back.identity() == ds.identity()
-    with pytest.raises(DataError, match="unknown format"):
-        emit_dataset(ds, format="xml")
 
 
 def test_dataset_requires_at_least_one_group():
@@ -550,19 +538,15 @@ def test_main_bad_input_caught_by_the_library_exits_one(melbourne_csv, capsys):
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
-def test_main_seed_env_overrides_flag(territories_csv, capsys, monkeypatch):
-    argv = ["analyze", str(territories_csv), "--method", "bootStud",
-            "--boot-samples", "300"]
+def test_main_seed_comes_from_the_flag_alone(melbourne_csv, capsys, monkeypatch):
+    argv = ["analyze", str(melbourne_csv), "--method", "boot",
+            "--boot-samples", "300", "--seed", "5"]
     monkeypatch.delenv("RANKSETS_SEED", raising=False)
-    main(argv + ["--seed", "5"])
+    assert main(argv) == 0
     baseline = capsys.readouterr().out
-    monkeypatch.setenv("RANKSETS_SEED", "5")
-    main(argv + ["--seed", "99"])
-    overridden = capsys.readouterr().out
-    assert overridden == baseline
     monkeypatch.setenv("RANKSETS_SEED", "ten")
-    assert main(argv) == 1
-    assert "RANKSETS_SEED" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == baseline
 
 
 def test_main_repeated_runs_are_identical(melbourne_csv, capsys):
@@ -739,6 +723,20 @@ def test_main_simulate_bad_designs_exit_one(capsys):
     assert main(["simulate", "uniform:p=x,n=40"]) == 1
     assert main(["simulate", "uniform:p=3,n=40", "--categories", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("design, message", [
+    ("weibull:p=3",
+     "bad design argument: unknown design 'weibull'; expected aes, erratic, or uniform"),
+    ("aes:kappa=0.5", "design 'aes' is missing argument 'tau_n'"),
+    ("aes:kappa=x,tau_n=1",
+     "bad design argument: could not convert string to float: 'x'"),
+    ("uniform:p=1,n=40,extra=1", "bad design argument: p must be at least 2"),
+    ("erratic:pi=0.1,n=40,m=1,extra=1", "unknown design arguments: extra, m"),
+], ids=repr)
+def test_main_simulate_design_messages(design, message, capsys):
+    assert main(["simulate", design, "--reps", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_main_simulate_categories_flag(capsys):

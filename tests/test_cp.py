@@ -123,6 +123,13 @@ def test_interval_rejects_bad_inputs():
         clopper_pearson(5, 10, level=0.0)
     with pytest.raises(ValueError):
         clopper_pearson(5, 10, level=1.0)
+    for x, n in ((2.7, 10), (True, 3), ("2", 10), (2, 10.5)):
+        with pytest.raises(ValueError, match="whole number"):
+            clopper_pearson(x, n)
+
+
+def test_interval_reads_whole_floats_as_counts():
+    assert clopper_pearson(3.0, 10.0) == clopper_pearson(3, 10)
 
 
 @pytest.mark.parametrize("n", [20, 100])

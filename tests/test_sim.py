@@ -58,6 +58,11 @@ def test_uniform_theta_is_exchangeable():
     assert uniform_theta(4) == (0.25,) * 4
     with pytest.raises(ValueError):
         uniform_theta(1)
+    assert uniform_theta(3.0) == uniform_theta(3)
+    assert uniform_design(p=3.0, n=40).theta == uniform_design(p=3, n=40).theta
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="whole number"):
+            uniform_theta(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +252,31 @@ def test_erratic_curves_report_the_expected_columns():
 
 @pytest.mark.parametrize("field", [
     dict(B=0), dict(B=1.0), dict(reps=0), dict(reps=True), dict(alpha=1.5),
+    dict(n_grid=(15.5,)), dict(n_grid=(True,)), dict(n_grid=(0,)),
 ], ids=repr)
 def test_erratic_curves_refuse_bad_runs(field):
     with pytest.raises(ValueError):
-        erratic_coverage_curves(pi_grid=(0.05,), n_grid=(15,),
-                                **(dict(reps=5, B=20) | field))
+        erratic_coverage_curves(
+            **(dict(pi_grid=(0.05,), n_grid=(15,), reps=5, B=20) | field)
+        )
+
+
+@pytest.mark.parametrize("grids", [
+    dict(p_grid=(3.5,), n_grid=(40,)), dict(p_grid=(3,), n_grid=(40.5,)),
+], ids=repr)
+def test_large_p_study_refuses_grid_entries_that_are_not_whole(grids):
+    with pytest.raises(ValueError, match="whole number"):
+        large_p_study(**grids, reps=5, B=20)
+
+
+def test_studies_read_whole_float_grid_entries():
+    rows = erratic_coverage_curves(pi_grid=(0.05, 0.1), n_grid=iter([15.0]),
+                                   reps=5, B=20)
+    assert [(row["pi"], row["n"]) for row in rows] == [(0.05, 15), (0.1, 15)]
+    (row,) = large_p_study(p_grid=(3.0,), n_grid=(40.0,), reps=5, B=20,
+                           methods=("cp",))
+    assert (row["p"], row["n"]) == (3, 40)
+    assert type(row["p"]) is type(row["n"]) is int
 
 
 def test_large_p_study_reports_one_row_per_combination():
