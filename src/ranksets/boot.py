@@ -1039,27 +1039,37 @@ def _resampled(x, n: int, B: int, seeds, statistics) -> list[np.ndarray]:
 
 
 def _best_ranks(theta_star: np.ndarray) -> np.ndarray:
-    """(B, p) best ranks ``1 + #{k : theta*_k > theta*_j}`` of each row.
+    """(p, B) int32 best ranks ``1 + #{k : theta*_k > theta*_j}``, category-major.
 
-    Rows are ranked in blocks of ``_BLOCK_BYTES`` per ``block x p``
-    temporary.
+    Row ``j`` holds category ``j``'s rank in each of the ``B``
+    resamples.  Resamples are ranked in blocks of ``_BLOCK_BYTES`` per
+    ``block x p`` temporary: one argsort per block, the sorted values
+    gathered and the ranks scattered through flat indices, and the
+    ``(B, p)`` input never written.
     """
     B, p = theta_star.shape
-    ranks = np.empty((B, p), dtype=np.int64)
-    position = np.arange(1, p + 1)
+    ranks = np.empty((p, B), dtype=np.int32)
+    flat_ranks = ranks.reshape(-1)
+    position = np.arange(1, p + 1, dtype=np.int32)
     step = max(1, _BLOCK_BYTES // (8 * p))
     for lo in range(0, B, step):
         block = theta_star[lo:lo + step]
+        rows = np.arange(len(block))[:, None]
         order = np.argsort(-block, axis=1)
-        desc = np.take_along_axis(block, order, axis=1)
+        desc = block.reshape(-1)[order + rows * p]
         # In descending order a tie group shares the position of its first
-        # member.
-        starts = np.ones(desc.shape, dtype=bool)
-        starts[:, 1:] = desc[:, 1:] != desc[:, :-1]
-        sorted_ranks = np.maximum.accumulate(
-            np.where(starts, position, 0), axis=1
-        )
-        np.put_along_axis(ranks[lo:lo + step], order, sorted_ranks, axis=1)
+        # member.  Comparing the flattened rows marks each row's first
+        # entry too; it is then set, as every row starts a group.
+        starts = np.empty(desc.shape, dtype=bool)
+        flat_desc = desc.reshape(-1)
+        np.not_equal(flat_desc[1:], flat_desc[:-1], out=starts.reshape(-1)[1:])
+        starts[:, 0] = True
+        sorted_ranks = np.maximum.accumulate(starts * position, axis=1)
+        # Category order[r, i] of resample lo + r sits at flat position
+        # order[r, i] * B + lo + r of the category-major ranks.
+        order *= B
+        order += rows + lo
+        flat_ranks[order] = sorted_ranks
     return ranks
 
 
@@ -1088,17 +1098,28 @@ def _naive_bounds(star, theta_hat, j0, alpha: float) -> np.ndarray:
 
     ``star`` is the ``(B, p)`` resample matrix; ``theta_hat`` is not
     read, so that the signature is a statistic of :func:`_resampled`.
+    Each target's ``B`` ranks are one int32 row of a category-major
+    ``(|J0|, B)`` matrix, sorted in place, and the interval ends are
+    two of its order statistics.  Up to ``4 log2(p)`` targets count
+    who beats each; more take every category's rank from one argsort
+    per resample (:func:`_best_ranks`).  Both give the same integers.
     """
     B, p = star.shape
     if len(j0) <= 4 * math.log2(p):
         # Count who beats each target: O(|J0| p B) against the argsort's
         # O(p log p B), over contiguous rows of each category's draws.
         # An int32 count sums about twice as fast as the default int64.
+        # Measured at B = 1000, the two cost the same at 20 to 35 targets
+        # for p from 30 to 300, close to 4 log2(p).
         cols = np.ascontiguousarray(star.T)
         ranks = 1 + np.stack([(cols > cols[j]).sum(axis=0, dtype=np.int32) for j in j0])
     else:
-        ranks = _best_ranks(star)[:, list(j0)].T
-    ranks = np.sort(ranks, axis=1)
+        # Every category's ranks, category-major; a joint family takes
+        # them all in place, as J0 is stored sorted and distinct.
+        ranks = _best_ranks(star)
+        if len(j0) < p:
+            ranks = ranks[list(j0)]
+    ranks.sort(axis=1)
     lo_idx = min(math.floor(round(alpha / 2 * B, 9)) + 1, B)
     hi_idx = max(math.ceil(round((1.0 - alpha / 2) * B, 9)), 1)
     return ranks[:, [lo_idx - 1, hi_idx - 1]].T

@@ -227,9 +227,11 @@ def erratic_design(
     **kwargs,
 ) -> SimDesign:
     """Small-probability design tracking the first category."""
+    theta = erratic_theta(pi)
+    n = _positive_whole(n, "n")
     return SimDesign(
         name=f"erratic(pi={pi}, n={n})",
-        theta=erratic_theta(pi),
+        theta=theta,
         n=n,
         methods=tuple(methods),
         categories=(0,),
@@ -244,9 +246,11 @@ def uniform_design(
     **kwargs,
 ) -> SimDesign:
     """All-tied design tracking the first category."""
+    theta = uniform_theta(p)
+    n = _positive_whole(n, "n")
     return SimDesign(
-        name=f"uniform(p={p}, n={n})",
-        theta=uniform_theta(p),
+        name=f"uniform(p={len(theta)}, n={n})",
+        theta=theta,
         n=n,
         methods=tuple(methods),
         categories=(0,),

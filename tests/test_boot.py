@@ -1342,7 +1342,77 @@ def test_best_ranks_match_pairwise_count(p, n, B):
     rng = np.random.default_rng(p * 1000 + n)
     star = rng.multinomial(n, rng.dirichlet(np.ones(p)), size=B) / n
     greater = star[:, None, :] > star[:, :, None]
-    assert np.array_equal(_best_ranks(star), 1 + greater.sum(axis=2))
+    assert np.array_equal(_best_ranks(star), (1 + greater.sum(axis=2)).T)
+
+
+def _naive_oracle(star, j0, alpha):
+    """``(2, |J0|)`` order statistics of each target's ranks from the
+    ``B x p x p`` comparison cube."""
+    B = star.shape[0]
+    ranks = np.sort(1 + (star[:, None, :] > star[:, :, None]).sum(2), axis=0)
+    lo = min(math.floor(round(alpha / 2 * B, 9)) + 1, B)
+    hi = max(math.ceil(round((1.0 - alpha / 2) * B, 9)), 1)
+    return ranks[[lo - 1, hi - 1]][:, list(j0)]
+
+
+@st.composite
+def _naive_case(draw):
+    """A cached resample matrix, targets on one side of the ``4 log2(p)``
+    rule, and an alpha near 0, in the middle or near 1."""
+    p = draw(st.integers(2, 120))
+    n = draw(st.integers(1, 5000))
+    B = draw(st.integers(1, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = tuple(rng.multinomial(n, rng.dirichlet(np.ones(p))).tolist())
+    star = _theta_star_cached.__wrapped__(counts, n, B, draw(st.integers(0, 2**32 - 1)))
+    counted = min(p, math.floor(4 * math.log2(p)))
+    if counted < p and draw(st.booleans()):
+        size = draw(st.integers(counted + 1, p))
+    else:
+        size = draw(st.integers(1, counted))
+    j0 = tuple(sorted(draw(st.permutations(range(p)))[:size]))
+    alpha = draw(st.one_of(st.floats(1e-9, 0.01), st.sampled_from([0.05, 0.1, 0.5, 0.9]),
+                           st.floats(0.99, 1 - 1e-9)))
+    return star, j0, alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(_naive_case(), st.sampled_from(["default", "one-row", "partial"]))
+@example((_theta_star_cached.__wrapped__((0, 3, 0, 2) * 30, 150, 700, 1), tuple(range(120)),
+          0.05), "partial")
+@example((_theta_star_cached.__wrapped__((5, 0) * 10, 50, 9, 2), (0, 1, 2, 3, 5, 8, 13, 17),
+          0.999), "one-row")
+def test_naive_bounds_equal_the_pairwise_count(case, blocks):
+    # Small n gives ties and zero cells; both the counting and the argsort
+    # path, and any block size, give the oracle's integers, and the
+    # read-only cached resamples are left as they were.
+    star, j0, alpha = case
+    B, p = star.shape
+    width = {"default": None, "one-row": 1, "partial": max(1, 2 * B // 3)}[blocks]
+    before = star.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        if width is not None:
+            mp.setattr("ranksets.boot._BLOCK_BYTES", 8 * p * width)
+        got = boot._naive_bounds(star, None, j0, alpha)
+    assert np.array_equal(got, _naive_oracle(star, j0, alpha))
+    assert not star.flags.writeable
+    assert np.array_equal(star, before)
+
+
+def test_naive_argsort_path_memory_is_under_six_bytes_per_cell():
+    # The ranks are one int32 (p, B) matrix sorted in place, beside one
+    # block of temporaries; the (B, p) input is not counted.
+    p, B = 1000, 2000
+    rng = np.random.default_rng(27)
+    counts = tuple(rng.multinomial(5000, rng.dirichlet(np.ones(p))).tolist())
+    star = _theta_star_cached.__wrapped__(counts, 5000, B, 0)
+    tracemalloc.start()
+    try:
+        boot._naive_bounds(star, None, tuple(range(p)), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * B * p
 
 
 def test_naive_rejects_bad_alpha():

@@ -124,6 +124,18 @@ def test_aes_design_rounds_n_and_records_a_note():
         aes_design(0.5, 0.0)
 
 
+def test_design_names_spell_whole_numbers_as_ints():
+    # The montecarlo digests in bench/reference.json hash these two names.
+    assert uniform_design(20, 50).name == "uniform(p=20, n=50)"
+    assert aes_design(0.5, 1).name == "aes(kappa=0.5, tau_n=1)"
+    assert uniform_design(3.0, 40).name == "uniform(p=3, n=40)"
+    assert uniform_design(3, 40.0).name == "uniform(p=3, n=40)"
+    assert erratic_design(0.05, 30.0).name == "erratic(pi=0.05, n=30)"
+    assert aes_design(0.5, 1.0).name == "aes(kappa=0.5, tau_n=1.0)"
+    with pytest.raises(ValueError, match="whole number"):
+        erratic_design(0.05, 30.5)
+
+
 def test_named_designs_track_expected_categories():
     assert aes_design(1.0, 1.0).categories == (0, 3, 6)
     assert erratic_design(0.01, 50).categories == (0,)
