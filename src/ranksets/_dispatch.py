@@ -22,6 +22,7 @@ command line scores every method of a group in one call, and
 
 from __future__ import annotations
 
+import re
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -35,7 +36,6 @@ from .boot import (
     _resampled,
 )
 from .core import (
-    SCOPES,
     MultinomialSample,
     RankSet,
     _categories_of_interest,
@@ -50,20 +50,15 @@ from .core import (
 from .cp import _box_bounds, _box_rejections
 from .exact import PairwisePValueTable, _corrected, _pvalue_stack, _pvalue_table
 
-__all__ = ["METHOD_NAMES", "SCOPES", "normalize_method", "rank_cs"]
+__all__ = ["METHOD_NAMES", "normalize_method", "rank_cs"]
 
 METHOD_NAMES = ("exactBonf", "exactHolm", "cp", "boot", "bootStud", "naive")
 
+#: Each name lower-cased, with and without "_" before its inner capitals.
 _ALIASES = {
-    "exactbonf": "exactBonf",
-    "exact_bonf": "exactBonf",
-    "exactholm": "exactHolm",
-    "exact_holm": "exactHolm",
-    "cp": "cp",
-    "boot": "boot",
-    "bootstud": "bootStud",
-    "boot_stud": "bootStud",
-    "naive": "naive",
+    alias.lower(): name
+    for name in METHOD_NAMES
+    for alias in (name, re.sub(r"\B([A-Z])", r"_\1", name))
 }
 
 

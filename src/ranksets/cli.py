@@ -32,10 +32,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._dispatch import (
-    METHOD_NAMES, SCOPES, _checked_request, _rank_bounds, normalize_method,
+    METHOD_NAMES, _checked_request, _rank_bounds, normalize_method,
 )
 from .boot import BootstrapConfig
-from .core import KINDS, MultinomialSample, compute_ranks
+from .core import KINDS, SCOPES, MultinomialSample, compute_ranks
 from .projections import tau_best, tau_worst
 from .sim import aes_design, erratic_design, run_design, uniform_design
 

@@ -29,18 +29,21 @@ single table is the same code with no leading axis.  One table's sums
 tables go in one stack is the caller's choice (:mod:`ranksets.sim`
 sizes its chunks).
 
-Scope is decided here alone: :func:`_target_pairs` gives the pairs
-held to each threshold, one row of index arrays per threshold.
-Simultaneous scope holds the whole family to one threshold.  Marginal
-scope gives each target ``j`` in ``J0`` the set its own family ``J0 =
-{j}`` would give; that family is row ``j`` and/or column ``j`` of the
-joint mask, tested at ``j``'s own threshold.  A procedure computes its
-statistic once and derives one threshold per row (Bonferroni from the
-row length, Holm by stepping down the row, the bootstrap by
-calibrating the row), and :meth:`PairwiseRejections.at_threshold`
-claims rows at ``t[:, None]`` (upper bounds) and columns at ``t[None,
-:]`` (lower bounds).  With one shared threshold the two are the same
-matrix.
+Scope says which pairs are held to one threshold.  Simultaneous scope
+holds the whole family to one threshold.  Marginal scope gives each
+target ``j`` in ``J0`` the set its own family ``J0 = {j}`` would give;
+that family is row ``j`` and/or column ``j`` of the joint mask, tested
+at ``j``'s own threshold.  :func:`_target_pairs` spells these rows out
+as index arrays, one row per threshold.  A procedure computes its
+statistic once and derives one threshold per row, and decides its rows
+itself: Bonferroni reads the row length off the family (``len(family)``
+joint, ``p - 1`` per side of a marginal row), Holm steps down the
+family's p-values in ``mask`` order, or in marginal scope the rows of
+:func:`_target_pairs`, and the bootstrap's kernels walk each row's
+pairs from the mask and ``J0`` (``boot._band_critical_values``).
+:meth:`PairwiseRejections.at_threshold` claims rows at ``t[:, None]``
+(upper bounds) and columns at ``t[None, :]`` (lower bounds).  With one
+shared threshold the two are the same matrix.
 
 Category indices are 0-based throughout the API; rank values are
 1-based integers in ``{1, ..., p}``.

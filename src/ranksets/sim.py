@@ -46,7 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dispatch import _STUDENTIZE, _checked_request, _rank_bounds, normalize_method
+from ._dispatch import (
+    METHOD_NAMES, _STUDENTIZE, _checked_request, _rank_bounds, normalize_method,
+)
 from .boot import (
     BootstrapConfig,
     _band_critical_values,
@@ -197,7 +199,7 @@ class SimDesign:
 def aes_design(
     kappa: float,
     tau_n: float,
-    methods: Sequence[str] = ("exactBonf", "exactHolm", "cp", "boot", "bootStud", "naive"),
+    methods: Sequence[str] = METHOD_NAMES,
     categories: Sequence[int] = (0, 3, 6),
     **kwargs,
 ) -> SimDesign:

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranksets import cli, sim
-from ranksets._dispatch import METHOD_NAMES, SCOPES, rank_cs
+from ranksets._dispatch import METHOD_NAMES, rank_cs
 from ranksets.projections import tau_best
 from ranksets.boot import BootstrapConfig, boot_rank_cs
 from ranksets.core import (
     KINDS,
+    SCOPES,
     IndexFamily,
     InvalidTestFamilyError,
     MultinomialSample,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, isqrt, ldexp
@@ -361,6 +362,24 @@ def test_holm_intervals_within_bonferroni(counts, alpha):
     for j in range(s.p):
         assert bonf.lo[j] <= holm.lo[j]
         assert holm.hi[j] <= bonf.hi[j]
+
+
+@pytest.mark.parametrize("scope", ["simultaneous", "marginal"])
+def test_bonferroni_memory_is_a_few_bytes_per_cell_at_p_1000(scope):
+    """Bonferroni reads ``m`` from the family, not from ``(T, m)`` int64
+    index arrays of its pairs (16 and 46 bytes per cell before)."""
+    p = 1000
+    w = np.arange(1, p + 1) ** -0.5
+    counts = np.random.default_rng(0).multinomial(5000, w / w.sum())
+    table = pairwise_pvalues(MultinomialSample(tuple(counts.tolist())),
+                             build_index_family("two_sided", None, p))
+    tracemalloc.start()
+    try:
+        bonferroni_reject(table, 0.05, scope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * p * p
 
 
 # ---------------------------------------------------------------------------
