@@ -26,7 +26,7 @@ from .sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = list(dict.fromkeys(["__version__"] + [
+__all__ = ["__version__"] + [
     name for module in (_dispatch, boot, core, cp, exact, projections, sim)
     for name in module.__all__
-]))
+]

@@ -22,7 +22,6 @@ command line scores every method of a group in one call, and
 
 from __future__ import annotations
 
-import re
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -54,11 +53,16 @@ __all__ = ["METHOD_NAMES", "normalize_method", "rank_cs"]
 
 METHOD_NAMES = ("exactBonf", "exactHolm", "cp", "boot", "bootStud", "naive")
 
-#: Each name lower-cased, with and without "_" before its inner capitals.
 _ALIASES = {
-    alias.lower(): name
-    for name in METHOD_NAMES
-    for alias in (name, re.sub(r"\B([A-Z])", r"_\1", name))
+    "exactbonf": "exactBonf",
+    "exact_bonf": "exactBonf",
+    "exactholm": "exactHolm",
+    "exact_holm": "exactHolm",
+    "cp": "cp",
+    "boot": "boot",
+    "bootstud": "bootStud",
+    "boot_stud": "bootStud",
+    "naive": "naive",
 }
 
 

@@ -34,13 +34,13 @@ holds the whole family to one threshold.  Marginal scope gives each
 target ``j`` in ``J0`` the set its own family ``J0 = {j}`` would give;
 that family is row ``j`` and/or column ``j`` of the joint mask, tested
 at ``j``'s own threshold.  :func:`_target_pairs` spells these rows out
-as index arrays, one row per threshold.  A procedure computes its
-statistic once and derives one threshold per row, and decides its rows
-itself: Bonferroni reads the row length off the family (``len(family)``
-joint, ``p - 1`` per side of a marginal row), Holm steps down the
-family's p-values in ``mask`` order, or in marginal scope the rows of
-:func:`_target_pairs`, and the bootstrap's kernels walk each row's
-pairs from the mask and ``J0`` (``boot._band_critical_values``).
+as index arrays, one row per threshold, and :func:`_row_length` gives
+their length without building them.  A procedure computes its
+statistic once and derives one threshold per row, and decides how it
+reads its rows: Bonferroni divides by :func:`_row_length`, Holm steps
+down the p-values gathered through :func:`_target_pairs`, and the
+bootstrap's kernels walk each row's pairs from the mask and ``J0``
+(``boot._band_critical_values``).
 :meth:`PairwiseRejections.at_threshold` claims rows at ``t[:, None]``
 (upper bounds) and columns at ``t[None, :]`` (lower bounds).  With one
 shared threshold the two are the same matrix.
@@ -362,9 +362,9 @@ def _target_pairs(
     scope has one per target ``j`` in ``family.J0``, whose row is ``j``'s
     own family ``J0 = {j}``: row ``j`` of the mask (``j`` above each
     other category) unless the kind is ``lower``, then column ``j``
-    (each other category above ``j``) unless it is ``upper``, so ``m``
-    is ``p - 1`` one-sided and ``2(p - 1)`` two-sided.  Raises
-    ``ValueError`` for a scope not in ``SCOPES``.
+    (each other category above ``j``) unless it is ``upper``.  ``m`` is
+    :func:`_row_length`.  Raises ``ValueError`` for a scope not in
+    ``SCOPES``.
     """
     if not _is_marginal(scope):
         jj, kk = np.nonzero(family.mask)
@@ -378,6 +378,17 @@ def _target_pairs(
     if family.kind == "lower":
         return k, j
     return np.hstack([j, k]), np.hstack([k, j])
+
+
+def _row_length(family: IndexFamily, scope: str) -> int:
+    """``m``, the pairs in each row of :func:`_target_pairs`, without them.
+
+    The family size in simultaneous scope; in marginal scope ``p - 1``
+    one-sided and ``2(p - 1)`` two-sided.
+    """
+    if not _is_marginal(scope):
+        return len(family)
+    return (2 if family.kind == "two_sided" else 1) * (family.p - 1)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -42,7 +42,7 @@ from .core import (
     RankSet,
     _BLOCK_BYTES,
     _check_alpha,
-    _is_marginal,
+    _row_length,
     _target_pairs,
     _whole_number,
 )
@@ -357,13 +357,8 @@ def bonferroni_reject(
     """
     _check_alpha(alpha)
     family, pvalues = table.family, table.pvalues
-    if _is_marginal(scope):
-        m = (2 if family.kind == "two_sided" else 1) * (family.p - 1)
-    else:
-        m = len(family)
-    return PairwiseRejections.at_threshold(
-        family, lambda t: pvalues <= t, alpha / m
-    )
+    m = _row_length(family, scope)
+    return PairwiseRejections.at_threshold(family, lambda t: pvalues <= t, alpha / m)
 
 
 def holm_reject(
@@ -375,21 +370,16 @@ def holm_reject(
     one passed its own threshold ``alpha / (m + 1 - l)``.  The
     thresholds strictly increase, so p-values tied with the first
     failure fail with it, and the rejections are exactly the p-values
-    below that failure.  Each row of ``m`` pairs steps down on its own:
-    the whole family, read through ``family.mask`` in row-major order, or
-    in marginal ``scope`` each target's own family, a row of
-    :func:`~ranksets.core._target_pairs`.  All rows' stops come from one
-    sort along the last axis of the ``(..., T, m)`` p-values, over every
-    table of a stacked ``(..., p, p)`` table at once.
+    below that failure.  Each row of :func:`~ranksets.core._target_pairs`
+    (the whole family, or in marginal ``scope`` each target's own family
+    of ``m`` pairs) steps down on its own, and all rows' stops come from
+    one sort along the last axis of the ``(..., T, m)`` p-values, over
+    every table of a stacked ``(..., p, p)`` table at once.
     """
     _check_alpha(alpha)
     family, pvalues = table.family, table.pvalues
-    if _is_marginal(scope):
-        jj, kk = _target_pairs(family, scope)
-        ordered = pvalues[..., jj, kk]
-    else:
-        ordered = pvalues[..., None, family.mask]
-    ordered.sort(axis=-1)  # a gather is a fresh array
+    jj, kk = _target_pairs(family, scope)
+    ordered = np.sort(pvalues[..., jj, kk], axis=-1)
     m = ordered.shape[-1]
     failed = ordered > alpha / np.arange(m, 0, -1)
     # The first failure is the smallest failed p-value; none stops at inf.

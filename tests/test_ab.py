@@ -83,6 +83,23 @@ def test_worse_beyond_the_bound_and_unresolved_a_a():
     assert ab.verdict(ab.summarize(runs, METRICS)["op_p50_ms"]) == "unresolved"
 
 
+def test_a_change_better_in_every_run_is_resolved_despite_a_a_noise():
+    runs = _runs({
+        "parent": {"op_p50_ms": [10, 11, 12], "ops_per_s": [100, 90, 95]},
+        "change": {"op_p50_ms": [8, 9, 9.5], "ops_per_s": [101, 105, 120]},
+        "parent2": {"op_p50_ms": [10, 14, 12], "ops_per_s": [100, 60, 95]},
+    })
+    summary = ab.summarize(runs, METRICS)
+    for name in ("op_p50_ms", "ops_per_s"):
+        # One A/A round reads past the 20 % bound in each metric.
+        assert max(map(abs, summary[name]["aa_pair_change_pct"])) > 20
+        assert summary[name]["separated"] and summary[name]["resolved"]
+        assert ab.verdict(summary[name]) == "within bound"
+    # A change run that ties the best parent run is not separated.
+    runs["change"][0]["metrics"]["op_p50_ms"]["value"] = 10
+    assert ab.verdict(ab.summarize(runs, METRICS)["op_p50_ms"]) == "unresolved"
+
+
 def test_rounds_rotate_the_order_of_the_trees():
     assert [ab.round_order(r) for r in range(4)] == [
         ("parent", "change", "parent2"),
@@ -107,7 +124,7 @@ def test_report_has_one_line_per_metric():
 def test_main_rotates_and_stops_at_the_first_failed_run(monkeypatch, capsys):
     calls = []
 
-    def fake_run(tree, workload, seed, seconds):
+    def fake_run(tree, workload, seed):
         calls.append(tree.name)
         if len(calls) == 5:
             raise ab.RunError("correct: false, 1 failed")
@@ -127,7 +144,27 @@ def test_run_bench_refuses_a_wrong_answer(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ab.subprocess, "run", lambda *a, **k: Done)
     with pytest.raises(ab.RunError, match="correct: false, 1 failed"):
-        ab.run_bench(tmp_path, "scale", 0, 1.0)
+        ab.run_bench(tmp_path, "scale", 0)
     Done.returncode = 1
     with pytest.raises(ab.RunError, match="exit 1"):
-        ab.run_bench(tmp_path, "scale", 0, 1.0)
+        ab.run_bench(tmp_path, "scale", 0)
+
+
+def test_run_bench_runs_the_benchmark_command_for_its_run_seconds(monkeypatch, tmp_path):
+    seen = {}
+
+    class Done:
+        returncode = 0
+        stdout = '{"correct": true, "attempted": 4, "failed": 0}\n'
+        stderr = ""
+
+    def fake_run(cmd, cwd, **kwargs):
+        seen.update(cmd=cmd, cwd=cwd)
+        return Done
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab.run_bench(tmp_path, "survey", 3)["correct"]
+    bench = ab.benchmark()
+    assert seen["cwd"] == tmp_path
+    assert seen["cmd"] == [*bench["command"], "--workload", "survey", "--seed", "3",
+                           "--seconds", str(bench["run_seconds"]), "--trace", "0"]

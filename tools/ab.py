@@ -3,25 +3,27 @@
 Usage::
 
     python3 tools/ab.py PARENT CHANGE PARENT2 --workload survey \\
-        [--seed 0] [--rounds 10] [--seconds 30]
+        [--seed 0] [--rounds 10]
 
 ``PARENT``, ``CHANGE`` and ``PARENT2`` are three checkouts with the same
 ``bench/`` code: the parent commit, the change, and a second copy of
 the parent (for example two ``git archive`` extracts), which measures
 how far two runs of the same code drift apart (the A/A side).  Each
-round runs ``python3 bench/run.py --workload W --seed S --seconds T
---trace 0`` once in each tree, one after another, with the order
-rotated by one tree each round.  The script stops at the first run
-that exits non-zero or reads ``correct: false``.
+round runs the ``command`` of ``BENCHMARK.json`` with ``--workload W
+--seed S --seconds T --trace 0``, ``T`` its ``run_seconds``, once in
+each tree, one after another, with the order rotated by one tree each
+round.  The script stops at the first run that exits non-zero or reads
+``correct: false``.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (linear percentiles over the rounds), the change's
 median change against the parent in % and the rounds in which it beat
 the parent of the same round, the same two for the A/A side, and
 whether the gap between the medians exceeds the parent's quartile
-spread.  A metric is ``unresolved`` when some round's A/A change
-exceeds its bound, and ``worse`` when the change's median is worse than
-the parent's by more than the bound.  The last line of standard output
+spread.  A metric is ``worse`` when the change's median is worse than
+the parent's by more than the bound.  Otherwise it is ``unresolved``
+when some round's A/A change exceeds its bound, unless every change
+run beats every parent run.  The last line of standard output
 is the whole summary as one JSON object.
 """
 
@@ -43,9 +45,13 @@ class RunError(RuntimeError):
     """A benchmark run failed or gave a wrong answer."""
 
 
+def benchmark(path: Path = BENCHMARK) -> dict:
+    return json.loads(Path(path).read_text())
+
+
 def end_to_end_metrics(path: Path = BENCHMARK) -> list[dict]:
     """The ``end_to_end`` entries of ``BENCHMARK.json``: name, better, bound."""
-    return json.loads(Path(path).read_text())["end_to_end"]
+    return benchmark(path)["end_to_end"]
 
 
 def round_order(r: int) -> tuple[str, ...]:
@@ -100,7 +106,12 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         entry["gap_vs_parent_iqr"] = [gap, q75 - q25]
         entry["gap_exceeds_parent_iqr"] = gap > q75 - q25
         entry["bound_pct"] = 100.0 * bound
-        entry["resolved"] = all(
+        # Every change run beats every parent run in the metric's direction.
+        entry["separated"] = (
+            min(values["change"]) > max(parent) if sign > 0
+            else max(values["change"]) < min(parent)
+        )
+        entry["resolved"] = entry["separated"] or all(
             abs(pct) <= 100.0 * bound for pct in entry["aa_pair_change_pct"]
         )
         entry["worse"] = -sign * entry["change_median_change_pct"] > 100.0 * bound
@@ -130,10 +141,11 @@ def report(summary: dict) -> list[str]:
     return lines
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result of one ``bench/run.py`` run in ``tree``; ``RunError`` unless correct."""
-    cmd = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_bench(tree: Path, workload: str, seed: int) -> dict:
+    """The result of one benchmark run in ``tree``; ``RunError`` unless correct."""
+    bench = benchmark()
+    cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RunError(f"{tree}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -150,14 +162,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     trees = {side: getattr(args, side).resolve() for side in SIDES}
     runs = {side: [] for side in SIDES}
     for r in range(args.rounds):
         for side in round_order(r):
             try:
-                result = run_bench(trees[side], args.workload, args.seed, args.seconds)
+                result = run_bench(trees[side], args.workload, args.seed)
             except RunError as exc:
                 print(f"round {r}, {side}: {exc}", file=sys.stderr)
                 return 1
@@ -170,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "rounds": args.rounds,
-        "seconds": args.seconds,
+        "seconds": benchmark()["run_seconds"],
         "trees": {side: str(path) for side, path in trees.items()},
         "orders": [list(round_order(r)) for r in range(args.rounds)],
         "correct_attempted_failed": {
